@@ -10,40 +10,29 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import (dataio, evaluation, models, normalize, pipeline, project,
-               rpensemble, search, survival, synth)
+               search, survival, synth)
 from .errors import ConfigError, DataError, OmicsurvError
 
 
-def _parse_kv(pairs: list[str]) -> dict:
+def _parse_kv(pairs: list[str], parse_value=search.coerce) -> dict:
     out = {}
     for pair in pairs or []:
         key, sep, value = pair.partition("=")
         if not sep:
             raise ConfigError(f"expected key=value, got {pair!r}")
-        out[key] = _coerce(value)
+        out[key] = parse_value(value)
     return out
 
 
-def _coerce(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    if text in ("true", "false"):
-        return text == "true"
-    return text
-
-
-def _default_workers() -> int:
-    return int(os.environ.get(pipeline.WORKERS_ENV_VAR, "1"))
+def _search_param(text: str):
+    """A distribution spec such as ``loguniform:0.01,100``, or a fixed value."""
+    return search.parse_distribution(text) if ":" in text else search.coerce(text)
 
 
 def _cmd_synth(args) -> int:
@@ -149,12 +138,18 @@ def _load_xy(features_path, labels_path):
     labels_by_id = {}
     with open(labels_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[:2] != ["patient_id", "label"]:
             raise DataError(f"{labels_path}: expected header patient_id,label")
-        for row in reader:
-            if row:
-                labels_by_id[row[0]] = int(row[1])
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            label = row[1].strip() if len(row) > 1 else ""
+            if label not in ("0", "1"):
+                raise DataError(
+                    f"{labels_path}: line {line}: label must be 0 or 1, "
+                    f"got {label!r}")
+            labels_by_id[row[0]] = int(label)
     keep = [i for i, pid in enumerate(features.patient_ids) if pid in labels_by_id]
     if not keep:
         raise DataError("no overlap between features and labels")
@@ -165,28 +160,20 @@ def _load_xy(features_path, labels_path):
 
 def _cmd_train(args) -> int:
     x, y = _load_xy(args.features, args.labels)
-    params = _parse_kv(args.param)
-    if args.family == "rp_ensemble":
-        config = rpensemble.RpConfig(
-            b1_groups=args.b1, b2_per_group=args.b2, projected_dim=args.d,
-            base_family=args.base, seed=args.seed,
-        )
-        model = rpensemble.train(x, y, config)
-        if args.importance:
-            features = dataio.load_features(args.features)
-            order = np.argsort(-model.feature_importance)
-            with open(args.importance, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["feature", "importance"])
-                for j in order:
-                    writer.writerow([features.feature_names[j],
-                                     repr(float(model.feature_importance[j]))])
-        print(f"trained rp_ensemble; vote threshold alpha={model.alpha}")
-        return 0
-    spec = models.ModelSpec(family=args.family, hyperparameters=params,
-                            seed=args.seed)
+    spec = models.ModelSpec(family=args.family,
+                            hyperparameters=_parse_kv(args.param), seed=args.seed)
     model = models.fit(spec, x, y)
     models.save_model(model, args.model_out)
+    if args.importance:
+        importance = getattr(model.state, "feature_importance", None)
+        if importance is None:
+            raise ConfigError(f"{args.family} reports no feature importances")
+        names = dataio.load_features(args.features).feature_names
+        with open(args.importance, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["feature", "importance"])
+            for j in np.argsort(-importance):
+                writer.writerow([names[j], repr(float(importance[j]))])
     print(f"saved {args.family} model to {args.model_out}")
     return 0
 
@@ -206,17 +193,12 @@ def _cmd_cv(args) -> int:
 
 def _cmd_search(args) -> int:
     x, y = _load_xy(args.features, args.labels)
-    params = {}
-    for pair in args.param or []:
-        key, sep, value = pair.partition("=")
-        if not sep:
-            raise ConfigError(f"expected key=value, got {pair!r}")
-        params[key] = (search.parse_distribution(value)
-                       if ":" in value else _coerce(value))
-    space = search.SearchSpace(family=args.family, params=params)
+    space = search.SearchSpace(family=args.family,
+                               params=_parse_kv(args.param, _search_param))
     plan = evaluation.CvPlan(k_folds=args.k, stratified=True, seed=args.seed)
+    workers = pipeline.default_workers() if args.workers is None else args.workers
     best, trials = search.random_search(space, x, y, plan, args.budget,
-                                        args.seed, worker_count=args.workers)
+                                        args.seed, worker_count=workers)
     print(f"best trial {best.index}: mean AUC {best.mean_auc:.4f} "
           f"params {json.dumps(best.params, sort_keys=True)}")
     if args.output:
@@ -230,12 +212,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    overrides = {}
-    for pair in args.override or []:
-        key, sep, value = pair.partition("=")
-        if not sep:
-            raise ConfigError(f"expected key=value, got {pair!r}")
-        overrides[key] = _coerce(value)
+    overrides = _parse_kv(args.override)
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.workers is not None:
@@ -298,18 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("train", help="train one model")
-    p.add_argument("--family", required=True,
-                   choices=list(models.FAMILIES) + ["rp_ensemble"])
+    p.add_argument("--family", required=True, choices=models.FAMILIES)
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model-out", default="model.json")
-    p.add_argument("--b1", type=int, default=100, help="rp_ensemble groups")
-    p.add_argument("--b2", type=int, default=20, help="projections per group")
-    p.add_argument("--d", type=int, default=5, help="projected dimension")
-    p.add_argument("--base", default="gaussian_nb", help="rp_ensemble base family")
-    p.add_argument("--importance", help="write feature importances CSV here")
+    p.add_argument("--importance", help="write rp_ensemble importances CSV here")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("cv", help="cross-validate one model")
@@ -323,8 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cv)
 
     p = sub.add_parser("search", help="seeded random hyperparameter search")
-    p.add_argument("--family", required=True,
-                   choices=list(models.FAMILIES) + ["rp_ensemble"])
+    p.add_argument("--family", required=True, choices=models.FAMILIES)
     p.add_argument("--param", action="append", metavar="KEY=SPEC",
                    help="fixed value or distribution, e.g. C=loguniform:0.01,100")
     p.add_argument("--features", required=True)
@@ -332,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=10)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, help="default: $OMICSURV_WORKERS or 1")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_search)
 

@@ -7,14 +7,13 @@ curve is the independent cross-check and must agree to 1e-12.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import models, rpensemble
+from . import models
 from .errors import ConfigError, DataError
-from .survival import LabeledDataset
+from .ranks import average_ranks, tie_groups
 
 
 @dataclass(frozen=True)
@@ -72,23 +71,15 @@ class EvalReport:
                 writer.writerow([model, data, repr(mean), repr(std), ""])
 
 
-def _check_two_classes(labels: np.ndarray):
-    if labels.min() == labels.max():
+def _class_counts(labels: np.ndarray) -> tuple[int, int]:
+    """(positives, negatives) of 0/1 labels with both classes present."""
+    n_pos = int(np.count_nonzero(labels == 1))
+    n_neg = int(np.count_nonzero(labels == 0))
+    if n_pos + n_neg != len(labels):
+        raise DataError("labels must be 0 or 1")
+    if n_pos == 0 or n_neg == 0:
         raise DataError("both classes must be present")
-
-
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
-    sx = x[order]
-    i = 0
-    while i < len(sx):
-        j = i
-        while j + 1 < len(sx) and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # 1-based average rank
-        i = j + 1
-    return ranks
+    return n_pos, n_neg
 
 
 def auc(scores, labels) -> float:
@@ -97,10 +88,8 @@ def auc(scores, labels) -> float:
     labels = np.asarray(labels, dtype=np.int64)
     if len(scores) != len(labels):
         raise DataError("scores and labels must have equal length")
-    _check_two_classes(labels)
-    ranks = _average_ranks(scores)
-    n_pos = int(labels.sum())
-    n_neg = len(labels) - n_pos
+    n_pos, n_neg = _class_counts(labels)
+    ranks = average_ranks(scores) + 1.0
     pos_rank_sum = float(ranks[labels == 1].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -109,27 +98,15 @@ def roc_curve(scores, labels) -> RocCurve:
     """One point per distinct threshold, endpoints (0,0) and (1,1) included."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    _check_two_classes(labels)
+    n_pos, n_neg = _class_counts(labels)
     order = np.argsort(-scores, kind="stable")
     s, y = scores[order], labels[order]
-    n_pos = int(y.sum())
-    n_neg = len(y) - n_pos
-
-    thresholds, tpr, fpr = [math.inf], [0.0], [0.0]
-    tp = fp = 0
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[j + 1] == s[i]:
-            j += 1
-        tp += int(y[i:j + 1].sum())
-        fp += (j + 1 - i) - int(y[i:j + 1].sum())
-        thresholds.append(s[i])
-        tpr.append(tp / n_pos)
-        fpr.append(fp / n_neg)
-        i = j + 1
-    return RocCurve(thresholds=np.array(thresholds), fpr=np.array(fpr),
-                    tpr=np.array(tpr))
+    starts, ends = tie_groups(s)
+    tp = np.cumsum(y)[ends - 1]
+    fp = ends - tp
+    return RocCurve(thresholds=np.concatenate(([np.inf], s[starts])),
+                    fpr=np.concatenate(([0.0], fp / n_neg)),
+                    tpr=np.concatenate(([0.0], tp / n_pos)))
 
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -163,42 +140,25 @@ def stratified_kfold(labels, plan: CvPlan) -> list[np.ndarray]:
     return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
 
 
-def _fit_and_score(spec, x_train, y_train, x_test):
-    if isinstance(spec, rpensemble.RpConfig):
-        model = rpensemble.train(x_train, y_train, spec)
-        return rpensemble.predict_scores(model, x_test)
-    model = models.fit(spec, x_train, y_train)
-    return models.predict_scores(model, x_test)
-
-
-def describe_model(spec) -> str:
-    if isinstance(spec, rpensemble.RpConfig):
-        return f"rp_ensemble({spec.base_family})"
-    return spec.family
-
-
-def cross_validate(spec, data: LabeledDataset | tuple, plan: CvPlan,
+def cross_validate(spec: models.ModelSpec, data: tuple, plan: CvPlan,
                    data_descriptor: str = "data") -> EvalReport:
-    """Per-fold fit/score/AUC for a ModelSpec or RpConfig.
+    """Per-fold fit/score/AUC for a ModelSpec; rows are named by its family.
 
-    ``data`` is a LabeledDataset or a plain ``(x, y)`` pair. Any transductive
-    preprocessing (t-SNE) is assumed already applied to the features.
+    ``data`` is an ``(x, y)`` pair. Any transductive preprocessing (t-SNE) is
+    assumed already applied to the features.
     """
-    if isinstance(data, LabeledDataset):
-        x, y = data.features.values, data.labels
-    else:
-        x, y = data
+    x, y = data
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     folds = stratified_kfold(y, plan)
     report = EvalReport()
-    name = describe_model(spec)
     for fold_idx, test_idx in enumerate(folds):
         train_mask = np.ones(len(y), dtype=bool)
         train_mask[test_idx] = False
-        scores = _fit_and_score(spec, x[train_mask], y[train_mask], x[test_idx])
+        model = models.fit(spec, x[train_mask], y[train_mask])
+        scores = models.predict_scores(model, x[test_idx])
         report.rows.append(EvalRow(
-            model=name,
+            model=spec.family,
             data=data_descriptor,
             fold=fold_idx,
             auc=auc(scores, y[test_idx]),

@@ -4,6 +4,12 @@ Every family is trained through ``fit(spec, x, y)`` and scored through
 ``predict_scores`` where larger scores favor class 1. For ``mlp_regressor``
 the targets are observed survival times and the predicted time is used
 directly as the survival score.
+
+``_TABLE`` maps each family to the module that implements it. Every such
+module exposes ``fit(x, y, params, seed, sample_weight=None)``,
+``scores(state, x)``, ``threshold(state)`` (the hard-label cut on the score
+scale), ``to_jsonable(state)`` and ``from_jsonable(d)``. Only the MLPs use
+``sample_weight``; the other families ignore it.
 """
 
 from __future__ import annotations
@@ -13,28 +19,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import rpensemble
 from ..errors import ConfigError, DataError
 from . import forest, gaussian_nb, logistic, mlp, svm
 
-FAMILIES = (
-    "gaussian_nb",
-    "svm_rbf",
-    "l1_logistic",
-    "random_forest",
-    "rectangle_mlp",
-    "mlp_regressor",
-)
+# family -> (module, extra keyword arguments to its fit). Functions are looked up
+# on the module at call time, so rebinding a module attribute reaches every call.
+_TABLE = {
+    "gaussian_nb": (gaussian_nb, {}),
+    "svm_rbf": (svm, {}),
+    "l1_logistic": (logistic, {}),
+    "random_forest": (forest, {}),
+    "rectangle_mlp": (mlp, {"task": "classify"}),
+    "mlp_regressor": (mlp, {"task": "regress"}),
+    "rp_ensemble": (rpensemble, {}),
+}
+
+FAMILIES = tuple(_TABLE)
 
 MODEL_FORMAT_VERSION = 1
-
-# decision threshold on the score scale, per family
-_THRESHOLDS = {
-    "gaussian_nb": 0.0,
-    "svm_rbf": 0.0,
-    "l1_logistic": 0.0,
-    "random_forest": 0.5,
-    "rectangle_mlp": 0.0,
-}
 
 
 @dataclass(frozen=True)
@@ -75,28 +78,10 @@ def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
     censored patients."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
-    classifier = spec.family != "mlp_regressor"
-    _validate_training_data(x, y, classifier)
-
-    hp = spec.hyperparameters
-    if spec.family == "gaussian_nb":
-        state = gaussian_nb.fit(x, y, hp, spec.seed)
-    elif spec.family == "svm_rbf":
-        state = svm.fit(x, y, hp, spec.seed)
-    elif spec.family == "l1_logistic":
-        state = logistic.fit(x, y, hp, spec.seed)
-    elif spec.family == "random_forest":
-        state = forest.fit(x, y, hp, spec.seed)
-    elif spec.family == "rectangle_mlp":
-        state = mlp.fit(x, y, hp, spec.seed, task="classify",
-                        sample_weight=sample_weight)
-    else:  # mlp_regressor
-        if sample_weight is None and "censor_weight" in hp:
-            raise ConfigError(
-                "censor_weight requires per-sample weights; pass sample_weight"
-            )
-        state = mlp.fit(x, y.astype(np.float64), hp, spec.seed, task="regress",
-                        sample_weight=sample_weight)
+    module, options = _TABLE[spec.family]
+    _validate_training_data(x, y, classifier=options.get("task") != "regress")
+    state = module.fit(x, y, spec.hyperparameters, spec.seed,
+                       sample_weight=sample_weight, **options)
     return TrainedModel(spec=spec, n_features=x.shape[1], state=state)
 
 
@@ -115,24 +100,12 @@ def predict_scores(model: TrainedModel, x: np.ndarray) -> np.ndarray:
             f"feature width {x.shape[1]} does not match training width "
             f"{model.n_features}"
         )
-    family = model.spec.family
-    if family == "gaussian_nb":
-        return gaussian_nb.scores(model.state, x)
-    if family == "svm_rbf":
-        return svm.scores(model.state, x)
-    if family == "l1_logistic":
-        return logistic.scores(model.state, x)
-    if family == "random_forest":
-        return forest.scores(model.state, x)
-    return mlp.scores(model.state, x)
+    return _TABLE[model.spec.family][0].scores(model.state, x)
 
 
 def predict_labels(model: TrainedModel, x: np.ndarray) -> np.ndarray:
-    """Hard 0/1 labels at the family's natural decision threshold."""
-    family = model.spec.family
-    if family == "mlp_regressor":
-        raise ConfigError("the time regressor has no hard-label threshold")
-    threshold = _THRESHOLDS[family]
+    """Hard 0/1 labels at the family's decision threshold."""
+    threshold = _TABLE[model.spec.family][0].threshold(model.state)
     return (predict_scores(model, x) >= threshold).astype(np.int64)
 
 
@@ -156,20 +129,20 @@ def gradient_check(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
                    step: float = 1e-5) -> float:
     """Compare backprop gradients against central finite differences over
     every parameter; returns the max relative error."""
-    if spec.family not in ("rectangle_mlp", "mlp_regressor"):
+    module, options = _TABLE[spec.family]
+    if module is not mlp:
         raise ConfigError("gradient_check applies to the MLP families only")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(x) > 20 or x.shape[1] > 10:
         raise ConfigError("gradient_check expects <= 20 samples and <= 10 features")
 
-    task = "classify" if spec.family == "rectangle_mlp" else "regress"
     hp = spec.hyperparameters
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
     weights, biases = mlp._init_params(
         x.shape[1], int(hp.get("width", 8)), int(hp.get("n_hidden_layers", 2)), rng
     )
-    state = mlp.MlpState(weights=weights, biases=biases, task=task)
+    state = mlp.MlpState(weights=weights, biases=biases, task=options["task"])
 
     _, gw, gb = mlp.loss_and_gradients(state, x, y, sample_weight)
     analytic = np.concatenate([g.ravel() for g in gw] + [g.ravel() for g in gb])
@@ -193,37 +166,33 @@ def gradient_check(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
     return float(rel.max())
 
 
-_MODULES = {
-    "gaussian_nb": gaussian_nb,
-    "svm_rbf": svm,
-    "l1_logistic": logistic,
-    "random_forest": forest,
-    "rectangle_mlp": mlp,
-    "mlp_regressor": mlp,
-}
-
-
-def save_model(model: TrainedModel, path) -> None:
+def to_jsonable(model: TrainedModel) -> dict:
     """Structured-text parameter dump; format documented in the README."""
-    payload = {
+    return {
         "format_version": MODEL_FORMAT_VERSION,
         "family": model.spec.family,
         "hyperparameters": model.spec.hyperparameters,
         "seed": model.spec.seed,
         "n_features": model.n_features,
-        "state": _MODULES[model.spec.family].to_jsonable(model.state),
+        "state": _TABLE[model.spec.family][0].to_jsonable(model.state),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
 
 
-def load_model(path) -> TrainedModel:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+def from_jsonable(payload: dict) -> TrainedModel:
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format {payload.get('format_version')}")
     spec = ModelSpec(family=payload["family"],
                      hyperparameters=payload["hyperparameters"],
                      seed=payload["seed"])
-    state = _MODULES[spec.family].from_jsonable(payload["state"])
+    state = _TABLE[spec.family][0].from_jsonable(payload["state"])
     return TrainedModel(spec=spec, n_features=payload["n_features"], state=state)
+
+
+def save_model(model: TrainedModel, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(to_jsonable(model), fh)
+
+
+def load_model(path) -> TrainedModel:
+    with open(path, encoding="utf-8") as fh:
+        return from_jsonable(json.load(fh))

@@ -107,7 +107,8 @@ def _tree_votes(node: TreeNode, x: np.ndarray, out: np.ndarray,
     _tree_votes(node.right, x, out, idx[~mask])
 
 
-def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int) -> ForestState:
+def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
+        sample_weight=None) -> ForestState:
     n_trees = int(params.get("n_trees", 100))
     max_depth = params.get("max_depth")
     max_depth = None if max_depth is None else int(max_depth)
@@ -135,6 +136,10 @@ def scores(state: ForestState, x: np.ndarray) -> np.ndarray:
         _tree_votes(tree, x, tree_out, all_idx)
         votes += tree_out
     return votes / len(state.trees)
+
+
+def threshold(state: ForestState) -> float:
+    return 0.5
 
 
 def _node_to_dict(node: TreeNode) -> dict:

@@ -19,7 +19,8 @@ class GnbState:
     log_prior1: float
 
 
-def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int) -> GnbState:
+def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
+        sample_weight=None) -> GnbState:
     x0, x1 = x[y == 0], x[y == 1]
     return GnbState(
         mean0=x0.mean(axis=0),
@@ -40,6 +41,10 @@ def scores(state: GnbState, x: np.ndarray) -> np.ndarray:
     ll1 = _class_loglik(x, state.mean1, state.var1) + state.log_prior1
     ll0 = _class_loglik(x, state.mean0, state.var0) + state.log_prior0
     return ll1 - ll0
+
+
+def threshold(state: GnbState) -> float:
+    return 0.0
 
 
 def to_jsonable(state: GnbState) -> dict:

@@ -44,7 +44,8 @@ def _soft_threshold(v: float, thresh: float) -> float:
     return 0.0
 
 
-def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int) -> LogisticState:
+def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
+        sample_weight=None) -> LogisticState:
     lam = float(params.get("lambda", 0.01))
     max_sweeps = int(params.get("max_sweeps", 200))
     change_tol = float(params.get("tol", 1e-8))
@@ -78,6 +79,10 @@ def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int) -> LogisticState:
 def scores(state: LogisticState, x: np.ndarray) -> np.ndarray:
     """Linear logit."""
     return x @ state.weights + state.intercept
+
+
+def threshold(state: LogisticState) -> float:
+    return 0.0
 
 
 def to_jsonable(state: LogisticState) -> dict:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ConfigError
+
 
 @dataclass
 class MlpState:
@@ -82,7 +84,12 @@ def loss_and_gradients(state: MlpState, x: np.ndarray, y: np.ndarray,
 
 
 def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
-        task: str = "classify", sample_weight: np.ndarray | None = None) -> MlpState:
+        sample_weight: np.ndarray | None = None,
+        task: str = "classify") -> MlpState:
+    if task == "regress" and sample_weight is None and "censor_weight" in params:
+        raise ConfigError(
+            "censor_weight requires per-sample weights; pass sample_weight"
+        )
     n_hidden = int(params.get("n_hidden_layers", 2))
     width = int(params.get("width", 32))
     epochs = int(params.get("epochs", 200))
@@ -115,6 +122,12 @@ def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
 def scores(state: MlpState, x: np.ndarray) -> np.ndarray:
     """Classifier: output logit. Regressor: predicted survival time."""
     return _forward(state.weights, state.biases, x)[-1][:, 0]
+
+
+def threshold(state: MlpState) -> float:
+    if state.task == "regress":
+        raise ConfigError("the time regressor has no hard-label threshold")
+    return 0.0
 
 
 def epoch_losses(x, y, params, seed, task="classify", epochs=10):

@@ -33,7 +33,8 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * np.maximum(d2, 0.0))
 
 
-def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int) -> SvmState:
+def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
+        sample_weight=None) -> SvmState:
     c = float(params.get("C", 1.0))
     gamma = float(params.get("gamma", 1.0 / x.shape[1]))
     tol = float(params.get("tol", 1e-3))
@@ -107,6 +108,10 @@ def scores(state: SvmState, x: np.ndarray) -> np.ndarray:
         return np.full(len(x), state.bias)
     k = rbf_kernel(x, state.support_x, state.gamma)
     return k @ state.dual_coef + state.bias
+
+
+def threshold(state: SvmState) -> float:
+    return 0.0
 
 
 def to_jsonable(state: SvmState) -> dict:

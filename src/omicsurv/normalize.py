@@ -12,6 +12,7 @@ import numpy as np
 
 from .dataio import ExpressionMatrix, merge
 from .errors import DataError
+from .ranks import average_ranks
 
 
 def log2_transform(m: ExpressionMatrix) -> ExpressionMatrix:
@@ -27,28 +28,13 @@ def log2_transform(m: ExpressionMatrix) -> ExpressionMatrix:
     )
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """0-based ranks with ties assigned the average of their positions."""
-    order = np.argsort(x, kind="stable")
-    sx = x[order]
-    ranks = np.empty(len(x))
-    i = 0
-    while i < len(sx):
-        j = i
-        while j + 1 < len(sx) and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j)
-        i = j + 1
-    return ranks
-
-
 def quantile_map(target_values: np.ndarray, reference_values: np.ndarray) -> np.ndarray:
     """Map one gene's target values onto the reference's quantile profile."""
     n_t = len(target_values)
     n_r = len(reference_values)
     if n_r < 2:
         raise DataError("reference gene needs at least 2 values")
-    probs = (_average_ranks(target_values) + 0.5) / n_t
+    probs = (average_ranks(target_values) + 0.5) / n_t
     ref_probs = (np.arange(n_r) + 0.5) / n_r
     # np.interp clamps beyond the endpoint probabilities
     return np.interp(probs, ref_probs, np.sort(reference_values))

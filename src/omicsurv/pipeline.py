@@ -26,6 +26,16 @@ from .errors import ConfigError, DataError, OmicsurvError
 WORKERS_ENV_VAR = "OMICSURV_WORKERS"
 
 
+def default_workers() -> int:
+    """Worker count from the OMICSURV_WORKERS environment variable, else 1."""
+    text = os.environ.get(WORKERS_ENV_VAR, "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(
+            f"{WORKERS_ENV_VAR} must be an integer, got {text!r}") from None
+
+
 @dataclass
 class ModelEntry:
     family: str
@@ -116,7 +126,7 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
             budget=m.get("budget"),
         ))
 
-    default_workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
+    workers = raw["workers"] if "workers" in raw else default_workers()
     config = ExperimentConfig(
         sources=list(data.get("sources") or []),
         clinical_path=data.get("clinical", ""),
@@ -131,7 +141,7 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         k_folds=int(cv.get("k_folds", 3)),
         stratified=bool(cv.get("stratified", True)),
         budget=int(search_cfg.get("budget", 1)),
-        worker_count=int(raw.get("workers", default_workers)),
+        worker_count=int(workers),
         seed=int(raw.get("seed", 0)),
         output_dir=str(raw.get("output", "out")),
     )

@@ -9,11 +9,14 @@ groups voting class 1 and the hard label thresholds that fraction at alpha.
 Feature importance sums, over the selected projections, each feature's
 squared projection weights scaled by its training variance (so constant and
 all-zero columns get exactly zero importance), normalized to sum to 1.
+
+The module is the ``rp_ensemble`` family of ``omicsurv.models``. It uses
+``models`` only at call time, so their import cycle resolves in either order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -33,10 +36,20 @@ class RpConfig:
     seed: int = 0
 
     def __post_init__(self):
+        counts = (self.b1_groups, self.b2_per_group, self.projected_dim)
+        if not all(isinstance(v, (int, np.integer)) for v in counts):
+            raise ConfigError(
+                "b1_groups, b2_per_group and projected_dim must be integers")
+        fractions = (self.selection_holdout_fraction, self.vote_threshold_alpha)
+        if not all(isinstance(v, (int, float)) for v in fractions if v is not None):
+            raise ConfigError("selection_holdout_fraction and "
+                              "vote_threshold_alpha must be numbers")
         if self.b1_groups < 1 or self.b2_per_group < 1:
             raise ConfigError("b1_groups and b2_per_group must be >= 1")
         if self.projected_dim < 1:
             raise ConfigError("projected_dim must be >= 1")
+        if self.base_family == "rp_ensemble":
+            raise ConfigError("rp_ensemble cannot be its own base family")
         if self.vote_threshold_alpha is not None and not (
             0.0 < self.vote_threshold_alpha < 1.0
         ):
@@ -174,3 +187,45 @@ def predict_scores(model: RpModel, x: np.ndarray) -> np.ndarray:
 
 def predict_labels(model: RpModel, x: np.ndarray) -> np.ndarray:
     return (predict_scores(model, x) >= model.alpha).astype(np.int64)
+
+
+def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
+        sample_weight=None) -> RpModel:
+    """``params`` are the RpConfig fields other than ``seed``."""
+    valid = sorted(f.name for f in fields(RpConfig) if f.name != "seed")
+    unknown = sorted(set(params) - set(valid))
+    if unknown:
+        raise ConfigError(f"unknown rp_ensemble parameters {unknown}; valid: {valid}")
+    return train(x, y, RpConfig(seed=seed, **params))
+
+
+def scores(model: RpModel, x: np.ndarray) -> np.ndarray:
+    return predict_scores(model, x)
+
+
+def threshold(model: RpModel) -> float:
+    return model.alpha
+
+
+def to_jsonable(model: RpModel) -> dict:
+    return {
+        "config": asdict(model.config),
+        "projections": [p.tolist() for p in model.projections],
+        "base_models": [models.to_jsonable(m) for m in model.base_models],
+        "alpha": model.alpha,
+        "feature_importance": model.feature_importance.tolist(),
+        "group_errors": model.group_errors.tolist(),
+        "selected_indices": model.selected_indices.tolist(),
+    }
+
+
+def from_jsonable(d: dict) -> RpModel:
+    return RpModel(
+        config=RpConfig(**d["config"]),
+        projections=[np.array(p) for p in d["projections"]],
+        base_models=[models.from_jsonable(m) for m in d["base_models"]],
+        alpha=d["alpha"],
+        feature_importance=np.array(d["feature_importance"]),
+        group_errors=np.array(d["group_errors"]),
+        selected_indices=np.array(d["selected_indices"], dtype=np.int64),
+    )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import evaluation, models, rpensemble
+from . import evaluation, models
 from .errors import ConfigError
 
 
@@ -67,18 +67,21 @@ def parse_distribution(text: str):
         if kind == "int":
             return IntUniform(int(parts[0]), int(parts[1]))
         if kind == "cat":
-            return Categorical(tuple(_coerce(p) for p in parts))
+            return Categorical(tuple(coerce(p) for p in parts))
     except (IndexError, ValueError) as exc:
         raise ConfigError(f"malformed distribution spec {text!r}") from exc
     raise ConfigError(f"unknown distribution kind {kind!r}")
 
 
-def _coerce(text: str):
+def coerce(text: str):
+    """A command-line literal as int, float or bool, else the string itself."""
     for cast in (int, float):
         try:
             return cast(text)
         except ValueError:
             pass
+    if text in ("true", "false"):
+        return text == "true"
     return text
 
 
@@ -86,10 +89,10 @@ def _coerce(text: str):
 class SearchSpace:
     """A model family plus fixed values and/or distributions per parameter."""
 
-    family: str  # a models.FAMILIES entry or "rp_ensemble"
+    family: str  # a models.FAMILIES entry
     params: dict = field(default_factory=dict)
 
-    def sample(self, seed: int, trial_index: int):
+    def sample(self, seed: int, trial_index: int) -> models.ModelSpec:
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial_index]))
         sampled = {}
         for name in sorted(self.params):
@@ -98,8 +101,6 @@ class SearchSpace:
         model_seed = int(
             np.random.SeedSequence([seed, trial_index, 1]).generate_state(1)[0]
         )
-        if self.family == "rp_ensemble":
-            return rpensemble.RpConfig(seed=model_seed, **sampled)
         return models.ModelSpec(family=self.family, hyperparameters=sampled,
                                 seed=model_seed)
 
@@ -118,14 +119,9 @@ def _run_trial(space: SearchSpace, x, y, plan, seed: int, index: int) -> TrialRe
     spec = space.sample(seed, index)
     report = evaluation.cross_validate(spec, (x, y), plan)
     aucs = [row.auc for row in report.rows]
-    if isinstance(spec, rpensemble.RpConfig):
-        params = {k: getattr(spec, k) for k in
-                  ("b1_groups", "b2_per_group", "projected_dim", "base_family")}
-    else:
-        params = dict(spec.hyperparameters)
     return TrialRecord(
         index=index,
-        params=params,
+        params=dict(spec.hyperparameters),
         fold_aucs=aucs,
         mean_auc=float(np.mean(aucs)),
         wall_time=time.perf_counter() - start,

@@ -19,6 +19,7 @@ import numpy as np
 
 from .dataio import ClinicalRecord, FeatureMatrix
 from .errors import DataError
+from .ranks import tie_groups
 
 
 class SurvivalLabel(enum.Enum):
@@ -111,29 +112,18 @@ def _km_single(records: list[ClinicalRecord], group: str | None) -> SurvivalCurv
     order = np.argsort(times, kind="stable")
     times, events = times[order], events[order]
 
-    event_times, survival, at_risk = [], [], []
-    s = 1.0
-    n = len(times)
-    i = 0
-    while i < n:
-        u = times[i]
-        j = i
-        while j < n and times[j] == u:
-            j += 1
-        d = int(events[i:j].sum())
-        r = n - i  # everyone with observed time >= u is still at risk
-        if d > 0:
-            # deaths at a tied time are processed before censorings at it
-            s *= 1.0 - d / r
-            event_times.append(u)
-            survival.append(s)
-            at_risk.append(r)
-        i = j
+    starts, _ = tie_groups(times)
+    deaths = np.add.reduceat(events.astype(np.int64), starts)
+    at_risk = len(times) - starts  # everyone observed at or after the time
+    # deaths at a tied time are processed before censorings at it
+    steps = deaths > 0
+    at_risk = at_risk[steps]
+    survival = np.cumprod(1.0 - deaths[steps] / at_risk)
     return SurvivalCurve(
         group_label=group,
-        event_times=np.array(event_times),
-        survival_probabilities=np.array(survival),
-        at_risk_counts=np.array(at_risk, dtype=np.int64),
+        event_times=times[starts[steps]],
+        survival_probabilities=survival,
+        at_risk_counts=at_risk,
     )
 
 

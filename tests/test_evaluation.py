@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omicsurv import evaluation, models, rpensemble
+from omicsurv import evaluation, models
 from omicsurv.errors import ConfigError, DataError
 
 from conftest import separable_xy
@@ -43,6 +43,11 @@ class TestAuc:
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             evaluation.auc([0.1], [1, 0])
+
+    def test_non_binary_labels_rejected(self):
+        for check in (evaluation.auc, evaluation.roc_curve):
+            with pytest.raises(DataError, match="0 or 1"):
+                check([0.1, 0.2, 0.3], [0, 2, 0])
 
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1)),
                     min_size=2, max_size=40))
@@ -190,12 +195,12 @@ class TestCrossValidate:
 
     def test_rp_config_accepted(self):
         x, y = separable_xy(n_features=6)
-        config = rpensemble.RpConfig(b1_groups=2, b2_per_group=1,
-                                     projected_dim=2, seed=0)
+        config = models.ModelSpec("rp_ensemble", {"b1_groups": 2, "b2_per_group": 1,
+                                                  "projected_dim": 2}, 0)
         report = evaluation.cross_validate(config, (x, y),
                                            evaluation.CvPlan(k_folds=2))
         assert len(report.rows) == 2
-        assert report.rows[0].model == "rp_ensemble(gaussian_nb)"
+        assert report.rows[0].model == "rp_ensemble"
 
 
 class TestEvalReport:

@@ -18,6 +18,7 @@ SMALL_HP = {
     "l1_logistic": {"lambda": 0.001},
     "random_forest": {"n_trees": 20},
     "rectangle_mlp": {"epochs": 200, "width": 8},
+    "rp_ensemble": {"b1_groups": 3, "b2_per_group": 2, "projected_dim": 2},
 }
 
 
@@ -29,7 +30,7 @@ class TestModelSpec:
     def test_families_tuple(self):
         assert set(models.FAMILIES) == {
             "gaussian_nb", "svm_rbf", "l1_logistic", "random_forest",
-            "rectangle_mlp", "mlp_regressor"}
+            "rectangle_mlp", "mlp_regressor", "rp_ensemble"}
 
 
 class TestValidation:

@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from omicsurv import cli, dataio, pipeline
+from omicsurv import cli, dataio, models, pipeline
 from omicsurv.errors import ConfigError
 
 
@@ -224,7 +228,9 @@ class TestCli:
         code = cli.main(["train", "--family", "rp_ensemble",
                          "--features", str(data / "microarray.csv"),
                          "--labels", str(labels),
-                         "--b1", "3", "--b2", "2", "--d", "3",
+                         "--param", "b1_groups=3", "--param", "b2_per_group=2",
+                         "--param", "projected_dim=3",
+                         "--model-out", str(tmp_path / "rp.json"),
                          "--importance", str(imp)])
         assert code == 0
         with open(imp, newline="", encoding="utf-8") as fh:
@@ -232,6 +238,26 @@ class TestCli:
         values = [float(r[1]) for r in rows]
         assert values == sorted(values, reverse=True)
         assert abs(sum(values) - 1.0) < 1e-9
+
+    def test_rp_ensemble_cv_train_and_reload(self, tmp_path):
+        data = make_cohort(tmp_path)
+        labels = self.labels_for(tmp_path, data)
+        features = str(data / "microarray.csv")
+        inputs = ["--features", features, "--labels", str(labels)]
+        params = ["--param", "b2_per_group=2", "--param", "projected_dim=3"]
+        assert cli.main(["cv", "--family", "rp_ensemble", *params,
+                         "--param", "b1_groups=3", "--k", "3",
+                         "--output", str(tmp_path / "cv.csv"), *inputs]) == 0
+        model_path = tmp_path / "rp.json"
+        assert cli.main(["train", "--family", "rp_ensemble", *params,
+                         "--param", "b1_groups=7",
+                         "--model-out", str(model_path), *inputs]) == 0
+        loaded = models.load_model(model_path)
+        assert len(loaded.state.projections) == 7
+        x, y = cli._load_xy(features, labels)
+        trained = models.fit(loaded.spec, x, y)
+        np.testing.assert_array_equal(models.predict_scores(loaded, x),
+                                      models.predict_scores(trained, x))
 
     def test_cv(self, tmp_path, capsys):
         data = make_cohort(tmp_path)
@@ -281,9 +307,35 @@ class TestCli:
 
     def test_workers_env_var(self, monkeypatch):
         monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, "4")
-        assert cli._default_workers() == 4
+        assert pipeline.default_workers() == 4
         monkeypatch.delenv(pipeline.WORKERS_ENV_VAR)
-        assert cli._default_workers() == 1
+        assert pipeline.default_workers() == 1
+
+
+@pytest.mark.parametrize("label, env, code", [
+    ("yes", {}, 3),                          # non-integer label
+    ("2", {}, 3),                            # label outside {0, 1}
+    ("1", {pipeline.WORKERS_ENV_VAR: "abc"}, 2),
+])
+def test_bad_input_exit_code_without_traceback(tmp_path, label, env, code):
+    data = make_cohort(tmp_path, n_patients=30, n_genes=6)
+    ids = dataio.load_features(data / "microarray.csv").patient_ids
+    rows = [f"{pid},{i % 2}" for i, pid in enumerate(ids)]
+    rows[4] = f"{ids[4]},{label}"
+    labels = tmp_path / "labels.csv"
+    labels.write_text("patient_id,label\n" + "\n".join(rows) + "\n",
+                      encoding="utf-8")
+    environ = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+                   **env)
+    result = subprocess.run(
+        [sys.executable, "-m", "omicsurv.cli", "search", "--family",
+         "gaussian_nb", "--features", str(data / "microarray.csv"),
+         "--labels", str(labels), "--budget", "1", "--k", "3"],
+        capture_output=True, text=True, env=environ)
+    assert result.returncode == code
+    assert "Traceback" not in result.stderr
+    if code == 3:
+        assert f"{labels}: line 6" in result.stderr
 
 
 class TestProjectionVariantNames(object):

@@ -43,6 +43,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             rpensemble.RpConfig(selection_holdout_fraction=0.0)
 
+    @pytest.mark.parametrize("params, match", [
+        ({"bogus": 1}, "unknown rp_ensemble parameters"),
+        ({"seed": 3}, "unknown rp_ensemble parameters"),
+        ({"base_family": "rp_ensemble"}, "its own base family"),
+        ({"b1_groups": 2.5}, "must be integers"),
+        ({"selection_holdout_fraction": "half"}, "must be numbers"),
+    ])
+    def test_family_params_rejected(self, params, match):
+        x, y = separable_xy(n_features=4)
+        with pytest.raises(ConfigError, match=match):
+            models.fit(models.ModelSpec("rp_ensemble", params, 0), x, y)
+
     def test_projected_dim_exceeds_features(self):
         x, y = separable_xy(n_features=3)
         with pytest.raises(ConfigError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from omicsurv import evaluation, rpensemble, search
+from omicsurv import evaluation, models, search
 from omicsurv.errors import ConfigError
 
 from conftest import separable_xy
@@ -66,8 +66,8 @@ class TestSearchSpace:
         space = search.SearchSpace(family="rp_ensemble",
                                    params={"projected_dim": 2})
         config = space.sample(seed=0, trial_index=0)
-        assert isinstance(config, rpensemble.RpConfig)
-        assert config.projected_dim == 2
+        assert isinstance(config, models.ModelSpec)
+        assert config.hyperparameters["projected_dim"] == 2
 
     def test_categorical_coverage_default_seed(self):
         space = search.SearchSpace(
