@@ -30,11 +30,6 @@ def _parse_kv(pairs: list[str], parse_value=search.coerce) -> dict:
     return out
 
 
-def _search_param(text: str):
-    """A distribution spec such as ``loguniform:0.01,100``, or a fixed value."""
-    return search.parse_distribution(text) if ":" in text else search.coerce(text)
-
-
 def _cmd_synth(args) -> int:
     config = synth.SynthConfig(
         n_patients=args.n_patients,
@@ -110,6 +105,8 @@ def _cmd_km(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    if args.append_age and not args.clinical:
+        raise ConfigError("--append-age requires --clinical")
     features = dataio.load_features(args.features)
     config = project.TsneConfig(
         output_dims=args.dims,
@@ -117,19 +114,9 @@ def _cmd_project(args) -> int:
         iterations=args.iterations,
         seed=args.seed,
     )
-    if args.append_age:
-        if not args.clinical:
-            raise ConfigError("--append-age requires --clinical")
-        clinical = dataio.load_clinical(args.clinical)
-        out = project.project_with_age(features, clinical, config)
-    else:
-        embedding = project.tsne(features, config)
-        out = dataio.FeatureMatrix(
-            patient_ids=embedding.patient_ids,
-            feature_names=[f"tsne_{k}" for k in range(args.dims)],
-            values=embedding.coords,
-        )
-    dataio.save_expression(out, args.output)
+    clinical = dataio.load_clinical(args.clinical) if args.append_age else None
+    dataio.save_expression(project.project_with_age(features, clinical, config),
+                           args.output)
     return 0
 
 
@@ -193,11 +180,13 @@ def _cmd_cv(args) -> int:
 
 def _cmd_search(args) -> int:
     x, y = _load_xy(args.features, args.labels)
-    space = search.SearchSpace(family=args.family,
-                               params=_parse_kv(args.param, _search_param))
+    params = _parse_kv(args.param,
+                       lambda text: search.parse_param(search.coerce(text)))
+    space = search.SearchSpace(family=args.family, params=params,
+                               budget=args.budget)
     plan = evaluation.CvPlan(k_folds=args.k, stratified=True, seed=args.seed)
     workers = pipeline.default_workers() if args.workers is None else args.workers
-    best, trials = search.random_search(space, x, y, plan, args.budget,
+    best, trials = search.random_search(space, x, y, plan, space.budget,
                                         args.seed, worker_count=workers)
     print(f"best trial {best.index}: mean AUC {best.mean_auc:.4f} "
           f"params {json.dumps(best.params, sort_keys=True)}")

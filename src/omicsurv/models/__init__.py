@@ -40,6 +40,11 @@ FAMILIES = tuple(_TABLE)
 MODEL_FORMAT_VERSION = 1
 
 
+def check_family(family: str) -> None:
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown model family {family!r}; valid: {FAMILIES}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     family: str
@@ -47,10 +52,7 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ConfigError(
-                f"unknown model family {self.family!r}; valid: {FAMILIES}"
-            )
+        check_family(self.family)
 
 
 @dataclass
@@ -80,8 +82,11 @@ def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
     y = np.asarray(y)
     module, options = _TABLE[spec.family]
     _validate_training_data(x, y, classifier=options.get("task") != "regress")
-    state = module.fit(x, y, spec.hyperparameters, spec.seed,
-                       sample_weight=sample_weight, **options)
+    try:
+        state = module.fit(x, y, spec.hyperparameters, spec.seed,
+                           sample_weight=sample_weight, **options)
+    except ConfigError as exc:
+        raise ConfigError(f"{spec.family}: {exc}") from None
     return TrainedModel(spec=spec, n_features=x.shape[1], state=state)
 
 
@@ -107,63 +112,6 @@ def predict_labels(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     """Hard 0/1 labels at the family's decision threshold."""
     threshold = _TABLE[model.spec.family][0].threshold(model.state)
     return (predict_scores(model, x) >= threshold).astype(np.int64)
-
-
-def _flatten_params(state: mlp.MlpState) -> np.ndarray:
-    parts = [w.ravel() for w in state.weights] + [b.ravel() for b in state.biases]
-    return np.concatenate(parts)
-
-
-def _write_params(state: mlp.MlpState, flat: np.ndarray) -> None:
-    pos = 0
-    for w in state.weights:
-        w[...] = flat[pos:pos + w.size].reshape(w.shape)
-        pos += w.size
-    for b in state.biases:
-        b[...] = flat[pos:pos + b.size].reshape(b.shape)
-        pos += b.size
-
-
-def gradient_check(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
-                   sample_weight: np.ndarray | None = None,
-                   step: float = 1e-5) -> float:
-    """Compare backprop gradients against central finite differences over
-    every parameter; returns the max relative error."""
-    module, options = _TABLE[spec.family]
-    if module is not mlp:
-        raise ConfigError("gradient_check applies to the MLP families only")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if len(x) > 20 or x.shape[1] > 10:
-        raise ConfigError("gradient_check expects <= 20 samples and <= 10 features")
-
-    hp = spec.hyperparameters
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
-    weights, biases = mlp._init_params(
-        x.shape[1], int(hp.get("width", 8)), int(hp.get("n_hidden_layers", 2)), rng
-    )
-    state = mlp.MlpState(weights=weights, biases=biases, task=options["task"])
-
-    _, gw, gb = mlp.loss_and_gradients(state, x, y, sample_weight)
-    analytic = np.concatenate([g.ravel() for g in gw] + [g.ravel() for g in gb])
-
-    flat = _flatten_params(state)
-    numeric = np.empty_like(flat)
-    for i in range(len(flat)):
-        orig = flat[i]
-        flat[i] = orig + step
-        _write_params(state, flat)
-        up, _, _ = mlp.loss_and_gradients(state, x, y, sample_weight)
-        flat[i] = orig - step
-        _write_params(state, flat)
-        down, _, _ = mlp.loss_and_gradients(state, x, y, sample_weight)
-        flat[i] = orig
-        numeric[i] = (up - down) / (2.0 * step)
-    _write_params(state, flat)
-
-    denom = np.maximum(np.abs(numeric), 1e-6)
-    rel = np.abs(analytic - numeric) / denom
-    return float(rel.max())
 
 
 def to_jsonable(model: TrainedModel) -> dict:

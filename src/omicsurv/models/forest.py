@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import number
+
 
 @dataclass
 class TreeNode:
@@ -109,10 +111,10 @@ def _tree_votes(node: TreeNode, x: np.ndarray, out: np.ndarray,
 
 def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
         sample_weight=None) -> ForestState:
-    n_trees = int(params.get("n_trees", 100))
+    n_trees = number(params, "n_trees", 100, int)
     max_depth = params.get("max_depth")
-    max_depth = None if max_depth is None else int(max_depth)
-    mtry = int(params.get("mtry", max(1, int(np.sqrt(x.shape[1])))))
+    max_depth = None if max_depth is None else number(params, "max_depth", None, int)
+    mtry = number(params, "mtry", max(1, int(np.sqrt(x.shape[1]))), int)
     bootstrap = bool(params.get("bootstrap", True))
 
     trees = []

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import number
+
 
 @dataclass
 class LogisticState:
@@ -46,9 +48,9 @@ def _soft_threshold(v: float, thresh: float) -> float:
 
 def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
         sample_weight=None) -> LogisticState:
-    lam = float(params.get("lambda", 0.01))
-    max_sweeps = int(params.get("max_sweeps", 200))
-    change_tol = float(params.get("tol", 1e-8))
+    lam = number(params, "lambda", 0.01)
+    max_sweeps = number(params, "max_sweeps", 200, int)
+    change_tol = number(params, "tol", 1e-8)
 
     n, m = x.shape
     w = np.zeros(m)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
+from .params import number
 
 
 @dataclass
@@ -90,11 +91,11 @@ def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
         raise ConfigError(
             "censor_weight requires per-sample weights; pass sample_weight"
         )
-    n_hidden = int(params.get("n_hidden_layers", 2))
-    width = int(params.get("width", 32))
-    epochs = int(params.get("epochs", 200))
-    lr = float(params.get("learning_rate", 0.01))
-    batch_size = int(params.get("batch_size", 32))
+    n_hidden = number(params, "n_hidden_layers", 2, int)
+    width = number(params, "width", 32, int)
+    epochs = number(params, "epochs", 200, int)
+    lr = number(params, "learning_rate", 0.01)
+    batch_size = number(params, "batch_size", 32, int)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     weights, biases = _init_params(x.shape[1], width, n_hidden, rng)
@@ -128,18 +129,6 @@ def threshold(state: MlpState) -> float:
     if state.task == "regress":
         raise ConfigError("the time regressor has no hard-label threshold")
     return 0.0
-
-
-def epoch_losses(x, y, params, seed, task="classify", epochs=10):
-    """Full-data loss after each of the first epochs; used by tests."""
-    losses = []
-    p = dict(params)
-    for e in range(1, epochs + 1):
-        p["epochs"] = e
-        state = fit(x, y, p, seed, task=task)
-        loss, _, _ = loss_and_gradients(state, x, y.astype(np.float64))
-        losses.append(loss)
-    return losses
 
 
 def to_jsonable(state: MlpState) -> dict:

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import number
+
 
 @dataclass
 class SvmState:
@@ -35,10 +37,10 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
 
 def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
         sample_weight=None) -> SvmState:
-    c = float(params.get("C", 1.0))
-    gamma = float(params.get("gamma", 1.0 / x.shape[1]))
-    tol = float(params.get("tol", 1e-3))
-    max_iter = int(params.get("max_iter", 20000))
+    c = number(params, "C", 1.0)
+    gamma = number(params, "gamma", 1.0 / x.shape[1])
+    tol = number(params, "tol", 1e-3)
+    max_iter = number(params, "max_iter", 20000, int)
 
     y_pm = np.where(y == 1, 1.0, -1.0)
     n = len(y_pm)

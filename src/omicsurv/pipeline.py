@@ -10,18 +10,21 @@ bit-identical across reruns and worker counts.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import dataio, evaluation, normalize, project, search, survival
-from .errors import ConfigError, DataError, OmicsurvError
+from .errors import ConfigError, OmicsurvError
 
 WORKERS_ENV_VAR = "OMICSURV_WORKERS"
 
@@ -37,42 +40,37 @@ def default_workers() -> int:
 
 
 @dataclass
-class ModelEntry:
-    family: str
-    params: dict = field(default_factory=dict)
-    budget: int | None = None
-
-
-@dataclass
 class ExperimentConfig:
+    """A parsed experiment: the objects that ``run_experiment`` runs."""
+
     sources: list[dict]                 # [{path, name}]
     clinical_path: str
-    reference: int = 0
-    log2: bool = True
-    cna_path: str | None = None
-    include_age: bool = True
-    projection_dims: list[int] = field(default_factory=list)
-    tsne_options: dict = field(default_factory=dict)
-    horizons: list[float] = field(default_factory=lambda: [60.0])
-    models: list[ModelEntry] = field(default_factory=list)
-    k_folds: int = 3
-    stratified: bool = True
-    budget: int = 1
-    worker_count: int = 1
-    seed: int = 0
-    output_dir: str = "out"
+    reference: int
+    log2: bool
+    cna_path: str | None
+    include_age: bool
+    projection_dims: list[int]
+    tsne: project.TsneConfig            # output_dims is set per projection
+    horizons: list[float]
+    models: list[search.SearchSpace]
+    plan: evaluation.CvPlan
+    worker_count: int
+    seed: int
+    output_dir: str
 
-    def validate(self):
+    def __post_init__(self):
         if not self.sources:
             raise ConfigError("config needs at least one data source")
+        if not all(s["path"] for s in self.sources):
+            raise ConfigError("every data source needs a path")
         if not 0 <= self.reference < len(self.sources):
             raise ConfigError(f"reference index {self.reference} out of range")
+        if not self.clinical_path:
+            raise ConfigError("data.clinical path is required")
         if not self.horizons or any(t <= 0 for t in self.horizons):
             raise ConfigError("label horizons must be positive")
         if not self.models:
             raise ConfigError("config lists no models")
-        if self.budget < 1:
-            raise ConfigError("search budget must be >= 1")
         if self.worker_count < 1:
             raise ConfigError("worker count must be >= 1")
         if any(d < 1 for d in self.projection_dims):
@@ -112,60 +110,87 @@ def _apply_override(raw: dict, dotted: str, value):
     node[parts[-1]] = value
 
 
-def _config_from_dict(raw: dict) -> ExperimentConfig:
-    data = raw.get("data") or {}
-    labels = raw.get("labels") or {}
-    cv = raw.get("cv") or {}
-    search_cfg = raw.get("search") or {}
-
-    entries = []
-    for m in raw.get("models") or []:
-        entries.append(ModelEntry(
-            family=m.get("family", ""),
-            params={k: _parse_param(v) for k, v in (m.get("params") or {}).items()},
-            budget=m.get("budget"),
-        ))
-
-    workers = raw["workers"] if "workers" in raw else default_workers()
-    config = ExperimentConfig(
-        sources=list(data.get("sources") or []),
-        clinical_path=data.get("clinical", ""),
-        reference=int(data.get("reference", 0)),
-        log2=bool(data.get("log2", True)),
-        cna_path=data.get("cna"),
-        include_age=bool(data.get("include_age", True)),
-        projection_dims=[int(d) for d in data.get("projection_dims") or []],
-        tsne_options=dict(data.get("tsne") or {}),
-        horizons=[float(t) for t in labels.get("horizons") or [60.0]],
-        models=entries,
-        k_folds=int(cv.get("k_folds", 3)),
-        stratified=bool(cv.get("stratified", True)),
-        budget=int(search_cfg.get("budget", 1)),
-        worker_count=int(workers),
-        seed=int(raw.get("seed", 0)),
-        output_dir=str(raw.get("output", "out")),
-    )
-    config.validate()
-    if not config.clinical_path:
-        raise ConfigError("data.clinical path is required")
-    return config
-
-
-def _parse_param(value):
-    """A param is a literal, a ``{dist: ..., ...}`` mapping, or a spec string."""
-    if isinstance(value, dict):
-        kind = value.get("dist")
-        if kind in ("uniform", "loguniform"):
-            cls = search.Uniform if kind == "uniform" else search.LogUniform
-            return cls(float(value["low"]), float(value["high"]))
-        if kind == "int":
-            return search.IntUniform(int(value["low"]), int(value["high"]))
-        if kind == "cat":
-            return search.Categorical(tuple(value["choices"]))
-        raise ConfigError(f"unknown distribution {kind!r}")
-    if isinstance(value, str) and ":" in value:
-        return search.parse_distribution(value)
+def _typed(key: str, value, kind):
+    """``value`` as ``kind`` (a type or ``list[type]``), else a ConfigError
+    naming ``key``. An int is a float; a bool is only a bool."""
+    item_kind = typing.get_args(kind)
+    kind = typing.get_origin(kind) or kind
+    if kind is float and type(value) is int:
+        return float(value)
+    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+    if item_kind:
+        return [_typed(f"{key}[{i}]", v, item_kind[0]) for i, v in enumerate(value)]
     return value
+
+
+def _read_section(raw: dict, name: str, spec: dict, build=dict):
+    """``build(**values)`` over the mapping ``raw`` at dotted ``name``, its
+    values typed by ``spec`` (``{key: (type, default)}``); a missing or empty
+    key takes its default. An unknown key, a wrongly typed value or a value
+    that ``build`` rejects is a ConfigError naming the key or the section."""
+    prefix = f"{name}." if name else ""
+    unknown = sorted(set(raw) - set(spec), key=str)
+    if unknown:
+        raise ConfigError(f"unknown config key {prefix}{unknown[0]}; "
+                          f"valid keys: {sorted(spec)}")
+    values = {key: default if raw.get(key) is None
+              else _typed(prefix + key, raw[key], kind)
+              for key, (kind, default) in spec.items()}
+    try:
+        return build(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+def _search_space(family: str, params: dict, budget: int) -> search.SearchSpace:
+    return search.SearchSpace(
+        family, {k: search.parse_param(v) for k, v in params.items()}, budget)
+
+
+def _config_from_dict(raw: dict) -> ExperimentConfig:
+    top = _read_section(raw, "", {
+        "data": (dict, {}), "labels": (dict, {}), "models": (list[dict], []),
+        "cv": (dict, {}), "search": (dict, {}), "output": (str, "out"),
+        "seed": (int, 0), "workers": (int, None)})
+    seed = top["seed"]
+    data = _read_section(top["data"], "data", {
+        "sources": (list[dict], []), "clinical": (str, ""),
+        "reference": (int, 0), "log2": (bool, True), "cna": (str, None),
+        "include_age": (bool, True), "projection_dims": (list[int], []),
+        "tsne": (dict, {})})
+    tsne = _read_section(data["tsne"], "data.tsne", {
+        "perplexity": (float, 30.0), "learning_rate": (float, 200.0),
+        "iterations": (int, 1000), "early_exaggeration_factor": (float, 12.0),
+        "early_exaggeration_iters": (int, 250),
+    }, functools.partial(project.TsneConfig, seed=seed))
+    plan = _read_section(top["cv"], "cv", {
+        "k_folds": (int, 3), "stratified": (bool, True),
+    }, functools.partial(evaluation.CvPlan, seed=seed))
+    budget = _read_section(top["search"], "search", {"budget": (int, 1)})["budget"]
+    return ExperimentConfig(
+        sources=[_read_section(
+            source, f"data.sources[{i}]", {"path": (str, ""), "name": (str, None)},
+            lambda path, name: {"path": path, "name": name or path},
+        ) for i, source in enumerate(data["sources"])],
+        clinical_path=data["clinical"],
+        reference=data["reference"],
+        log2=data["log2"],
+        cna_path=data["cna"],
+        include_age=data["include_age"],
+        projection_dims=data["projection_dims"],
+        tsne=tsne,
+        horizons=_read_section(top["labels"], "labels",
+                               {"horizons": (list[float], [60.0])})["horizons"],
+        models=[_read_section(model, f"models[{i}]", {
+            "family": (str, ""), "params": (dict, {}), "budget": (int, budget),
+        }, _search_space) for i, model in enumerate(top["models"])],
+        plan=plan,
+        worker_count=(default_workers() if top["workers"] is None
+                      else top["workers"]),
+        seed=seed,
+        output_dir=top["output"],
+    )
 
 
 def _config_fingerprint(config: ExperimentConfig) -> str:
@@ -179,55 +204,33 @@ class _Variant:
     features: dataio.FeatureMatrix
 
 
+@contextlib.contextmanager
 def _stage(name: str):
-    """Decorator-free stage wrapper: re-raise with the failing stage named."""
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, OmicsurvError):
-                raise type(exc)(f"stage {name!r} failed: {exc}") from exc
-            if exc is not None:
-                raise OmicsurvError(f"stage {name!r} failed: {exc}") from exc
-    return _Ctx()
+    """Re-raise a failure inside the block with the failing stage named."""
+    try:
+        yield
+    except OmicsurvError as exc:
+        raise type(exc)(f"stage {name!r} failed: {exc}") from exc
+    except Exception as exc:
+        raise OmicsurvError(f"stage {name!r} failed: {exc}") from exc
 
 
 def _build_variants(config: ExperimentConfig, merged, clinical, cna) -> list[_Variant]:
-    variants = []
     age_suffix = " age" if config.include_age else ""
     raw = dataio.build_features(merged, clinical, include_age=config.include_age)
-    variants.append(_Variant(descriptor=f"RNA raw{age_suffix}", features=raw))
+    variants = [_Variant(descriptor=f"RNA raw{age_suffix}", features=raw)]
     if cna is not None:
         combined = dataio.build_features(merged, clinical,
                                          include_age=config.include_age, cna=cna)
         variants.append(_Variant(descriptor=f"RNA+CNA raw{age_suffix}",
                                  features=combined))
     expr_only = dataio.build_features(merged, clinical, include_age=False)
+    age_records = clinical if config.include_age else None
     for dim in config.projection_dims:
-        tsne_config = project.TsneConfig(
-            output_dims=dim,
-            perplexity=float(config.tsne_options.get("perplexity", 30.0)),
-            learning_rate=float(config.tsne_options.get("learning_rate", 200.0)),
-            iterations=int(config.tsne_options.get("iterations", 1000)),
-            early_exaggeration_factor=float(
-                config.tsne_options.get("early_exaggeration_factor", 12.0)),
-            early_exaggeration_iters=int(
-                config.tsne_options.get("early_exaggeration_iters", 250)),
-            seed=config.seed,
-        )
-        if config.include_age:
-            projected = project.project_with_age(expr_only, clinical, tsne_config)
-            descriptor = f"RNA TSNE {dim} age"
-        else:
-            embedding = project.tsne(expr_only, tsne_config)
-            projected = dataio.FeatureMatrix(
-                patient_ids=embedding.patient_ids,
-                feature_names=[f"tsne_{k}" for k in range(dim)],
-                values=embedding.coords,
-            )
-            descriptor = f"RNA TSNE {dim}"
-        variants.append(_Variant(descriptor=descriptor, features=projected))
+        projected = project.project_with_age(
+            expr_only, age_records, replace(config.tsne, output_dims=dim))
+        variants.append(_Variant(descriptor=f"RNA TSNE {dim}{age_suffix}",
+                                 features=projected))
     return variants
 
 
@@ -236,7 +239,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     Returns a dict with the output paths and the assembled EvalReport.
     """
-    config.validate()
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -255,7 +257,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     try:
         with _stage("load"):
             sources = [
-                dataio.load_expression(s["path"], platform_id=s.get("name", s["path"]))
+                dataio.load_expression(s["path"], platform_id=s["name"])
                 for s in config.sources
             ]
             clinical = dataio.load_clinical(config.clinical_path)
@@ -273,35 +275,30 @@ def run_experiment(config: ExperimentConfig) -> dict:
         report = evaluation.EvalReport()
         trial_rows = []
         with _stage("evaluate"):
-            plan = evaluation.CvPlan(k_folds=config.k_folds,
-                                     stratified=config.stratified,
-                                     seed=config.seed)
             for horizon in config.horizons:
                 for variant in variants:
                     dataset, _ = survival.make_labeled_dataset(
                         variant.features, clinical, horizon)
                     data_name = f"{variant.descriptor} t={horizon:g}"
                     fold_sizes = [len(f) for f in evaluation.stratified_kfold(
-                        dataset.labels, plan)]
-                    for model_idx, entry in enumerate(config.models):
-                        space = search.SearchSpace(family=entry.family,
-                                                   params=entry.params)
+                        dataset.labels, config.plan)]
+                    for model_idx, space in enumerate(config.models):
                         stream = int(np.random.SeedSequence(
                             [config.seed, model_idx,
                              _stable_hash(data_name)]).generate_state(1)[0])
                         best, trials = search.random_search(
                             space, dataset.features.values, dataset.labels,
-                            plan, entry.budget or config.budget, stream,
+                            config.plan, space.budget, stream,
                             worker_count=config.worker_count)
                         for t in trials:
                             trial_rows.append([
-                                entry.family, data_name, t.index,
+                                space.family, data_name, t.index,
                                 repr(t.mean_auc),
                                 json.dumps(t.params, sort_keys=True),
                             ])
                         for fold, fold_auc in enumerate(best.fold_aucs):
                             report.rows.append(evaluation.EvalRow(
-                                model=entry.family, data=data_name,
+                                model=space.family, data=data_name,
                                 fold=fold, auc=fold_auc,
                                 n_test=fold_sizes[fold],
                             ))

@@ -120,10 +120,20 @@ def _q_matrix(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, num
 
 
+def _kl(p_pos: np.ndarray, q_pos: np.ndarray) -> float:
+    """KL(P||Q) over the entries where P is positive."""
+    return float(np.sum(p_pos * np.log(p_pos / np.maximum(q_pos, _EPS))))
+
+
+def _gradient(p, q, num, coords: np.ndarray) -> np.ndarray:
+    w = (p - q) * num
+    return 4.0 * (w.sum(axis=1)[:, None] * coords - w @ coords)
+
+
 def kl_divergence(p: np.ndarray, coords: np.ndarray) -> float:
     q, _ = _q_matrix(coords)
     mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / np.maximum(q[mask], _EPS))))
+    return _kl(p[mask], q[mask])
 
 
 def kl_gradient(p: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -131,8 +141,7 @@ def kl_gradient(p: np.ndarray, coords: np.ndarray) -> np.ndarray:
     if p.shape[0] != coords.shape[0]:
         raise DataError("P and coords disagree on the number of points")
     q, num = _q_matrix(coords)
-    w = (p - q) * num
-    return 4.0 * (np.diag(w.sum(axis=1)) @ coords - w @ coords)
+    return _gradient(p, q, num, coords)
 
 
 def _init_coords(patient_ids: list[str], dims: int, seed: int) -> np.ndarray:
@@ -152,37 +161,40 @@ def tsne(features: FeatureMatrix, config: TsneConfig) -> Embedding:
     """Run exact t-SNE; the returned trace records KL(P||Q) per iteration
     against the un-exaggerated P."""
     p = input_affinities(features, config.perplexity)
+    mask = p > 0
+    p_pos = p[mask]
     coords = _init_coords(features.patient_ids, config.output_dims, config.seed)
     velocity = np.zeros_like(coords)
     trace = np.empty(config.iterations)
+    # the Q of each iteration's KL trace entry is the next iteration's Q
+    q, num = _q_matrix(coords)
     for it in range(config.iterations):
         exaggerate = it < config.early_exaggeration_iters
         p_eff = p * config.early_exaggeration_factor if exaggerate else p
-        q, num = _q_matrix(coords)
-        w = (p_eff - q) * num
-        grad = 4.0 * (np.diag(w.sum(axis=1)) @ coords - w @ coords)
+        grad = _gradient(p_eff, q, num, coords)
         momentum = 0.5 if it < _MOMENTUM_SWITCH_ITER else 0.8
         velocity = momentum * velocity - config.learning_rate * grad
         coords = coords + velocity
-        q_new, _ = _q_matrix(coords)
-        mask = p > 0
-        trace[it] = np.sum(p[mask] * np.log(p[mask] / np.maximum(q_new[mask], _EPS)))
+        q, num = _q_matrix(coords)
+        trace[it] = _kl(p_pos, q[mask])
     return Embedding(patient_ids=list(features.patient_ids), coords=coords,
                      kl_trace=trace)
 
 
-def project_with_age(features: FeatureMatrix, clinical: list[ClinicalRecord],
+def project_with_age(features: FeatureMatrix,
+                     clinical: list[ClinicalRecord] | None,
                      config: TsneConfig) -> FeatureMatrix:
-    """t-SNE the features, then append the raw age column."""
-    by_id = {r.patient_id: r for r in clinical}
-    ages = []
-    for pid in features.patient_ids:
-        record = by_id.get(pid)
-        if record is None or record.age_years is None:
-            raise DataError(f"age missing for patient {pid}")
-        ages.append(record.age_years)
-    embedding = tsne(features, config)
-    values = np.hstack([embedding.coords, np.array(ages)[:, None]])
-    names = [f"tsne_{k}" for k in range(config.output_dims)] + ["age"]
+    """t-SNE the features into columns ``tsne_k``; with clinical records,
+    append the raw age column."""
+    names = [f"tsne_{k}" for k in range(config.output_dims)]
+    age_column = []
+    if clinical is not None:
+        ages = {r.patient_id: r.age_years for r in clinical}
+        missing = [pid for pid in features.patient_ids if ages.get(pid) is None]
+        if missing:
+            raise DataError(f"age missing for patient {missing[0]}")
+        age_column = [np.array([[ages[pid]] for pid in features.patient_ids])]
+        names.append("age")
+    values = np.hstack([tsne(features, config).coords, *age_column])
     return FeatureMatrix(patient_ids=list(features.patient_ids),
                          feature_names=names, values=values)

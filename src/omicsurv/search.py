@@ -73,6 +73,14 @@ def parse_distribution(text: str):
     raise ConfigError(f"unknown distribution kind {kind!r}")
 
 
+def parse_param(value):
+    """A string holding ``:`` is a distribution spec; any other value is
+    held fixed."""
+    if isinstance(value, str) and ":" in value:
+        return parse_distribution(value)
+    return value
+
+
 def coerce(text: str):
     """A command-line literal as int, float or bool, else the string itself."""
     for cast in (int, float):
@@ -87,10 +95,17 @@ def coerce(text: str):
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """A model family plus fixed values and/or distributions per parameter."""
+    """A model family plus fixed values and/or distributions per parameter,
+    and the number of trials to sample."""
 
     family: str  # a models.FAMILIES entry
     params: dict = field(default_factory=dict)
+    budget: int = 1
+
+    def __post_init__(self):
+        models.check_family(self.family)
+        if self.budget < 1:
+            raise ConfigError("search budget must be >= 1")
 
     def sample(self, seed: int, trial_index: int) -> models.ModelSpec:
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial_index]))

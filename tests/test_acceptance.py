@@ -17,6 +17,8 @@ from omicsurv import (benchmarks, cli, evaluation, models, normalize,
 from omicsurv.dataio import ClinicalRecord
 from omicsurv.survival import SurvivalLabel
 
+from mlp_checks import gradient_check
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -200,7 +202,7 @@ def test_07_gradient_checks():
                 y = (gen.random(10) > 0.5).astype(float)
             else:
                 y = gen.normal(0, 3, 10)
-            err = models.gradient_check(
+            err = gradient_check(
                 models.ModelSpec(family, {"width": 6, "n_hidden_layers": 2},
                                  trial), x, y)
             worst_mlp = max(worst_mlp, err)

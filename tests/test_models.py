@@ -6,6 +6,7 @@ from omicsurv.errors import ConfigError, DataError
 from omicsurv.models import logistic, mlp
 
 from conftest import separable_xy
+from mlp_checks import epoch_losses, gradient_check
 
 
 def spec(family, seed=0, **hp):
@@ -169,7 +170,7 @@ class TestRandomForest:
 class TestMlp:
     def test_classifier_loss_decreases(self):
         x, y = separable_xy(n_per_class=15, n_features=2, gap=4.0)
-        losses = mlp.epoch_losses(x, y, {"width": 8, "learning_rate": 0.05},
+        losses = epoch_losses(x, y, {"width": 8, "learning_rate": 0.05},
                                   seed=0, task="classify", epochs=10)
         assert losses[-1] < losses[0]
 
@@ -177,7 +178,7 @@ class TestMlp:
         gen = np.random.default_rng(0)
         x = gen.normal(0, 1, (30, 3))
         y = x @ np.array([1.0, -2.0, 0.5])
-        losses = mlp.epoch_losses(x, y, {"width": 8, "learning_rate": 0.02},
+        losses = epoch_losses(x, y, {"width": 8, "learning_rate": 0.02},
                                   seed=0, task="regress", epochs=10)
         assert losses[-1] < losses[0]
 
@@ -221,7 +222,7 @@ class TestMlp:
                     y = (gen.random(8) > 0.5).astype(float)
                 else:
                     y = gen.normal(0, 2, 8)
-                err = models.gradient_check(
+                err = gradient_check(
                     spec(family, seed=trial, width=5, n_hidden_layers=2), x, y)
                 assert err < 1e-4
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -82,7 +83,7 @@ class TestLoadConfig:
         data = make_cohort(tmp_path)
         path = write_config(tmp_path, data)
         config = pipeline.load_config(path, {"cv.k_folds": 5, "seed": 9})
-        assert config.k_folds == 5
+        assert config.plan.k_folds == 5
         assert config.seed == 9
 
     def test_distribution_params_parsed(self, tmp_path):
@@ -91,6 +92,13 @@ class TestLoadConfig:
         config = pipeline.load_config(path)
         lam = config.models[1].params["lambda"]
         assert hasattr(lam, "sample")
+        assert [m.budget for m in config.models] == [1, 2]
+
+    def test_built_config_is_checked(self, tmp_path):
+        data = make_cohort(tmp_path)
+        config = pipeline.load_config(write_config(tmp_path, data))
+        with pytest.raises(ConfigError, match="reference index 5"):
+            dataclasses.replace(config, reference=5)
 
 
 class TestRunExperiment:
@@ -336,6 +344,49 @@ def test_bad_input_exit_code_without_traceback(tmp_path, label, env, code):
     assert "Traceback" not in result.stderr
     if code == 3:
         assert f"{labels}: line 6" in result.stderr
+
+
+@pytest.fixture(scope="module")
+def cohort(tmp_path_factory):
+    return make_cohort(tmp_path_factory.mktemp("cohort"))
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("cv.k_folds", "abc", "cv.k_folds"),
+    ("cv.k_folds", 1, "cv: k_folds"),
+    ("cv.kfolds", 5, "cv.kfolds"),
+    ("models", [{"family": "svm"}], "'svm'"),
+    ("data.tsne", {"perplexty": 5}, "data.tsne.perplexty"),
+    ("data.log2", "false", "data.log2"),
+])
+def test_report_config_error_before_any_work(tmp_path, cohort, capsys,
+                                             key, value, named):
+    path = write_config(tmp_path, cohort)
+    config = yaml.safe_load(path.read_text(encoding="utf-8"))
+    *parents, last = key.split(".")
+    node = config
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[last] = value
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    assert cli.main(["report", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_non_numeric_param_is_config_error(tmp_path, cohort, capsys):
+    labels = tmp_path / "labels.csv"
+    assert cli.main(["label", "--clinical", str(cohort / "clinical.csv"),
+                     "--t", "60", "--output", str(labels)]) == 0
+    code = cli.main(["train", "--family", "svm_rbf", "--param", "C=abc",
+                     "--features", str(cohort / "microarray.csv"),
+                     "--labels", str(labels),
+                     "--model-out", str(tmp_path / "model.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "svm_rbf" in err and "'C'" in err
+    assert not (tmp_path / "model.json").exists()
 
 
 class TestProjectionVariantNames(object):
