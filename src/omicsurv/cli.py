@@ -179,11 +179,11 @@ def _cmd_cv(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    x, y = _load_xy(args.features, args.labels)
     params = _parse_kv(args.param,
                        lambda text: search.parse_param(search.coerce(text)))
     space = search.SearchSpace(family=args.family, params=params,
                                budget=args.budget)
+    x, y = _load_xy(args.features, args.labels)
     plan = evaluation.CvPlan(k_folds=args.k, stratified=True, seed=args.seed)
     workers = pipeline.default_workers() if args.workers is None else args.workers
     best, trials = search.random_search(space, x, y, plan, space.budget,

@@ -201,15 +201,20 @@ def load_cna(path) -> CnaMatrix:
 
 
 def load_clinical(path) -> list[ClinicalRecord]:
-    """Load clinical records; empty age/group fields become None."""
+    """Load clinical records, one per patient_id; empty age/group -> None."""
     rows = _read_delimited(path)
     if [h.strip() for h in rows[0]] != CLINICAL_HEADER:
         raise DataError(f"{path}: expected header {','.join(CLINICAL_HEADER)}")
     records = []
+    first_row = {}
     for i, row in enumerate(rows[1:]):
         pid, time_s, event_s, age_s, group_s = [c.strip() for c in row]
         if not pid:
             raise DataError(f"{path}: missing patient_id at row {i}")
+        if pid in first_row:
+            raise DataError(f"{path}: duplicate patient_id {pid!r} at row {i} "
+                            f"(first at row {first_row[pid]})")
+        first_row[pid] = i
         if event_s not in ("0", "1"):
             raise DataError(f"{path}: event must be 0 or 1, got {event_s!r} at row {i}")
         try:

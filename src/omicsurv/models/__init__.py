@@ -6,9 +6,10 @@ the targets are observed survival times and the predicted time is used
 directly as the survival score.
 
 ``_TABLE`` maps each family to the module that implements it. Every such
-module exposes ``fit(x, y, params, seed, sample_weight=None)``,
-``scores(state, x)``, ``threshold(state)`` (the hard-label cut on the score
-scale), ``to_jsonable(state)`` and ``from_jsonable(d)``. Only the MLPs use
+module declares ``PARAMS = {key: (type, default)}`` and exposes
+``fit(x, y, params, seed, sample_weight=None)`` (``params`` complete and
+typed), ``scores(state, x)``, ``threshold(state)`` (the hard-label cut),
+``to_jsonable(state)`` and ``from_jsonable(d)``. Only the MLPs use
 ``sample_weight``; the other families ignore it.
 """
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from .. import rpensemble
 from ..errors import ConfigError, DataError
+from ..typed import read_section
 from . import forest, gaussian_nb, logistic, mlp, svm
 
 # family -> (module, extra keyword arguments to its fit). Functions are looked up
@@ -43,6 +45,15 @@ MODEL_FORMAT_VERSION = 1
 def check_family(family: str) -> None:
     if family not in FAMILIES:
         raise ConfigError(f"unknown model family {family!r}; valid: {FAMILIES}")
+
+
+def read_params(family: str, hyperparameters: dict) -> dict:
+    """The family's ``PARAMS`` defaults, overridden by ``hyperparameters``,
+    typed; an undeclared key or a wrong type is a ConfigError naming both."""
+    try:
+        return read_section(hyperparameters, "", _TABLE[family][0].PARAMS)
+    except ConfigError as exc:
+        raise ConfigError(f"{family}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -81,9 +92,10 @@ def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     module, options = _TABLE[spec.family]
+    params = read_params(spec.family, spec.hyperparameters)
     _validate_training_data(x, y, classifier=options.get("task") != "regress")
     try:
-        state = module.fit(x, y, spec.hyperparameters, spec.seed,
+        state = module.fit(x, y, params, spec.seed,
                            sample_weight=sample_weight, **options)
     except ConfigError as exc:
         raise ConfigError(f"{spec.family}: {exc}") from None

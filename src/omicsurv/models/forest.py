@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import number
-
 
 @dataclass
 class TreeNode:
@@ -109,23 +107,24 @@ def _tree_votes(node: TreeNode, x: np.ndarray, out: np.ndarray,
     _tree_votes(node.right, x, out, idx[~mask])
 
 
+# max_depth None grows each tree until its leaves are pure
+PARAMS = {"n_trees": (int, 100), "max_depth": (int, None), "mtry": (int, None),
+          "bootstrap": (bool, True)}
+
+
 def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
         sample_weight=None) -> ForestState:
-    n_trees = number(params, "n_trees", 100, int)
-    max_depth = params.get("max_depth")
-    max_depth = None if max_depth is None else number(params, "max_depth", None, int)
-    mtry = number(params, "mtry", max(1, int(np.sqrt(x.shape[1]))), int)
-    bootstrap = bool(params.get("bootstrap", True))
+    mtry = max(1, int(np.sqrt(x.shape[1]))) if params["mtry"] is None else params["mtry"]
 
     trees = []
-    for t in range(n_trees):
+    for t in range(params["n_trees"]):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-        if bootstrap:
+        if params["bootstrap"]:
             idx = rng.integers(0, len(y), size=len(y))
             xt, yt = x[idx], y[idx]
         else:
             xt, yt = x, y
-        trees.append(_grow(xt, yt, 0, max_depth, mtry, rng))
+        trees.append(_grow(xt, yt, 0, params["max_depth"], mtry, rng))
     return ForestState(trees=trees)
 
 

@@ -19,6 +19,9 @@ class GnbState:
     log_prior1: float
 
 
+PARAMS = {}
+
+
 def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
         sample_weight=None) -> GnbState:
     x0, x1 = x[y == 0], x[y == 1]

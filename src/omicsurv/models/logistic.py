@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import number
-
 
 @dataclass
 class LogisticState:
@@ -46,11 +44,12 @@ def _soft_threshold(v: float, thresh: float) -> float:
     return 0.0
 
 
+PARAMS = {"lambda": (float, 0.01), "max_sweeps": (int, 200), "tol": (float, 1e-8)}
+
+
 def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
         sample_weight=None) -> LogisticState:
-    lam = number(params, "lambda", 0.01)
-    max_sweeps = number(params, "max_sweeps", 200, int)
-    change_tol = number(params, "tol", 1e-8)
+    lam = params["lambda"]
 
     n, m = x.shape
     w = np.zeros(m)
@@ -58,7 +57,7 @@ def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
     z = np.zeros(n)
     lipschitz = np.maximum(0.25 * np.sum(x * x, axis=0) / n, 1e-12)
     yf = y.astype(np.float64)
-    for _ in range(max_sweeps):
+    for _ in range(params["max_sweeps"]):
         max_change = 0.0
         for j in range(m):
             g = float(x[:, j] @ (_sigmoid(z) - yf)) / n
@@ -73,7 +72,7 @@ def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
             b += db
             z += db
             max_change = max(max_change, abs(db))
-        if max_change < change_tol:
+        if max_change < params["tol"]:
             break
     return LogisticState(weights=w, intercept=b, lam=lam)
 

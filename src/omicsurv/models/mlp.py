@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from .params import number
 
 
 @dataclass
@@ -84,21 +83,17 @@ def loss_and_gradients(state: MlpState, x: np.ndarray, y: np.ndarray,
     return loss, gw, gb
 
 
+PARAMS = {"n_hidden_layers": (int, 2), "width": (int, 32), "epochs": (int, 200),
+          "learning_rate": (float, 0.01), "batch_size": (int, 32)}
+
+
 def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
         sample_weight: np.ndarray | None = None,
         task: str = "classify") -> MlpState:
-    if task == "regress" and sample_weight is None and "censor_weight" in params:
-        raise ConfigError(
-            "censor_weight requires per-sample weights; pass sample_weight"
-        )
-    n_hidden = number(params, "n_hidden_layers", 2, int)
-    width = number(params, "width", 32, int)
-    epochs = number(params, "epochs", 200, int)
-    lr = number(params, "learning_rate", 0.01)
-    batch_size = number(params, "batch_size", 32, int)
-
+    lr, batch_size = params["learning_rate"], params["batch_size"]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    weights, biases = _init_params(x.shape[1], width, n_hidden, rng)
+    weights, biases = _init_params(x.shape[1], params["width"],
+                                   params["n_hidden_layers"], rng)
     state = MlpState(weights=weights, biases=biases, task=task)
     if sample_weight is None:
         sample_weight = np.ones(len(y))
@@ -106,7 +101,7 @@ def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
 
     n = len(y)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    for _ in range(epochs):
+    for _ in range(params["epochs"]):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import number
-
 
 @dataclass
 class SvmState:
@@ -35,12 +33,14 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * np.maximum(d2, 0.0))
 
 
+PARAMS = {"C": (float, 1.0), "gamma": (float, None), "tol": (float, 1e-3),
+          "max_iter": (int, 20000)}
+
+
 def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
         sample_weight=None) -> SvmState:
-    c = number(params, "C", 1.0)
-    gamma = number(params, "gamma", 1.0 / x.shape[1])
-    tol = number(params, "tol", 1e-3)
-    max_iter = number(params, "max_iter", 20000, int)
+    c, tol = params["C"], params["tol"]
+    gamma = 1.0 / x.shape[1] if params["gamma"] is None else params["gamma"]
 
     y_pm = np.where(y == 1, 1.0, -1.0)
     n = len(y_pm)
@@ -50,7 +50,7 @@ def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
     grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
 
     violation = np.inf
-    for _ in range(max_iter):
+    for _ in range(params["max_iter"]):
         yg = -y_pm * grad
         up = ((alpha < c - 1e-12) & (y_pm > 0)) | ((alpha > 1e-12) & (y_pm < 0))
         low = ((alpha < c - 1e-12) & (y_pm < 0)) | ((alpha > 1e-12) & (y_pm > 0))

@@ -16,7 +16,6 @@ import functools
 import hashlib
 import json
 import os
-import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -25,6 +24,7 @@ import yaml
 
 from . import dataio, evaluation, normalize, project, search, survival
 from .errors import ConfigError, OmicsurvError
+from .typed import read_section
 
 WORKERS_ENV_VAR = "OMICSURV_WORKERS"
 
@@ -77,10 +77,6 @@ class ExperimentConfig:
             raise ConfigError("projection dims must be >= 1")
 
 
-_RESERVED_KEYS = {"data", "labels", "models", "cv", "search", "output", "seed",
-                  "workers"}
-
-
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -91,9 +87,6 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"malformed config: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
-    unknown = set(raw) - _RESERVED_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, value in (overrides or {}).items():
         _apply_override(raw, key, value)
     return _config_from_dict(raw)
@@ -104,43 +97,12 @@ def _apply_override(raw: dict, dotted: str, value):
     parts = dotted.split(".")
     node = raw
     for part in parts[:-1]:
-        node = node.setdefault(part, {})
+        if node.get(part) is None:
+            node[part] = {}
+        node = node[part]
         if not isinstance(node, dict):
             raise ConfigError(f"cannot override through non-mapping key {part!r}")
     node[parts[-1]] = value
-
-
-def _typed(key: str, value, kind):
-    """``value`` as ``kind`` (a type or ``list[type]``), else a ConfigError
-    naming ``key``. An int is a float; a bool is only a bool."""
-    item_kind = typing.get_args(kind)
-    kind = typing.get_origin(kind) or kind
-    if kind is float and type(value) is int:
-        return float(value)
-    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
-        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
-    if item_kind:
-        return [_typed(f"{key}[{i}]", v, item_kind[0]) for i, v in enumerate(value)]
-    return value
-
-
-def _read_section(raw: dict, name: str, spec: dict, build=dict):
-    """``build(**values)`` over the mapping ``raw`` at dotted ``name``, its
-    values typed by ``spec`` (``{key: (type, default)}``); a missing or empty
-    key takes its default. An unknown key, a wrongly typed value or a value
-    that ``build`` rejects is a ConfigError naming the key or the section."""
-    prefix = f"{name}." if name else ""
-    unknown = sorted(set(raw) - set(spec), key=str)
-    if unknown:
-        raise ConfigError(f"unknown config key {prefix}{unknown[0]}; "
-                          f"valid keys: {sorted(spec)}")
-    values = {key: default if raw.get(key) is None
-              else _typed(prefix + key, raw[key], kind)
-              for key, (kind, default) in spec.items()}
-    try:
-        return build(**values)
-    except ConfigError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
 
 
 def _search_space(family: str, params: dict, budget: int) -> search.SearchSpace:
@@ -149,27 +111,27 @@ def _search_space(family: str, params: dict, budget: int) -> search.SearchSpace:
 
 
 def _config_from_dict(raw: dict) -> ExperimentConfig:
-    top = _read_section(raw, "", {
+    top = read_section(raw, "", {
         "data": (dict, {}), "labels": (dict, {}), "models": (list[dict], []),
         "cv": (dict, {}), "search": (dict, {}), "output": (str, "out"),
         "seed": (int, 0), "workers": (int, None)})
     seed = top["seed"]
-    data = _read_section(top["data"], "data", {
+    data = read_section(top["data"], "data", {
         "sources": (list[dict], []), "clinical": (str, ""),
         "reference": (int, 0), "log2": (bool, True), "cna": (str, None),
         "include_age": (bool, True), "projection_dims": (list[int], []),
         "tsne": (dict, {})})
-    tsne = _read_section(data["tsne"], "data.tsne", {
+    tsne = read_section(data["tsne"], "data.tsne", {
         "perplexity": (float, 30.0), "learning_rate": (float, 200.0),
         "iterations": (int, 1000), "early_exaggeration_factor": (float, 12.0),
         "early_exaggeration_iters": (int, 250),
     }, functools.partial(project.TsneConfig, seed=seed))
-    plan = _read_section(top["cv"], "cv", {
+    plan = read_section(top["cv"], "cv", {
         "k_folds": (int, 3), "stratified": (bool, True),
     }, functools.partial(evaluation.CvPlan, seed=seed))
-    budget = _read_section(top["search"], "search", {"budget": (int, 1)})["budget"]
+    budget = read_section(top["search"], "search", {"budget": (int, 1)})["budget"]
     return ExperimentConfig(
-        sources=[_read_section(
+        sources=[read_section(
             source, f"data.sources[{i}]", {"path": (str, ""), "name": (str, None)},
             lambda path, name: {"path": path, "name": name or path},
         ) for i, source in enumerate(data["sources"])],
@@ -180,9 +142,9 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         include_age=data["include_age"],
         projection_dims=data["projection_dims"],
         tsne=tsne,
-        horizons=_read_section(top["labels"], "labels",
+        horizons=read_section(top["labels"], "labels",
                                {"horizons": (list[float], [60.0])})["horizons"],
-        models=[_read_section(model, f"models[{i}]", {
+        models=[read_section(model, f"models[{i}]", {
             "family": (str, ""), "params": (dict, {}), "budget": (int, budget),
         }, _search_space) for i, model in enumerate(top["models"])],
         plan=plan,

@@ -16,7 +16,7 @@ The module is the ``rp_ensemble`` family of ``omicsurv.models``. It uses
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -36,14 +36,6 @@ class RpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        counts = (self.b1_groups, self.b2_per_group, self.projected_dim)
-        if not all(isinstance(v, (int, np.integer)) for v in counts):
-            raise ConfigError(
-                "b1_groups, b2_per_group and projected_dim must be integers")
-        fractions = (self.selection_holdout_fraction, self.vote_threshold_alpha)
-        if not all(isinstance(v, (int, float)) for v in fractions if v is not None):
-            raise ConfigError("selection_holdout_fraction and "
-                              "vote_threshold_alpha must be numbers")
         if self.b1_groups < 1 or self.b2_per_group < 1:
             raise ConfigError("b1_groups and b2_per_group must be >= 1")
         if self.projected_dim < 1:
@@ -189,13 +181,15 @@ def predict_labels(model: RpModel, x: np.ndarray) -> np.ndarray:
     return (predict_scores(model, x) >= model.alpha).astype(np.int64)
 
 
+# RpConfig's fields but seed, same defaults; alpha None is learned in train
+PARAMS = {"b1_groups": (int, 100), "b2_per_group": (int, 20),
+          "projected_dim": (int, 5), "base_family": (str, "gaussian_nb"),
+          "base_hyperparameters": (dict, {}), "vote_threshold_alpha": (float, None),
+          "selection_holdout_fraction": (float, 0.2)}
+
+
 def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
         sample_weight=None) -> RpModel:
-    """``params`` are the RpConfig fields other than ``seed``."""
-    valid = sorted(f.name for f in fields(RpConfig) if f.name != "seed")
-    unknown = sorted(set(params) - set(valid))
-    if unknown:
-        raise ConfigError(f"unknown rp_ensemble parameters {unknown}; valid: {valid}")
     return train(x, y, RpConfig(seed=seed, **params))
 
 

@@ -96,7 +96,7 @@ def coerce(text: str):
 @dataclass(frozen=True)
 class SearchSpace:
     """A model family plus fixed values and/or distributions per parameter,
-    and the number of trials to sample."""
+    and the number of trials to sample, checked against the family's keys."""
 
     family: str  # a models.FAMILIES entry
     params: dict = field(default_factory=dict)
@@ -106,6 +106,10 @@ class SearchSpace:
         models.check_family(self.family)
         if self.budget < 1:
             raise ConfigError("search budget must be >= 1")
+        for name, value in self.params.items():
+            # a range is checked by its low bound, a categorical by each choice
+            for example in getattr(value, "choices", [getattr(value, "low", value)]):
+                models.read_params(self.family, {name: example})
 
     def sample(self, seed: int, trial_index: int) -> models.ModelSpec:
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial_index]))

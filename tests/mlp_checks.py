@@ -68,7 +68,7 @@ def gradient_check(spec: models.ModelSpec, x: np.ndarray, y: np.ndarray,
 def epoch_losses(x, y, params, seed, task="classify", epochs=10):
     """Full-data loss after each of the first epochs."""
     losses = []
-    p = dict(params)
+    p = models.read_params("rectangle_mlp", params)  # both MLPs share one table
     for e in range(1, epochs + 1):
         p["epochs"] = e
         state = mlp.fit(x, y, p, seed, task=task)

@@ -105,6 +105,14 @@ class TestClinical:
         with pytest.raises(DataError, match="expected header"):
             dataio.load_clinical(p)
 
+    def test_duplicate_patient_id(self, tmp_path):
+        p = write(tmp_path / "c.csv", "patient_id,time_months,event,age,group\n"
+                  "p1,10,0,,\np2,20,1,,\np1,30,1,,\n")
+        with pytest.raises(DataError) as info:
+            dataio.load_clinical(p)
+        assert str(p) in str(info.value)
+        assert "duplicate patient_id 'p1' at row 2 (first at row 0)" in str(info.value)
+
 
 class TestMerge:
     def a(self):

@@ -1,7 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
-from omicsurv import evaluation, models
+from omicsurv import evaluation, models, search
 from omicsurv.errors import ConfigError, DataError
 from omicsurv.models import logistic, mlp
 
@@ -32,6 +36,34 @@ class TestModelSpec:
         assert set(models.FAMILIES) == {
             "gaussian_nb", "svm_rbf", "l1_logistic", "random_forest",
             "rectangle_mlp", "mlp_regressor", "rp_ensemble"}
+
+    @pytest.mark.parametrize("family", models.FAMILIES)
+    def test_unknown_hyperparameter(self, family):
+        x, y = separable_xy()
+        match = f"{family}: unknown config key 'bogus'"
+        with pytest.raises(ConfigError, match=match):
+            models.fit(spec(family, bogus=1), x, y)
+        with pytest.raises(ConfigError, match=match):
+            search.SearchSpace(family, {"bogus": search.Uniform(0.0, 1.0)})
+
+    def test_readme_table_matches_params(self):
+        """The README's hyperparameter table lists each family's PARAMS."""
+        lines = (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8").splitlines()
+        start = lines.index("| family | key | type | default |") + 2
+        documented = {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            families, key, kind, default = (c.strip() for c in line.strip("|").split("|"))
+            value = yaml.safe_load(re.match(r"`([^`]*)`", default).group(1))
+            for family in re.findall(r"`(\w+)`", families):
+                documented[family, key.strip("`")] = (kind, value)
+        names = {int: "int", float: "float", bool: "bool", str: "str", dict: "mapping"}
+        declared = {(family, key): (names[kind], default)
+                    for family in models.FAMILIES
+                    for key, (kind, default) in models._TABLE[family][0].PARAMS.items()}
+        assert documented == declared
 
 
 class TestValidation:
@@ -236,7 +268,8 @@ class TestMlp:
     def test_regressor_requires_weights_for_censor_weight(self):
         x, _ = separable_xy()
         times = np.abs(x[:, 0]) + 1.0
-        with pytest.raises(ConfigError, match="sample_weight"):
+        with pytest.raises(ConfigError,
+                           match="mlp_regressor: unknown config key 'censor_weight'"):
             models.fit(spec("mlp_regressor", censor_weight=0.5), x, times)
 
 

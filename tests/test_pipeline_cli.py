@@ -60,7 +60,7 @@ class TestLoadConfig:
     def test_unknown_key(self, tmp_path, ):
         path = tmp_path / "c.yaml"
         path.write_text("bogus: 1\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="unknown config keys"):
+        with pytest.raises(ConfigError, match="unknown config key 'bogus'"):
             pipeline.load_config(path)
 
     def test_missing_file(self, tmp_path):
@@ -85,6 +85,9 @@ class TestLoadConfig:
         config = pipeline.load_config(path, {"cv.k_folds": 5, "seed": 9})
         assert config.plan.k_folds == 5
         assert config.seed == 9
+        # an empty section (`cv:` alone, read as null) takes overrides too
+        path = write_config(tmp_path, data, cv=None)
+        assert pipeline.load_config(path, {"cv.k_folds": 4}).plan.k_folds == 4
 
     def test_distribution_params_parsed(self, tmp_path):
         data = make_cohort(tmp_path)
@@ -358,6 +361,14 @@ def cohort(tmp_path_factory):
     ("models", [{"family": "svm"}], "'svm'"),
     ("data.tsne", {"perplexty": 5}, "data.tsne.perplexty"),
     ("data.log2", "false", "data.log2"),
+    ("models", [{"family": "svm_rbf", "params": {"C": "abc"}}], "svm_rbf: 'C'"),
+    ("models", [{"family": "l1_logistic", "params": {"lamda": 100}}],
+     "l1_logistic: unknown config key 'lamda'"),
+    ("models", [{"family": "l1_logistic",
+                 "params": {"lamda": "loguniform:0.001,0.1"}}],
+     "l1_logistic: unknown config key 'lamda'"),
+    ("models", [{"family": "random_forest", "params": {"max_depth": "uniform:2,8"}}],
+     "random_forest: 'max_depth' must be int"),
 ])
 def test_report_config_error_before_any_work(tmp_path, cohort, capsys,
                                              key, value, named):
@@ -387,6 +398,22 @@ def test_train_non_numeric_param_is_config_error(tmp_path, cohort, capsys):
     err = capsys.readouterr().err
     assert "svm_rbf" in err and "'C'" in err
     assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("command, output_flag", [
+    ("train", "--model-out"), ("cv", "--output"), ("search", "--output")])
+def test_unknown_param_is_config_error(tmp_path, cohort, capsys, command,
+                                       output_flag):
+    labels = tmp_path / "labels.csv"
+    assert cli.main(["label", "--clinical", str(cohort / "clinical.csv"),
+                     "--t", "60", "--output", str(labels)]) == 0
+    code = cli.main([command, "--family", "l1_logistic", "--param", "lamda=100",
+                     "--features", str(cohort / "microarray.csv"),
+                     "--labels", str(labels), output_flag, str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "l1_logistic: unknown config key 'lamda'" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestProjectionVariantNames(object):

@@ -44,11 +44,14 @@ class TestConfigValidation:
             rpensemble.RpConfig(selection_holdout_fraction=0.0)
 
     @pytest.mark.parametrize("params, match", [
-        ({"bogus": 1}, "unknown rp_ensemble parameters"),
-        ({"seed": 3}, "unknown rp_ensemble parameters"),
+        ({"bogus": 1}, "rp_ensemble: unknown config key 'bogus'"),
+        ({"seed": 3}, "rp_ensemble: unknown config key 'seed'"),
         ({"base_family": "rp_ensemble"}, "its own base family"),
-        ({"b1_groups": 2.5}, "must be integers"),
-        ({"selection_holdout_fraction": "half"}, "must be numbers"),
+        # An explicit id keeps the name this case has always had.
+        pytest.param({"b1_groups": 2.5}, "'b1_groups' must be int",
+                     id="params3-must be integers"),
+        ({"selection_holdout_fraction": "half"},
+         "'selection_holdout_fraction' must be float"),
     ])
     def test_family_params_rejected(self, params, match):
         x, y = separable_xy(n_features=4)

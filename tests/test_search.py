@@ -71,10 +71,10 @@ class TestSearchSpace:
 
     def test_categorical_coverage_default_seed(self):
         space = search.SearchSpace(
-            family="gaussian_nb",
-            params={"flag": search.Categorical((0, 1))})
-        seen = {space.sample(0, i).hyperparameters["flag"] for i in range(10)}
-        assert seen == {0, 1}
+            family="random_forest",
+            params={"bootstrap": search.Categorical((False, True))})
+        seen = {space.sample(0, i).hyperparameters["bootstrap"] for i in range(10)}
+        assert seen == {False, True}
 
 
 class TestRandomSearch:
