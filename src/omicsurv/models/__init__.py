@@ -10,7 +10,9 @@ module declares ``PARAMS = {key: (type, default)}`` and exposes
 ``fit(x, y, params, seed, sample_weight=None)`` (``params`` complete and
 typed), ``scores(state, x)``, ``threshold(state)`` (the hard-label cut),
 ``to_jsonable(state)`` and ``from_jsonable(d)``. Only the MLPs use
-``sample_weight``; the other families ignore it.
+``sample_weight``; the other families ignore it. A module may also declare
+``check_params(params)``, which rejects values that are well typed but do not
+fit together (``rp_ensemble``'s base hyperparameters against its base family).
 """
 
 from __future__ import annotations
@@ -49,11 +51,16 @@ def check_family(family: str) -> None:
 
 def read_params(family: str, hyperparameters: dict) -> dict:
     """The family's ``PARAMS`` defaults, overridden by ``hyperparameters``,
-    typed; an undeclared key or a wrong type is a ConfigError naming both."""
+    typed and checked; an undeclared key, a wrong type or a value the family's
+    ``check_params`` rejects is a ConfigError naming the family."""
+    module = _TABLE[family][0]
     try:
-        return read_section(hyperparameters, "", _TABLE[family][0].PARAMS)
+        params = read_section(hyperparameters, "", module.PARAMS)
+        if hasattr(module, "check_params"):
+            module.check_params(params)
     except ConfigError as exc:
         raise ConfigError(f"{family}: {exc}") from None
+    return params
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 Each tree draws mtry candidate features per node (default sqrt(M)); if none
 of the sampled features yields an impurity-reducing split the remaining
 features are tried, so a lone unbootstrapped tree of unlimited depth can
-always fit tie-free training data exactly.
+always fit tie-free training data exactly. All candidate features of a node
+are scored in one 2-D argsort/cumsum pass (the fallback in blocks of mtry
+columns), and a tie in gain goes to the feature drawn first, then to the
+lowest threshold.
 """
 
 from __future__ import annotations
@@ -38,38 +41,36 @@ def _gini(counts: np.ndarray, total: int) -> float:
     return 1.0 - float(np.sum(p * p))
 
 
-def _best_split_on(x_col: np.ndarray, y: np.ndarray):
-    """Best threshold on one feature; returns (gain, threshold) or None."""
-    order = np.argsort(x_col, kind="stable")
-    xs, ys = x_col[order], y[order].astype(np.float64)
-    n = len(ys)
-    total_pos = ys.sum()
+def _best_over(x: np.ndarray, y: np.ndarray, features) -> tuple | None:
+    """Best (gain, feature, threshold) over ``features``, all scored in one
+    2-D pass; a tie goes to the earliest feature, then the lowest threshold."""
+    if len(features) == 0:
+        return None
+    cols = x[:, features]
+    order = np.argsort(cols, axis=0, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=0)
+    ys = y[order].astype(np.float64)
+    n = len(y)
+    total_pos = float(y.sum())
     parent = _gini(np.array([n - total_pos, total_pos]), n)
 
     valid = xs[1:] != xs[:-1]
-    if not valid.any():
-        return None
-    left_pos = np.cumsum(ys)[:-1]
-    nl = np.arange(1, n, dtype=np.float64)
+    left_pos = np.cumsum(ys, axis=0)[:-1]
+    nl = np.arange(1, n, dtype=np.float64)[:, None]
     nr = n - nl
     right_pos = total_pos - left_pos
     gini_l = 1.0 - ((left_pos / nl) ** 2 + ((nl - left_pos) / nl) ** 2)
     gini_r = 1.0 - ((right_pos / nr) ** 2 + ((nr - right_pos) / nr) ** 2)
     gain = parent - (nl * gini_l + nr * gini_r) / n
     gain[~valid] = -np.inf
-    i = int(np.argmax(gain))
-    if gain[i] <= 1e-12:
+    rows = np.argmax(gain, axis=0)
+    best = gain[rows, np.arange(len(features))]
+    best[best <= 1e-12] = -np.inf
+    c = int(np.argmax(best))
+    if best[c] == -np.inf:
         return None
-    return float(gain[i]), 0.5 * (xs[i] + xs[i + 1])
-
-
-def _best_over(x: np.ndarray, y: np.ndarray, features) -> tuple | None:
-    chosen = None
-    for f in features:
-        split = _best_split_on(x[:, f], y)
-        if split is not None and (chosen is None or split[0] > chosen[0]):
-            chosen = (split[0], int(f), split[1])
-    return chosen
+    i = rows[c]
+    return float(best[c]), int(features[c]), 0.5 * (xs[i, c] + xs[i + 1, c])
 
 
 def _grow(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int | None,
@@ -80,10 +81,14 @@ def _grow(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int | None,
     if max_depth is not None and depth >= max_depth:
         return node
     feature_order = rng.permutation(x.shape[1])
-    # mtry candidate features first; fall back to the rest only if none split
+    # mtry candidate features first; fall back to the rest only if none split,
+    # mtry columns at a time, where a later block must beat the gain so far
     chosen = _best_over(x, y, feature_order[:mtry])
     if chosen is None:
-        chosen = _best_over(x, y, feature_order[mtry:])
+        for start in range(mtry, len(feature_order), mtry):
+            split = _best_over(x, y, feature_order[start:start + mtry])
+            if split is not None and (chosen is None or split[0] > chosen[0]):
+                chosen = split
     if chosen is None:
         return node
     _, f, threshold = chosen

@@ -18,15 +18,16 @@ class LogisticState:
     weights: np.ndarray
     intercept: float
     lam: float
+    # solver diagnostics, not serialized: the sweeps run, and whether the
+    # largest step of the last one fell below tol (False: stopped at max_sweeps)
+    sweeps: int
+    converged: bool
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of -|z| never overflows; 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def objective(state: LogisticState, x: np.ndarray, y: np.ndarray) -> float:
@@ -52,29 +53,37 @@ def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
     lam = params["lambda"]
 
     n, m = x.shape
-    w = np.zeros(m)
+    # Python floats and precomputed column views keep the per-coordinate cost
+    # low; the residual sigmoid(z) - y is recomputed only after z moves
+    columns = list(x.T)
+    w = [0.0] * m
     b = 0.0
     z = np.zeros(n)
-    lipschitz = np.maximum(0.25 * np.sum(x * x, axis=0) / n, 1e-12)
+    lipschitz = np.maximum(0.25 * np.sum(x * x, axis=0) / n, 1e-12).tolist()
     yf = y.astype(np.float64)
-    for _ in range(params["max_sweeps"]):
+    residual = _sigmoid(z) - yf
+    sweeps, converged = 0, False
+    while sweeps < params["max_sweeps"] and not converged:
+        sweeps += 1
         max_change = 0.0
-        for j in range(m):
-            g = float(x[:, j] @ (_sigmoid(z) - yf)) / n
+        for j, col in enumerate(columns):
+            g = float(col @ residual) / n
             w_new = _soft_threshold(w[j] - g / lipschitz[j], lam / lipschitz[j])
             if w_new != w[j]:
-                z += x[:, j] * (w_new - w[j])
+                z += col * (w_new - w[j])
+                residual = _sigmoid(z) - yf
                 max_change = max(max_change, abs(w_new - w[j]))
                 w[j] = w_new
-        gb = float(np.mean(_sigmoid(z) - yf))
+        gb = float(np.mean(residual))
         db = -gb / 0.25
         if db != 0.0:
             b += db
             z += db
+            residual = _sigmoid(z) - yf
             max_change = max(max_change, abs(db))
-        if max_change < params["tol"]:
-            break
-    return LogisticState(weights=w, intercept=b, lam=lam)
+        converged = max_change < params["tol"]
+    return LogisticState(weights=np.array(w), intercept=b, lam=lam,
+                         sweeps=sweeps, converged=converged)
 
 
 def scores(state: LogisticState, x: np.ndarray) -> np.ndarray:
@@ -95,5 +104,7 @@ def to_jsonable(state: LogisticState) -> dict:
 
 
 def from_jsonable(d: dict) -> LogisticState:
+    # a loaded model ran no sweeps
     return LogisticState(weights=np.array(d["weights"]),
-                         intercept=d["intercept"], lam=d["lambda"])
+                         intercept=d["intercept"], lam=d["lambda"],
+                         sweeps=0, converged=False)

@@ -42,6 +42,8 @@ class RpConfig:
             raise ConfigError("projected_dim must be >= 1")
         if self.base_family == "rp_ensemble":
             raise ConfigError("rp_ensemble cannot be its own base family")
+        models.check_family(self.base_family)
+        models.read_params(self.base_family, self.base_hyperparameters)
         if self.vote_threshold_alpha is not None and not (
             0.0 < self.vote_threshold_alpha < 1.0
         ):
@@ -186,6 +188,11 @@ PARAMS = {"b1_groups": (int, 100), "b2_per_group": (int, 20),
           "projected_dim": (int, 5), "base_family": (str, "gaussian_nb"),
           "base_hyperparameters": (dict, {}), "vote_threshold_alpha": (float, None),
           "selection_holdout_fraction": (float, 0.2)}
+
+
+def check_params(params: dict) -> None:
+    """Reject what ``RpConfig`` rejects, the base family's checks included."""
+    RpConfig(**params)
 
 
 def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,

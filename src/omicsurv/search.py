@@ -51,6 +51,10 @@ class IntUniform:
 class Categorical:
     choices: tuple
 
+    def __post_init__(self):
+        if not self.choices:
+            raise ConfigError("cat needs at least one choice")
+
     def sample(self, rng):
         return self.choices[int(rng.integers(len(self.choices)))]
 
@@ -106,10 +110,14 @@ class SearchSpace:
         models.check_family(self.family)
         if self.budget < 1:
             raise ConfigError("search budget must be >= 1")
-        for name, value in self.params.items():
-            # a range is checked by its low bound, a categorical by each choice
-            for example in getattr(value, "choices", [getattr(value, "low", value)]):
-                models.read_params(self.family, {name: example})
+        # a range is checked by its low bound, a categorical by each choice, each
+        # together with the first example of every other parameter
+        examples = {name: getattr(value, "choices", [getattr(value, "low", value)])
+                    for name, value in self.params.items()}
+        first = {name: values[0] for name, values in examples.items()}
+        for name, values in examples.items():
+            for example in values:
+                models.read_params(self.family, {**first, name: example})
 
     def sample(self, seed: int, trial_index: int) -> models.ModelSpec:
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial_index]))

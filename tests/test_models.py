@@ -169,6 +169,18 @@ class TestL1Logistic:
             nnz.append(int(np.count_nonzero(model.state.weights)))
         assert nnz[0] >= nnz[1] >= nnz[2]
 
+    def test_reports_stop_at_sweep_cap(self):
+        gen = np.random.default_rng(3)
+        x = gen.normal(0, 1, (60, 10))
+        y = (x[:, 0] > 0).astype(int)
+        capped = models.fit(
+            spec("l1_logistic", **{"lambda": 0.001}, max_sweeps=20), x, y).state
+        assert capped.sweeps == 20 and capped.converged is False
+        # the default max_sweeps and tol suffice at this lambda: 162 sweeps
+        done = models.fit(spec("l1_logistic", **{"lambda": 0.05}), x, y).state
+        assert done.converged is True and done.sweeps < 200
+        assert "sweeps" not in logistic.to_jsonable(done)
+
 
 class TestRandomForest:
     def test_depth_zero_constant(self):

@@ -369,6 +369,9 @@ def cohort(tmp_path_factory):
      "l1_logistic: unknown config key 'lamda'"),
     ("models", [{"family": "random_forest", "params": {"max_depth": "uniform:2,8"}}],
      "random_forest: 'max_depth' must be int"),
+    ("models", [{"family": "rp_ensemble",
+                 "params": {"base_hyperparameters": {"bogus": 1}}}],
+     "rp_ensemble: gaussian_nb: unknown config key 'bogus'"),
 ])
 def test_report_config_error_before_any_work(tmp_path, cohort, capsys,
                                              key, value, named):

@@ -48,6 +48,8 @@ class TestParseDistribution:
             search.parse_distribution("triangular:1,2")
         with pytest.raises(ConfigError, match="malformed"):
             search.parse_distribution("uniform:1")
+        with pytest.raises(ConfigError, match="at least one choice"):
+            search.parse_distribution("cat:")
 
 
 class TestSearchSpace:
@@ -68,6 +70,20 @@ class TestSearchSpace:
         config = space.sample(seed=0, trial_index=0)
         assert isinstance(config, models.ModelSpec)
         assert config.hyperparameters["projected_dim"] == 2
+
+    def test_rp_base_hyperparameters_checked_against_base_family(self):
+        search.SearchSpace("rp_ensemble", {
+            "base_family": "svm_rbf", "base_hyperparameters": {"C": 1.0}})
+        with pytest.raises(ConfigError,
+                           match="rp_ensemble: gaussian_nb: unknown config key 'bogus'"):
+            search.SearchSpace("rp_ensemble", {"base_hyperparameters": {"bogus": 1}})
+        with pytest.raises(ConfigError, match="rp_ensemble: unknown model family 'nope'"):
+            search.SearchSpace("rp_ensemble", {"base_family": "nope"})
+        # every categorical choice of the base family meets the base params
+        with pytest.raises(ConfigError, match="rp_ensemble: gaussian_nb: .*'C'"):
+            search.SearchSpace("rp_ensemble", {
+                "base_family": search.Categorical(("svm_rbf", "gaussian_nb")),
+                "base_hyperparameters": {"C": 1.0}})
 
     def test_categorical_coverage_default_seed(self):
         space = search.SearchSpace(
