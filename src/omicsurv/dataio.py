@@ -3,14 +3,26 @@
 All tables are delimited UTF-8 text. Expression and CNA files share one
 layout: header ``patient_id,<gene>,<gene>,...`` with one row per patient.
 Clinical files use the header ``patient_id,time_months,event,age,group``.
-Floats are written with ``repr`` so a load -> store -> load round trip is
-bit-identical.
+
+Files are written as ``csv.writer`` writes them: CRLF line ends, a field
+quoted only when it holds ``,``, ``"`` or a line break, floats by ``repr``,
+so a load -> store -> load round trip is bit-identical. A matrix is written
+one joined line per row, and only an id that needs quotes goes through
+``csv.writer``. A matrix is read as one numeric block by numpy's C tokenizer;
+text that only the csv module reads right (quotes, a lone ``\r``) or that
+numpy rejects (``1_0``, an empty cell, a ragged row) goes through the
+per-cell path instead, which accepts exactly what ``float`` accepts. Both
+give the same bits, and every cell error names the file, line and column.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import re
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,8 +112,8 @@ class FeatureMatrix:
 
     def __post_init__(self):
         _check_matrix_ids(self.patient_ids, self.feature_names, self.values)
-        if np.isnan(self.values).any():
-            raise DataError("feature matrix contains NaN")
+        if not np.all(np.isfinite(self.values)):
+            raise DataError("feature values must be finite")
 
     @property
     def n_patients(self) -> int:
@@ -123,6 +135,10 @@ class MergeReport:
     resolutions: dict[str, str] = field(default_factory=dict)
 
 
+def _duplicates(ids) -> list[str]:
+    return sorted(x for x, n in Counter(ids).items() if n > 1)
+
+
 def _check_matrix_ids(row_ids, col_ids, values):
     if len(row_ids) == 0 or len(col_ids) == 0:
         raise DataError("empty matrix")
@@ -133,36 +149,124 @@ def _check_matrix_ids(row_ids, col_ids, values):
         )
     for name, ids in (("row", row_ids), ("column", col_ids)):
         if len(set(ids)) != len(ids):
-            dupes = sorted({x for x in ids if ids.count(x) > 1})
-            raise DataError(f"duplicate {name} ids: {dupes}")
+            raise DataError(f"duplicate {name} ids: {_duplicates(ids)}")
 
 
-def _read_delimited(path) -> list[list[str]]:
+def _first_repeat(ids) -> int | None:
+    seen = set()
+    for k, x in enumerate(ids):
+        if x in seen:
+            return k
+        seen.add(x)
+    return None
+
+
+def _located(path, line, column, what) -> DataError:
+    return DataError(f"{path}: line {line}, column {column}: {what}")
+
+
+class _Table(NamedTuple):
+    """A matrix CSV as read, in file orientation."""
+
+    col_ids: list[str]
+    row_ids: list[str]
+    values: np.ndarray  # float64, one row per data line
+    lines: list[int]  # 1-based file line of each data row
+
+    def check_ids(self, path) -> None:
+        k = _first_repeat(self.col_ids)
+        if k is not None:
+            raise _located(path, 1, k + 2,
+                           f"duplicate column ids: {_duplicates(self.col_ids)}")
+        k = _first_repeat(self.row_ids)
+        if k is not None:
+            raise _located(path, self.lines[k], 1,
+                           f"duplicate row ids: {_duplicates(self.row_ids)}")
+
+    def reject(self, path, bad: np.ndarray, what: str) -> None:
+        """Raise at the first ``bad`` cell in file order."""
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), bad.shape[1])
+            raise _located(path, self.lines[i], j + 2,
+                           f"{what}, got {float(self.values[i, j])!r}")
+
+
+def _read_text(path) -> str:
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        return fh.read()
+
+
+def _read_delimited(text: str, path) -> tuple[list[list[str]], list[int]]:
+    """The non-empty csv rows of ``text`` and the line each one ends on."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, lines = [], []
+    for row in reader:
+        if row:
+            rows.append(row)
+            lines.append(reader.line_num)
     if len(rows) < 2:
         raise DataError(f"{path}: no data rows")
     width = len(rows[0])
     for i, row in enumerate(rows):
         if len(row) != width:
             raise DataError(f"{path}: ragged row {i} ({len(row)} cells, expected {width})")
-    return rows
+    return rows, lines
 
 
-def _parse_cells(rows, path, caster, kind):
-    ids = [row[0] for row in rows[1:]]
+def _parse_cells(rows, lines, path) -> np.ndarray:
     out = np.empty((len(rows) - 1, len(rows[0]) - 1), dtype=np.float64)
     for i, row in enumerate(rows[1:]):
         for j, cell in enumerate(row[1:]):
             try:
-                out[i, j] = caster(cell)
+                out[i, j] = float(cell)
             except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric cell at ({i},{j}): {cell!r}"
-                ) from None
-    if kind == "int" and not np.all(out == np.round(out)):
-        raise DataError(f"{path}: non-integer CNA cell")
-    return ids, out
+                raise _located(path, lines[i + 1], j + 2,
+                               f"non-numeric cell at ({i},{j}): {cell!r}") from None
+    return out
+
+
+# Characters the block parse leaves to the csv module and float(): a quote,
+# NUL, and \x1c-\x1f, which numpy strips from a number as whitespace while
+# float() rejects them.
+_NOT_IN_A_BLOCK = '"\x00\x1c\x1d\x1e\x1f'
+
+
+def _parse_block(text: str) -> _Table | None:
+    """The table parsed by numpy's C tokenizer, or None if it cannot be."""
+    if (any(c in text for c in _NOT_IN_A_BLOCK)
+            or text.count("\r") != text.count("\r\n")):  # a lone \r breaks lines
+        return None
+    numbered = [(n, line) for n, line
+                in enumerate(text.replace("\r\n", "\n").split("\n"), 1) if line]
+    if len(numbered) < 2:
+        return None
+    row_ids, rests = [], []
+    for _, line in numbered[1:]:
+        row_id, _, rest = line.partition(",")
+        row_ids.append(row_id)
+        rests.append(rest)
+    if not all(rests):  # loadtxt would skip the line, or warn of no data
+        return None
+    try:
+        values = np.loadtxt(rests, delimiter=",", dtype=np.float64,
+                            comments=None, ndmin=2)
+    except ValueError:
+        return None
+    header = numbered[0][1].split(",")
+    if values.shape != (len(rests), len(header) - 1):
+        return None
+    return _Table(header[1:], row_ids, values, [n for n, _ in numbered[1:]])
+
+
+def _read_matrix(path) -> _Table:
+    text = _read_text(path)
+    table = _parse_block(text)
+    if table is None:
+        rows, lines = _read_delimited(text, path)
+        table = _Table(rows[0][1:], [row[0] for row in rows[1:]],
+                       _parse_cells(rows, lines, path), lines[1:])
+    table.check_ids(path)
+    return table
 
 
 def load_expression(path, orientation: str = "patients_as_rows",
@@ -175,14 +279,16 @@ def load_expression(path, orientation: str = "patients_as_rows",
     """
     if orientation not in ("patients_as_rows", "genes_as_rows"):
         raise DataError(f"unknown orientation {orientation!r}")
-    rows = _read_delimited(path)
-    row_ids, values = _parse_cells(rows, path, float, "float")
-    col_ids = rows[0][1:]
+    table = _read_matrix(path)
+    values = table.values
+    table.reject(path, ~np.isfinite(values), "expression values must be finite")
+    if scale == "linear":
+        table.reject(path, values < 0, "linear-scale expression values must be >= 0")
     if orientation == "genes_as_rows":
-        patient_ids, gene_ids = col_ids, row_ids
+        patient_ids, gene_ids = table.col_ids, table.row_ids
         values = values.T.copy()
     else:
-        patient_ids, gene_ids = row_ids, col_ids
+        patient_ids, gene_ids = table.row_ids, table.col_ids
     return ExpressionMatrix(
         platform_id=platform_id or str(path),
         patient_ids=patient_ids,
@@ -194,15 +300,18 @@ def load_expression(path, orientation: str = "patients_as_rows",
 
 def load_cna(path) -> CnaMatrix:
     """Load a CNA CSV of GISTIC categories (same layout as expression)."""
-    rows = _read_delimited(path)
-    patient_ids, values = _parse_cells(rows, path, float, "int")
-    return CnaMatrix(patient_ids=patient_ids, gene_ids=rows[0][1:],
+    table = _read_matrix(path)
+    values = table.values
+    table.reject(path, values != np.round(values), "non-integer CNA cell")
+    table.reject(path, ~np.isin(values, CNA_CATEGORIES),
+                 f"CNA value is not one of the GISTIC categories {list(CNA_CATEGORIES)}")
+    return CnaMatrix(patient_ids=table.row_ids, gene_ids=table.col_ids,
                      values=values.astype(np.int64))
 
 
 def load_clinical(path) -> list[ClinicalRecord]:
     """Load clinical records, one per patient_id; empty age/group -> None."""
-    rows = _read_delimited(path)
+    rows, _ = _read_delimited(_read_text(path), path)
     if [h.strip() for h in rows[0]] != CLINICAL_HEADER:
         raise DataError(f"{path}: expected header {','.join(CLINICAL_HEADER)}")
     records = []
@@ -237,24 +346,34 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+# The characters for which csv.writer's minimal quoting quotes a field.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _write_matrix(path, col_ids, row_ids, rows: list[list], fmt) -> None:
+    """Write the bytes csv.writer would, joining each row's cells at once."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["patient_id", *col_ids])
+        for row_id, row in zip(row_ids, rows):
+            if _NEEDS_QUOTES.search(row_id):
+                writer.writerow([row_id, *map(fmt, row)])
+            else:
+                fh.write(row_id + "," + ",".join(map(fmt, row)) + "\r\n")
+
+
 def save_expression(matrix: ExpressionMatrix | FeatureMatrix, path) -> None:
     if isinstance(matrix, ExpressionMatrix):
         col_ids = matrix.gene_ids
     else:
         col_ids = matrix.feature_names
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["patient_id", *col_ids])
-        for pid, row in zip(matrix.patient_ids, matrix.values):
-            writer.writerow([pid, *(_fmt(v) for v in row)])
+    _write_matrix(path, col_ids, matrix.patient_ids,
+                  matrix.values.astype(np.float64, copy=False).tolist(), repr)
 
 
 def save_cna(matrix: CnaMatrix, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["patient_id", *matrix.gene_ids])
-        for pid, row in zip(matrix.patient_ids, matrix.values):
-            writer.writerow([pid, *(str(int(v)) for v in row)])
+    _write_matrix(path, matrix.gene_ids, matrix.patient_ids,
+                  matrix.values.astype(np.int64, copy=False).tolist(), str)
 
 
 def save_clinical(records: list[ClinicalRecord], path) -> None:
@@ -272,10 +391,10 @@ def save_clinical(records: list[ClinicalRecord], path) -> None:
 
 
 def load_features(path) -> FeatureMatrix:
-    rows = _read_delimited(path)
-    patient_ids, values = _parse_cells(rows, path, float, "float")
-    return FeatureMatrix(patient_ids=patient_ids, feature_names=rows[0][1:],
-                         values=values)
+    table = _read_matrix(path)
+    table.reject(path, ~np.isfinite(table.values), "feature values must be finite")
+    return FeatureMatrix(patient_ids=table.row_ids, feature_names=table.col_ids,
+                         values=table.values)
 
 
 def merge(sources: list[ExpressionMatrix]) -> tuple[ExpressionMatrix, MergeReport]:

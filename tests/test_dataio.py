@@ -1,9 +1,13 @@
+import csv
+import time
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omicsurv import dataio
+from omicsurv import cli, dataio
 from omicsurv.errors import DataError
 
 from conftest import expr, record
@@ -49,6 +53,93 @@ class TestLoadExpression:
     def test_negative_linear_value_rejected(self):
         with pytest.raises(DataError, match=">= 0"):
             expr([[-1.0]])
+
+
+class TestLocatedErrors:
+    """Every cell-level error a matrix loader raises names the file and the
+    1-based line and column of the cell (the id column is column 1)."""
+
+    @pytest.mark.parametrize("load, text, where", [
+        (dataio.load_expression, "patient_id,g1,g2\np1,1,2\np2,3,nan\n",
+         "line 3, column 3: expression values must be finite, got nan"),
+        (dataio.load_expression, "patient_id,g1,g2\n\np1,1,-inf\n",
+         "line 3, column 3: expression values must be finite, got -inf"),
+        (dataio.load_expression, "patient_id,g1,g2\r\np1,1,2\r\np2,-3,4\r\n",
+         "line 3, column 2: linear-scale expression values must be >= 0, got -3.0"),
+        (dataio.load_features, "patient_id,f1,f2\np1,1,inf\n",
+         "line 2, column 3: feature values must be finite, got inf"),
+        (dataio.load_features, "patient_id,f1,f2\np1,1,2\np2,-inf,2\n",
+         "line 3, column 2: feature values must be finite, got -inf"),
+        (dataio.load_cna, "patient_id,g1,g2\np1,0,1\np2,2,0.5\n",
+         "line 3, column 3: non-integer CNA cell, got 0.5"),
+        (dataio.load_cna, "patient_id,g1,g2\np1,0,1\np2,3,0\n",
+         "line 3, column 2: CNA value is not one of the GISTIC categories "
+         "[-2, -1, 0, 1, 2], got 3.0"),
+        (dataio.load_cna, "patient_id,g1\np1,inf\n",
+         "line 2, column 2: CNA value is not one of the GISTIC categories "
+         "[-2, -1, 0, 1, 2], got inf"),
+        (dataio.load_features, "patient_id,f1\np1,1\np2,2\np1,3\n",
+         "line 4, column 1: duplicate row ids: ['p1']"),
+        (dataio.load_cna, "patient_id,g1,g2,g1,g2\np1,0,0,0,0\n",
+         "line 1, column 4: duplicate column ids: ['g1', 'g2']"),
+        (dataio.load_features, 'patient_id,f1\n"p,1",1\n"p,1",2\n',
+         "line 3, column 1: duplicate row ids: ['p,1']"),
+        (dataio.load_features, "patient_id,f1\np1,1\np2,x\n",
+         "line 3, column 2: non-numeric cell at (1,0): 'x'"),
+    ], ids=["nan", "minus_inf_after_blank_line", "negative_linear_crlf",
+            "feature_inf", "feature_minus_inf", "cna_fraction", "cna_category",
+            "cna_inf", "duplicate_row", "duplicate_column",
+            "duplicate_quoted_row", "non_numeric"])
+    def test_message(self, tmp_path, load, text, where):
+        p = write(tmp_path / "m.csv", text)
+        with pytest.raises(DataError) as info:
+            load(p)
+        assert str(info.value) == f"{p}: {where}"
+
+    def test_genes_as_rows_names_file_coordinates(self, tmp_path):
+        p = write(tmp_path / "e.csv", "gene_id,p1,p2\ng1,1,2\ng2,3,nan\n")
+        with pytest.raises(DataError, match=r"line 3, column 3: expression"):
+            dataio.load_expression(p, orientation="genes_as_rows")
+
+    def test_cli_normalize_nan(self, tmp_path, capsys):
+        good = write(tmp_path / "good.csv", "patient_id,g1,g2\np1,1,2\np2,3,4\n")
+        bad = write(tmp_path / "bad.csv", "patient_id,g1,g2\np1,1,2\np2,3,nan\n")
+        code = cli.main(["normalize", "--target", str(bad), "--reference",
+                         str(good), "--log2", "--output", str(tmp_path / "o.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"data error: {bad}: line 3, column 3: "
+            "expression values must be finite, got nan\n")
+
+    def test_cli_project_inf_exits_before_any_work(self, tmp_path, capsys):
+        rows = [f"p{i},{i},{i % 3}" for i in range(6)]
+        rows[4] = "p4,inf,1"
+        bad = write(tmp_path / "f.csv", "patient_id,f1,f2\n" + "\n".join(rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["project", "--features", str(bad), "--dims", "2",
+                             "--output", str(tmp_path / "o.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"data error: {bad}: line 6, column 2: "
+            "feature values must be finite, got inf\n")
+
+
+class TestMatrixChecks:
+    def test_duplicate_ids_found_in_linear_time(self):
+        ids = [f"g{k:05d}" for k in range(20_000)]
+        ids[12_345] = ids[7]
+        values = np.zeros((1, len(ids)))
+        start = time.perf_counter()
+        with pytest.raises(DataError) as info:
+            dataio.FeatureMatrix(["p1"], ids, values)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == "duplicate column ids: ['g00007']"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_feature_matrix_rejects_non_finite(self, bad):
+        with pytest.raises(DataError, match="feature values must be finite"):
+            dataio.FeatureMatrix(["p1"], ["f1", "f2"], np.array([[1.0, bad]]))
 
 
 class TestCna:
@@ -263,3 +354,195 @@ class TestSubsetPatients:
         e = expr([[1.0]], ["p1"], ["g1"])
         with pytest.raises(DataError, match="not in matrix"):
             dataio.subset_patients(e, ["p9"])
+
+
+# --- reference code: the per-cell reader and the csv.writer writer that the
+# block reader and the row-join writer replaced. Loaded values must match
+# them bit for bit, written files byte for byte, and errors word for word
+# apart from the cell's line and column.
+
+def ref_read(path, kind="float"):
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if len(rows) < 2:
+        raise DataError(f"{path}: no data rows")
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise DataError(f"{path}: ragged row {i} ({len(row)} cells, expected {width})")
+    out = np.empty((len(rows) - 1, width - 1), dtype=np.float64)
+    for i, row in enumerate(rows[1:]):
+        for j, cell in enumerate(row[1:]):
+            try:
+                out[i, j] = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: non-numeric cell at ({i},{j}): {cell!r}") from None
+    if kind == "int" and not np.all(out == np.round(out)):
+        raise DataError(f"{path}: non-integer CNA cell")
+    return rows[0][1:], [row[0] for row in rows[1:]], out
+
+
+def ref_write(path, col_ids, row_ids, values, fmt):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["patient_id", *col_ids])
+        for pid, row in zip(row_ids, values):
+            writer.writerow([pid, *(fmt(v) for v in row)])
+
+
+def ref_float(v):
+    return repr(float(v))
+
+
+def ref_int(v):
+    return str(int(v))
+
+
+def write_bytes(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# text, whether the block parse takes it
+READ_CASES = {
+    "specials": ("patient_id,a,b,c\np1,-0.0,5e-324,1e300\n"
+                 "p2,1e-300,-1e+300,3\np3,2.0,1e16,123456789012345678\n", True),
+    "whitespace": ("patient_id,a,b\n p1, 1.5 ,\t2\np2,3 ,  4\n", True),
+    "underscore": ("patient_id,a,b\np1,1_0,2\np2,3,4\n", False),
+    "quoted_ids": ('patient_id,"g,1","g""2",g3\n"p,1",1,2,3\n"p""2",4,5,6\n', False),
+    "lf": ("patient_id,a,b\np1,1,2\np2,3,4\n", True),
+    "crlf": ("patient_id,a,b\r\np1,1,2\r\np2,3,4\r\n", True),
+    "blank_lines": ("\npatient_id,a,b\n\np1,1,2\r\n\r\n\np2,3,4", True),
+    "lone_cr": ("patient_id,a,b\rp1,1,2\rp2,3,4\r", False),
+    "mixed_breaks": ("patient_id,a,b\np1,1,2\rp2,3,4\r\np3,5,6\n", False),
+    "doubled_cr": ("patient_id,a\r\r\np1,1\r\r\np2,2\r\n", False),
+    "one_column": ("patient_id,a\np1,1\np2,2\n", True),
+    "one_row": ("patient_id,a,b,c\np1,1,2,3\n", True),
+}
+
+
+# text, value kind, the cell's location, what the message gains at its end
+ERROR_CASES = {
+    "no_data_rows": ("patient_id,a\n\n", "float", "", ""),
+    "ragged": ("patient_id,a,b\np1,1,2\np2,3\n", "float", "", ""),
+    "ragged_after_bad_cell": ("patient_id,a,b\np1,x,2\np2,3\n", "float", "", ""),
+    "header_only_id_wide": ("patient_id,a,b\np1,1,2,3\n", "float", "", ""),
+    "non_numeric": ("patient_id,a,b\np1,1,2\n\np2,3,NA\n", "float",
+                    "line 4, column 3: ", ""),
+    "empty_cell": ("patient_id,a,b\np1,1,\n", "float", "line 2, column 3: ", ""),
+    "blank_cell": ("patient_id,a,b\np1, ,2\n", "float", "line 2, column 2: ", ""),
+    "no_comma": ("patient_id,a\np1\np2,1\n", "float", "", ""),
+    "unit_separator": ("patient_id,a\np1,1\x1f\n", "float", "line 2, column 2: ", ""),
+    "hash": ("patient_id,a\np1,1#2\n", "float", "line 2, column 2: ", ""),
+    "ids_only": ("patient_id,a\np1\np2\n", "float", "", ""),
+    "quoted_non_numeric": ('patient_id,"a,b"\n"p,1",x\n', "float",
+                           "line 2, column 2: ", ""),
+    "cna_fraction": ("patient_id,a,b\np1,1,0.5\n", "int", "line 2, column 3: ",
+                     ", got 0.5"),
+}
+
+
+class TestBlockReaderOracle:
+    @pytest.mark.parametrize("name", READ_CASES)
+    def test_values_and_ids_match_per_cell_parse(self, tmp_path, name):
+        text, block = READ_CASES[name]
+        p = write_bytes(tmp_path / "m.csv", text)
+        assert (dataio._parse_block(text) is not None) == block
+        col_ids, row_ids, values = ref_read(p)
+        m = dataio.load_features(p)
+        assert (m.feature_names, m.patient_ids) == (col_ids, row_ids)
+        assert same_bits(m.values, values)
+        e = dataio.load_expression(p, orientation="genes_as_rows", scale="log2")
+        assert (e.patient_ids, e.gene_ids) == (col_ids, row_ids)
+        assert same_bits(e.values, values.T.copy())
+
+    def test_cna_matches_per_cell_parse(self, tmp_path):
+        p = write_bytes(tmp_path / "c.csv",
+                        "patient_id,g1,g2,g3\r\np1,-2,-1,0\r\n\r\np2,1,2,-0\r\n")
+        col_ids, row_ids, values = ref_read(p, kind="int")
+        m = dataio.load_cna(p)
+        assert (m.gene_ids, m.patient_ids) == (col_ids, row_ids)
+        assert m.values.dtype == np.int64
+        np.testing.assert_array_equal(m.values, values.astype(np.int64))
+
+    def test_per_cell_parse_runs_only_when_block_parse_rejects(self, tmp_path,
+                                                               monkeypatch):
+        calls = []
+        per_cell = dataio._parse_cells
+
+        def counted(*args):
+            calls.append(args)
+            return per_cell(*args)
+
+        monkeypatch.setattr(dataio, "_parse_cells", counted)
+        for name, (text, block) in READ_CASES.items():
+            calls.clear()
+            dataio.load_features(write_bytes(tmp_path / f"{name}.csv", text))
+            assert len(calls) == (0 if block else 1), name
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ERROR_CASES)
+    def test_fallback_error_messages_unchanged(self, tmp_path, name):
+        text, kind, where, tail = ERROR_CASES[name]
+        p = write_bytes(tmp_path / "m.csv", text)
+        with pytest.raises(DataError) as ref:
+            ref_read(p, kind)
+        load = dataio.load_cna if kind == "int" else dataio.load_features
+        with pytest.raises(DataError) as new:
+            load(p)
+        assert str(new.value) == str(ref.value).replace(
+            f"{p}: ", f"{p}: {where}", 1) + tail
+
+
+IDS = ["p1", "", "p,1", 'p"2', "p\r\n3", "p\n4", " p5 ", "é\x1c", "'p6'"]
+
+
+class TestRowJoinWriterOracle:
+    @pytest.mark.parametrize("values", [
+        [[-0.0, 5e-324, 1e300], [1e-300, -1e-300, 2.0], [1e16, 3.0, 0.1]],
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+    ], ids=["specials", "integral_ints"])
+    def test_expression_bytes_match_csv_writer(self, tmp_path, values):
+        values = np.array(values)
+        genes = ["g,1", 'g"2', "g 3"]
+        for pids in (IDS[:3], IDS[3:6], IDS[6:]):
+            m = dataio.FeatureMatrix(pids, genes, values)
+            dataio.save_expression(m, tmp_path / "new.csv")
+            ref_write(tmp_path / "ref.csv", genes, pids, values, ref_float)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+            again = dataio.load_features(tmp_path / "new.csv")
+            assert again.patient_ids == pids and again.feature_names == genes
+            assert same_bits(again.values, values.astype(np.float64))
+
+    def test_cna_bytes_match_csv_writer(self, tmp_path):
+        values = np.array([[-2, -1, 0], [1, 2, 0], [0, 0, -2]])
+        m = dataio.CnaMatrix(IDS[:3], ["a", "b,c", 'd"'], values)
+        dataio.save_cna(m, tmp_path / "new.csv")
+        ref_write(tmp_path / "ref.csv", m.gene_ids, m.patient_ids, values, ref_int)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        np.testing.assert_array_equal(dataio.load_cna(tmp_path / "new.csv").values,
+                                      values)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip(self, tmp_path_factory, data):
+        tmp = tmp_path_factory.mktemp("rt")
+        n, k = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        names = st.text(st.characters(codec="utf-8"), max_size=4)
+        pids = data.draw(st.lists(names, min_size=n, max_size=n, unique=True))
+        genes = data.draw(st.lists(names, min_size=k, max_size=k, unique=True))
+        values = np.array(data.draw(st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                     min_size=k, max_size=k), min_size=n, max_size=n)))
+        dataio.save_expression(dataio.FeatureMatrix(pids, genes, values), tmp / "new.csv")
+        ref_write(tmp / "ref.csv", genes, pids, values, ref_float)
+        assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+        again = dataio.load_features(tmp / "new.csv")
+        assert (again.feature_names, again.patient_ids) == (genes, pids)
+        assert same_bits(again.values, values)
+        assert same_bits(again.values, ref_read(tmp / "new.csv")[2])
