@@ -1,0 +1,59 @@
+#!/usr/bin/env python3
+"""Time RP-ensemble training on one synthetic cohort: the best-of-3 wall time
+of rpensemble.train with its defaults (100 groups x 20 projections, dim 5,
+Gaussian-NB base), and the SHA-256 of the trained model's JSON, so a speed-up
+can be checked to leave the model unchanged.
+
+The cohort is drawn in memory with omicsurv.synth (seed 0). The features are
+the log2 microarray table, labelled at a 60-month horizon as
+`omicsurv report` labels them; censored patients without a label are dropped.
+
+Usage: python scripts/time_model_layers.py [--patients N] [--genes M]
+"""
+
+import argparse
+import hashlib
+import json
+import time
+
+from omicsurv import dataio, normalize, rpensemble, survival, synth
+
+
+def best_of_3(fn):
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - start)
+    return min(times), result
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--patients", type=int, default=300)
+    parser.add_argument("--genes", type=int, default=500)
+    args = parser.parse_args()
+
+    config = synth.SynthConfig(n_patients=args.patients, n_genes=args.genes,
+                               n_informative_genes=min(5, args.genes), seed=0)
+    latent = synth.gen_latent(config)
+    micro = normalize.log2_transform(synth.gen_microarray(config, latent))
+    clinical, _ = synth.gen_clinical(config, latent)
+    dataset, _ = survival.make_labeled_dataset(
+        dataio.build_features(micro, clinical), clinical, 60.0)
+    x, y = dataset.features.values, dataset.labels
+    print(f"cohort: {args.patients} patients x {args.genes} genes, "
+          f"{len(y)} labelled ({int(y.sum())} class 1)")
+
+    rp_config = rpensemble.RpConfig()
+    seconds, model = best_of_3(lambda: rpensemble.train(x, y, rp_config))
+    print(f"rpensemble.train {seconds:8.3f} s  "
+          f"({rp_config.b1_groups} x {rp_config.b2_per_group} projections, "
+          f"dim {rp_config.projected_dim})")
+    digest = hashlib.sha256(
+        json.dumps(rpensemble.to_jsonable(model)).encode("utf-8")).hexdigest()
+    print(f"model json sha256 {digest}")
+
+
+if __name__ == "__main__":
+    main()

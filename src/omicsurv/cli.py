@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -123,20 +124,19 @@ def _cmd_project(args) -> int:
 def _load_xy(features_path, labels_path):
     features = dataio.load_features(features_path)
     labels_by_id = {}
-    with open(labels_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:2] != ["patient_id", "label"]:
-            raise DataError(f"{labels_path}: expected header patient_id,label")
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            label = row[1].strip() if len(row) > 1 else ""
-            if label not in ("0", "1"):
-                raise DataError(
-                    f"{labels_path}: line {line}: label must be 0 or 1, "
-                    f"got {label!r}")
-            labels_by_id[row[0]] = int(label)
+    reader = csv.reader(io.StringIO(dataio.read_text(labels_path), newline=""))
+    header = next(reader, [])
+    if header[:2] != ["patient_id", "label"]:
+        raise DataError(f"{labels_path}: expected header patient_id,label")
+    for line, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        label = row[1].strip() if len(row) > 1 else ""
+        if label not in ("0", "1"):
+            raise DataError(
+                f"{labels_path}: line {line}: label must be 0 or 1, "
+                f"got {label!r}")
+        labels_by_id[row[0]] = int(label)
     keep = [i for i, pid in enumerate(features.patient_ids) if pid in labels_by_id]
     if not keep:
         raise DataError("no overlap between features and labels")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -93,11 +94,17 @@ class ClinicalRecord:
     def __post_init__(self):
         if not self.patient_id:
             raise DataError("patient_id must be non-empty")
+        if not math.isfinite(self.observed_time_months):
+            raise DataError(f"observed time for {self.patient_id} must be finite, "
+                            f"got {self.observed_time_months}")
         if self.observed_time_months < 0:
             raise DataError(
                 f"negative observed time for {self.patient_id}: "
                 f"{self.observed_time_months}"
             )
+        if self.age_years is not None and not math.isfinite(self.age_years):
+            raise DataError(f"age for {self.patient_id} must be finite, "
+                            f"got {self.age_years}")
         if self.age_years is not None and self.age_years < 0:
             raise DataError(f"negative age for {self.patient_id}")
 
@@ -191,9 +198,14 @@ class _Table(NamedTuple):
                            f"{what}, got {float(self.values[i, j])!r}")
 
 
-def _read_text(path) -> str:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return fh.read()
+def read_text(path) -> str:
+    """The whole file as text; a file that is not UTF-8 is a DataError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} "
+                        f"at offset {exc.start})") from None
 
 
 def _read_delimited(text: str, path) -> tuple[list[list[str]], list[int]]:
@@ -206,14 +218,14 @@ def _read_delimited(text: str, path) -> tuple[list[list[str]], list[int]]:
             lines.append(reader.line_num)
     if len(rows) < 2:
         raise DataError(f"{path}: no data rows")
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(f"{path}: ragged row {i} ({len(row)} cells, expected {width})")
     return rows, lines
 
 
 def _parse_cells(rows, lines, path) -> np.ndarray:
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise DataError(f"{path}: ragged row {i} ({len(row)} cells, expected {width})")
     out = np.empty((len(rows) - 1, len(rows[0]) - 1), dtype=np.float64)
     for i, row in enumerate(rows[1:]):
         for j, cell in enumerate(row[1:]):
@@ -259,7 +271,7 @@ def _parse_block(text: str) -> _Table | None:
 
 
 def _read_matrix(path) -> _Table:
-    text = _read_text(path)
+    text = read_text(path)
     table = _parse_block(text)
     if table is None:
         rows, lines = _read_delimited(text, path)
@@ -309,35 +321,48 @@ def load_cna(path) -> CnaMatrix:
                      values=values.astype(np.int64))
 
 
+def _clinical_number(text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise DataError(f"non-numeric {what} {text!r}") from None
+
+
+def _clinical_record(row: list[str]) -> ClinicalRecord:
+    """One data row as a record; a DataError says what is wrong, not where."""
+    if len(row) != len(CLINICAL_HEADER):
+        raise DataError(f"ragged row ({len(row)} cells, expected {len(CLINICAL_HEADER)})")
+    pid, time_s, event_s, age_s, group_s = [c.strip() for c in row]
+    if event_s not in ("0", "1"):
+        raise DataError(f"event must be 0 or 1, got {event_s!r}")
+    return ClinicalRecord(
+        patient_id=pid,
+        observed_time_months=_clinical_number(time_s, "time"),
+        event=event_s == "1",
+        age_years=_clinical_number(age_s, "age") if age_s else None,
+        group_label=group_s or None,
+    )
+
+
 def load_clinical(path) -> list[ClinicalRecord]:
-    """Load clinical records, one per patient_id; empty age/group -> None."""
-    rows, _ = _read_delimited(_read_text(path), path)
+    """Load clinical records, one per patient_id; empty age/group -> None.
+    Every error names ``<file>: line L``, the header being line 1."""
+    rows, lines = _read_delimited(read_text(path), path)
     if [h.strip() for h in rows[0]] != CLINICAL_HEADER:
         raise DataError(f"{path}: expected header {','.join(CLINICAL_HEADER)}")
     records = []
-    first_row = {}
-    for i, row in enumerate(rows[1:]):
-        pid, time_s, event_s, age_s, group_s = [c.strip() for c in row]
-        if not pid:
-            raise DataError(f"{path}: missing patient_id at row {i}")
-        if pid in first_row:
-            raise DataError(f"{path}: duplicate patient_id {pid!r} at row {i} "
-                            f"(first at row {first_row[pid]})")
-        first_row[pid] = i
-        if event_s not in ("0", "1"):
-            raise DataError(f"{path}: event must be 0 or 1, got {event_s!r} at row {i}")
+    first_line = {}
+    for line, row in zip(lines[1:], rows[1:]):
         try:
-            time = float(time_s)
-        except ValueError:
-            raise DataError(f"{path}: non-numeric time at row {i}: {time_s!r}") from None
-        age = float(age_s) if age_s else None
-        records.append(ClinicalRecord(
-            patient_id=pid,
-            observed_time_months=time,
-            event=event_s == "1",
-            age_years=age,
-            group_label=group_s or None,
-        ))
+            record = _clinical_record(row)
+        except DataError as exc:
+            raise DataError(f"{path}: line {line}: {exc}") from None
+        pid = record.patient_id
+        if pid in first_line:
+            raise DataError(f"{path}: line {line}: duplicate patient_id {pid!r} "
+                            f"(first at line {first_line[pid]})")
+        first_line[pid] = line
+        records.append(record)
     return records
 
 

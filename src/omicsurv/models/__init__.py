@@ -12,7 +12,12 @@ typed), ``scores(state, x)``, ``threshold(state)`` (the hard-label cut),
 ``to_jsonable(state)`` and ``from_jsonable(d)``. Only the MLPs use
 ``sample_weight``; the other families ignore it. A module may also declare
 ``check_params(params)``, which rejects values that are well typed but do not
-fit together (``rp_ensemble``'s base hyperparameters against its base family).
+fit together (``rp_ensemble``'s base hyperparameters against its base family),
+and ``holdout_errors(z_tr, y_tr, z_ho, y_ho, params)``, which fits one model
+per slice of a stack of B training tables (B, n, d) and returns each one's
+misclassification rate on the matching holdout slice, shape (B,), as one
+pass over the stack. ``holdout_errors`` below falls back to one ``fit`` and
+``predict_labels`` per slice for a family without the hook.
 """
 
 from __future__ import annotations
@@ -81,9 +86,11 @@ class TrainedModel:
 
 
 def _validate_training_data(x: np.ndarray, y: np.ndarray, classifier: bool):
-    if len(x) != len(y):
-        raise DataError(f"feature/target length mismatch: {len(x)} vs {len(y)}")
-    if len(x) < 2:
+    """Checks ``x`` of shape (n, d), or a stack (B, n, d) of such tables."""
+    n = x.shape[-2]
+    if n != len(y):
+        raise DataError(f"feature/target length mismatch: {n} vs {len(y)}")
+    if n < 2:
         raise DataError("need at least 2 training samples")
     if not np.all(np.isfinite(x)):
         raise DataError("non-finite training features")
@@ -107,6 +114,19 @@ def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
     except ConfigError as exc:
         raise ConfigError(f"{spec.family}: {exc}") from None
     return TrainedModel(spec=spec, n_features=x.shape[1], state=state)
+
+
+def holdout_errors(spec: ModelSpec, z_tr: np.ndarray, y_tr: np.ndarray,
+                   z_ho: np.ndarray, y_ho: np.ndarray) -> np.ndarray:
+    """Misclassification rate on ``(z_ho[b], y_ho)`` of ``spec`` fitted on
+    ``(z_tr[b], y_tr)``, for each slice b of the stacks: shape (B,)."""
+    module = _TABLE[spec.family][0]
+    if not hasattr(module, "holdout_errors"):
+        return np.array([np.mean(predict_labels(fit(spec, tr, y_tr), ho) != y_ho)
+                         for tr, ho in zip(z_tr, z_ho)])
+    params = read_params(spec.family, spec.hyperparameters)
+    _validate_training_data(z_tr, y_tr, classifier=True)
+    return module.holdout_errors(z_tr, y_tr, z_ho, y_ho, params)
 
 
 def censor_weights(events: np.ndarray, censor_weight: float = 1.0) -> np.ndarray:

@@ -1,4 +1,9 @@
-"""Gaussian naive Bayes with per-feature variances floored at 1e-9."""
+"""Gaussian naive Bayes with per-feature variances floored at 1e-9.
+
+``fit`` and ``scores`` work over the trailing two axes (samples, features), so
+the same formulas fit one (n, d) table or a stack of B such tables at once;
+``holdout_errors`` uses that to score a whole stack in one pass.
+"""
 
 from __future__ import annotations
 
@@ -24,19 +29,21 @@ PARAMS = {}
 
 def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
         sample_weight=None) -> GnbState:
-    x0, x1 = x[y == 0], x[y == 1]
+    x0, x1 = x[..., y == 0, :], x[..., y == 1, :]
+    n, n0, n1 = x.shape[-2], x0.shape[-2], x1.shape[-2]
     return GnbState(
-        mean0=x0.mean(axis=0),
-        mean1=x1.mean(axis=0),
-        var0=np.maximum(x0.var(axis=0), VAR_FLOOR),
-        var1=np.maximum(x1.var(axis=0), VAR_FLOOR),
-        log_prior0=float(np.log(len(x0) / len(x))),
-        log_prior1=float(np.log(len(x1) / len(x))),
+        mean0=x0.mean(axis=-2),
+        mean1=x1.mean(axis=-2),
+        var0=np.maximum(x0.var(axis=-2), VAR_FLOOR),
+        var1=np.maximum(x1.var(axis=-2), VAR_FLOOR),
+        log_prior0=float(np.log(n0 / n)),
+        log_prior1=float(np.log(n1 / n)),
     )
 
 
 def _class_loglik(x, mean, var):
-    return -0.5 * np.sum(np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var, axis=1)
+    mean, var = mean[..., None, :], var[..., None, :]
+    return -0.5 * np.sum(np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var, axis=-1)
 
 
 def scores(state: GnbState, x: np.ndarray) -> np.ndarray:
@@ -48,6 +55,13 @@ def scores(state: GnbState, x: np.ndarray) -> np.ndarray:
 
 def threshold(state: GnbState) -> float:
     return 0.0
+
+
+def holdout_errors(z_tr: np.ndarray, y_tr: np.ndarray, z_ho: np.ndarray,
+                   y_ho: np.ndarray, params: dict) -> np.ndarray:
+    """Holdout misclassification rate of each slice's fit, shape (B,)."""
+    state = fit(z_tr, y_tr, params, seed=0)
+    return np.mean((scores(state, z_ho) >= threshold(state)) != y_ho, axis=-1)
 
 
 def to_jsonable(state: GnbState) -> dict:

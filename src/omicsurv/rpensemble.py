@@ -6,6 +6,12 @@ projection with the lowest holdout misclassification wins its group. The
 winners are refit on the full data and vote; the score is the fraction of
 groups voting class 1 and the hard label thresholds that fraction at alpha.
 
+Each group is drawn and scored as one stack: its B2 projections come from one
+batched QR, the data is projected by one stacked matmul, and
+``models.holdout_errors`` fits and scores all B2 base classifiers together
+(one pass for a family with a ``holdout_errors`` hook, such as gaussian_nb).
+Only one group's stack is held at a time.
+
 Feature importance sums, over the selected projections, each feature's
 squared projection weights scaled by its training variance (so constant and
 all-zero columns get exactly zero importance), normalized to sum to 1.
@@ -64,18 +70,27 @@ class RpModel:
     selected_indices: np.ndarray = None
 
 
-def sample_projection(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed d x m matrix with orthonormal rows."""
+def sample_projections(m: int, d: int, rngs) -> np.ndarray:
+    """Stack (B, d, m) of Haar-distributed matrices with orthonormal rows,
+    slice b drawn from ``rngs[b]``. A rank-deficient draw is redrawn from its
+    own generator, up to 8 draws in all."""
     if d > m:
         raise ConfigError(f"projected dim {d} exceeds ambient dim {m}")
-    for _ in range(8):
-        g = rng.standard_normal((m, d))
-        q, r = np.linalg.qr(g)
-        diag = np.diag(r)
-        if np.min(np.abs(diag)) < 1e-12:
-            continue  # rank deficient draw; resample
-        return (q * np.sign(diag)).T
-    raise DataError("failed to draw a full-rank projection in 8 attempts")
+    q, r = np.linalg.qr(np.stack([rng.standard_normal((m, d)) for rng in rngs]))
+    diag = np.diagonal(r, axis1=1, axis2=2)  # a view, so it follows redraws
+    for attempt in range(8):
+        bad = np.flatnonzero(np.min(np.abs(diag), axis=1) < 1e-12)
+        if not len(bad):
+            return (q * np.sign(diag)[:, None, :]).transpose(0, 2, 1)
+        if attempt == 7:
+            raise DataError("failed to draw a full-rank projection in 8 attempts")
+        for b in bad:
+            q[b], r[b] = np.linalg.qr(rngs[b].standard_normal((m, d)))
+
+
+def sample_projection(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed d x m matrix with orthonormal rows."""
+    return sample_projections(m, d, [rng])[0]
 
 
 def _stratified_holdout(y: np.ndarray, fraction: float,
@@ -118,17 +133,18 @@ def train(x: np.ndarray, y: np.ndarray, config: RpConfig) -> RpModel:
     selected = np.empty(config.b1_groups, dtype=np.int64)
     projections: list[np.ndarray] = []
     for g in range(config.b1_groups):
-        best_proj = None
-        for b in range(config.b2_per_group):
-            rng = np.random.default_rng(np.random.SeedSequence([config.seed, g, b]))
-            proj = sample_projection(m, config.projected_dim, rng)
-            fitted = models.fit(base_spec, x_tr @ proj.T, y_tr)
-            err = float(np.mean(models.predict_labels(fitted, x_ho @ proj.T) != y_ho))
-            errors[g, b] = err
-            if best_proj is None or err < errors[g, selected[g]]:
-                selected[g] = b
-                best_proj = proj
-        projections.append(best_proj)
+        stack = sample_projections(m, config.projected_dim, [
+            np.random.default_rng(np.random.SeedSequence([config.seed, g, b]))
+            for b in range(config.b2_per_group)
+        ])
+        errors[g] = models.holdout_errors(
+            base_spec,
+            np.matmul(x_tr, stack.transpose(0, 2, 1)), y_tr,
+            np.matmul(x_ho, stack.transpose(0, 2, 1)), y_ho,
+        )
+        selected[g] = np.argmin(errors[g])
+        # a copy in the drawn layout, so the group's stack is not kept alive
+        projections.append(np.copy(stack[selected[g]], order="K"))
 
     base_models = [
         models.fit(base_spec, x @ proj.T, y) for proj in projections

@@ -176,7 +176,10 @@ def random_search(space: SearchSpace, x, y, plan: evaluation.CvPlan,
             except Exception as exc:  # noqa: BLE001 - aggregated below
                 failures.append((i, exc))
     else:
-        with ProcessPoolExecutor(max_workers=worker_count) as pool:
+        # No more workers than trials. A budget-1 search still runs in a worker:
+        # run here, its numpy and LAPACK pages would stay in this process's
+        # resident set for the rest of the run and raise the run's peak.
+        with ProcessPoolExecutor(max_workers=min(worker_count, budget)) as pool:
             futures = {
                 i: pool.submit(_run_trial, space, x, y, plan, seed, i)
                 for i in range(budget)

@@ -201,8 +201,76 @@ class TestClinical:
                   "p1,10,0,,\np2,20,1,,\np1,30,1,,\n")
         with pytest.raises(DataError) as info:
             dataio.load_clinical(p)
-        assert str(p) in str(info.value)
-        assert "duplicate patient_id 'p1' at row 2 (first at row 0)" in str(info.value)
+        assert str(info.value) == (
+            f"{p}: line 4: duplicate patient_id 'p1' (first at line 2)")
+
+
+CLINICAL_HEAD = "patient_id,time_months,event,age,group\n"
+
+
+class TestClinicalCliErrors:
+    """``omicsurv label`` on a bad clinical row exits 3 naming the file and
+    the 1-based line (the header is line 1), with no traceback."""
+
+    @pytest.mark.parametrize("row, what", [
+        ("p1,10,1,abc,", "non-numeric age 'abc'"),
+        ("p1,ten,1,40,", "non-numeric time 'ten'"),
+        ("p1,nan,1,40,", "observed time for p1 must be finite, got nan"),
+        ("p1,inf,0,40,", "observed time for p1 must be finite, got inf"),
+        ("p1,-3,1,40,", "negative observed time for p1: -3.0"),
+        ("p1,10,1,nan,", "age for p1 must be finite, got nan"),
+        ("p1,10,1,-inf,", "age for p1 must be finite, got -inf"),
+        ("p1,10,1,-2,", "negative age for p1"),
+        ("p1,10,2,40,", "event must be 0 or 1, got '2'"),
+        ("p1,10,1,40", "ragged row (4 cells, expected 5)"),
+        (",10,1,40,", "patient_id must be non-empty"),
+        ("p0,10,1,40,", "duplicate patient_id 'p0' (first at line 2)"),
+    ], ids=["age_text", "time_text", "time_nan", "time_inf", "time_negative",
+            "age_nan", "age_minus_inf", "age_negative", "event", "ragged",
+            "no_id", "duplicate"])
+    def test_label_exits_3_naming_line(self, tmp_path, capsys, row, what):
+        p = write(tmp_path / "clinical.csv",
+                  CLINICAL_HEAD + "p0,70,0,50,\n\n" + row + "\np9,5,1,,\n")
+        code = cli.main(["label", "--clinical", str(p), "--t", "60",
+                         "--output", str(tmp_path / "labels.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == f"data error: {p}: line 4: {what}\n"
+
+
+class TestNotUtf8:
+    """A Latin-1 byte in any table read as text is a data error (exit 3)
+    naming the file, not a UnicodeDecodeError traceback."""
+
+    def latin1(self, path, text):
+        path.write_bytes(text.encode("latin-1"))
+        return path
+
+    def test_normalize_gene_name(self, tmp_path, capsys):
+        good = write(tmp_path / "good.csv", "patient_id,g1,g2\np1,1,2\np2,3,4\n")
+        bad = self.latin1(tmp_path / "bad.csv", "patient_id,g\xe91,g2\np1,1,2\np2,3,4\n")
+        code = cli.main(["normalize", "--target", str(bad), "--reference",
+                         str(good), "--log2", "--output", str(tmp_path / "o.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"data error: {bad}: not UTF-8 text (byte 0xe9 at offset 12)\n")
+
+    def test_label_clinical_group(self, tmp_path, capsys):
+        bad = self.latin1(tmp_path / "c.csv", CLINICAL_HEAD + "p1,70,0,50,caf\xe9\n")
+        code = cli.main(["label", "--clinical", str(bad), "--t", "60",
+                         "--output", str(tmp_path / "labels.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"data error: {bad}: not UTF-8 text (byte 0xe9 at offset 53)\n")
+
+    def test_train_labels_file(self, tmp_path, capsys):
+        features = write(tmp_path / "f.csv", "patient_id,f1\np1,1\np2,2\n")
+        bad = self.latin1(tmp_path / "labels.csv", "patient_id,label\np\xe9,1\n")
+        code = cli.main(["train", "--family", "gaussian_nb", "--features",
+                         str(features), "--labels", str(bad), "--model-out",
+                         str(tmp_path / "model.json")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"data error: {bad}: not UTF-8 text (byte 0xe9 at offset 18)\n")
 
 
 class TestMerge:

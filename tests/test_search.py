@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,32 @@ class TestRandomSearch:
         for a, b in zip(trials1, trials2):
             assert a.params == b.params
             assert a.fold_aucs == b.fold_aucs
+
+    @pytest.mark.parametrize("budget, workers, pool_size", [(1, 2, 1), (3, 8, 3),
+                                                           (5, 2, 2)])
+    def test_pool_no_larger_than_budget(self, monkeypatch, budget, workers, pool_size):
+        sizes = []
+
+        class InlinePool:  # records the pool size, runs each trial here
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+        x, y, plan = self.search_args()
+        _, trials = search.random_search(search.SearchSpace("gaussian_nb", {}),
+                                         x, y, plan, budget, 0, worker_count=workers)
+        assert sizes == [pool_size] and len(trials) == budget
 
     def test_all_failures_aggregated(self):
         x, y, plan = self.search_args()

@@ -1,15 +1,16 @@
-"""The one-pass split scoring of ``random_forest`` and the cached residual of
-``l1_logistic`` against the per-feature and per-coordinate loops they
-replaced, kept here as reference code: trees and weights must match bit for
-bit."""
+"""The one-pass split scoring of ``random_forest``, the cached residual of
+``l1_logistic`` and the stacked group pass of ``rp_ensemble`` against the
+per-feature, per-coordinate and per-projection loops they replaced, kept here
+as reference code: trees, weights and ensembles must match bit for bit."""
 
 import json
 
 import numpy as np
 import pytest
 
-from omicsurv import models
-from omicsurv.models import forest, logistic
+from omicsurv import models, rpensemble
+from omicsurv.errors import DataError
+from omicsurv.models import forest, gaussian_nb, logistic
 
 
 # --- reference random forest: one argsort/cumsum per candidate feature ------
@@ -122,6 +123,88 @@ def _ref_logistic(x, y, params):
     return w, b
 
 
+# --- reference rp_ensemble: one QR, fit and holdout score per projection ----
+
+def _ref_sample_projection(m, d, rng):
+    for _ in range(8):
+        g = rng.standard_normal((m, d))
+        q, r = np.linalg.qr(g)
+        diag = np.diag(r)
+        if np.min(np.abs(diag)) < 1e-12:
+            continue  # rank deficient draw; resample
+        return (q * np.sign(diag)).T
+    raise DataError("failed to draw a full-rank projection in 8 attempts")
+
+
+def _ref_rp_train(x, y, config):
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    m = x.shape[1]
+    split_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 999]))
+    train_idx, hold_idx = rpensemble._stratified_holdout(
+        y, config.selection_holdout_fraction, split_rng)
+    x_tr, y_tr = x[train_idx], y[train_idx]
+    x_ho, y_ho = x[hold_idx], y[hold_idx]
+    base_spec = models.ModelSpec(family=config.base_family,
+                                 hyperparameters=config.base_hyperparameters,
+                                 seed=config.seed)
+
+    errors = np.empty((config.b1_groups, config.b2_per_group))
+    selected = np.empty(config.b1_groups, dtype=np.int64)
+    projections = []
+    for g in range(config.b1_groups):
+        best_proj = None
+        for b in range(config.b2_per_group):
+            rng = np.random.default_rng(np.random.SeedSequence([config.seed, g, b]))
+            proj = _ref_sample_projection(m, config.projected_dim, rng)
+            fitted = models.fit(base_spec, x_tr @ proj.T, y_tr)
+            err = float(np.mean(models.predict_labels(fitted, x_ho @ proj.T) != y_ho))
+            errors[g, b] = err
+            if best_proj is None or err < errors[g, selected[g]]:
+                selected[g] = b
+                best_proj = proj
+        projections.append(best_proj)
+
+    base_models = [models.fit(base_spec, x @ proj.T, y) for proj in projections]
+    score = rpensemble._vote_matrix(base_models, projections, x).mean(axis=0)
+    if config.vote_threshold_alpha is not None:
+        alpha = config.vote_threshold_alpha
+    else:
+        grid = np.arange(config.b1_groups + 1) / config.b1_groups
+        errs = [float(np.mean((score >= a).astype(np.int64) != y)) for a in grid]
+        alpha = float(grid[int(np.argmin(errs))])
+    var = x.var(axis=0)
+    raw = np.zeros(m)
+    for proj in projections:
+        raw += np.sum(proj ** 2, axis=0) * var
+    total = raw.sum()
+    importance = raw / total if total > 0 else np.full(m, 1.0 / m)
+    return rpensemble.RpModel(config=config, projections=projections,
+                              base_models=base_models, alpha=alpha,
+                              feature_importance=importance, group_errors=errors,
+                              selected_indices=selected)
+
+
+# --- reference gaussian_nb: the 2-D formulas before they took stacks --------
+
+def _ref_gnb_fit(x, y):
+    x0, x1 = x[y == 0], x[y == 1]
+    return gaussian_nb.GnbState(
+        mean0=x0.mean(axis=0), mean1=x1.mean(axis=0),
+        var0=np.maximum(x0.var(axis=0), gaussian_nb.VAR_FLOOR),
+        var1=np.maximum(x1.var(axis=0), gaussian_nb.VAR_FLOOR),
+        log_prior0=float(np.log(len(x0) / len(x))),
+        log_prior1=float(np.log(len(x1) / len(x))))
+
+
+def _ref_gnb_scores(state, x):
+    def loglik(mean, var):
+        return -0.5 * np.sum(np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var, axis=1)
+    ll1 = loglik(state.mean1, state.var1) + state.log_prior1
+    ll0 = loglik(state.mean0, state.var0) + state.log_prior0
+    return ll1 - ll0
+
+
 # --- data --------------------------------------------------------------------
 
 def _xy(n, m, seed, decimals=None):
@@ -192,3 +275,133 @@ def test_sigmoid_matches_masked_form():
     with np.errstate(over="raise"):
         got = logistic._sigmoid(z)
     assert got.tobytes() == _ref_sigmoid(z).tobytes()
+
+
+# (n, m, seed, decimals); rounding to 0 decimals makes projections tie
+RP_DATA = [(139, 301, 1, None), (60, 20, 2, None), (80, 7, 3, None),
+           (200, 60, 4, None), (60, 12, 5, 0)]
+
+
+@pytest.mark.parametrize("n, m, seed, decimals", RP_DATA)
+@pytest.mark.parametrize("dim", ["one", "mid", "full"])
+@pytest.mark.parametrize("b2", [1, 7])
+def test_rp_matches_per_projection_loop(n, m, seed, decimals, dim, b2):
+    x, y = _xy(n, m, seed=seed, decimals=decimals)
+    d = {"one": 1, "mid": min(5, m), "full": m}[dim]
+    config = rpensemble.RpConfig(b1_groups=4, b2_per_group=b2, projected_dim=d,
+                                 seed=seed)
+    got = rpensemble.to_jsonable(rpensemble.train(x, y, config))
+    want = rpensemble.to_jsonable(_ref_rp_train(x, y, config))
+    assert json.dumps(got) == json.dumps(want)
+    assert got == want
+
+
+def test_rp_ties_select_first_minimum():
+    x, y = _xy(60, 12, seed=5, decimals=0)
+    config = rpensemble.RpConfig(b1_groups=6, b2_per_group=12, projected_dim=1,
+                                 seed=5)
+    model = rpensemble.train(x, y, config)
+    tied = [np.sum(row == row.min()) > 1 for row in model.group_errors]
+    assert any(tied)  # the data does make projections tie
+    assert rpensemble.to_jsonable(model) == rpensemble.to_jsonable(
+        _ref_rp_train(x, y, config))
+
+
+@pytest.mark.parametrize("base", [
+    ("svm_rbf", {"C": 1.0, "gamma": 0.1}),
+    ("l1_logistic", {"lambda": 0.05, "max_sweeps": 20}),
+])
+def test_rp_fallback_family_matches_per_projection_loop(base):
+    family, params = base
+    x, y = _xy(50, 9, seed=6)
+    config = rpensemble.RpConfig(b1_groups=3, b2_per_group=4, projected_dim=3,
+                                 base_family=family, base_hyperparameters=params,
+                                 seed=6)
+    assert not hasattr(models._TABLE[family][0], "holdout_errors")
+    got = rpensemble.to_jsonable(rpensemble.train(x, y, config))
+    want = rpensemble.to_jsonable(_ref_rp_train(x, y, config))
+    assert json.dumps(got) == json.dumps(want)
+
+
+class _FirstDrawSingular:
+    """A generator whose first ``standard_normal`` draw is all zeros (rank
+    deficient); later draws come from the wrapped generator."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def standard_normal(self, shape):
+        self.calls += 1
+        return np.zeros(shape) if self.calls == 1 else self.rng.standard_normal(shape)
+
+
+def test_stacked_draw_redraws_rank_deficient_slice_from_its_generator():
+    m, d = 9, 3
+    rngs = [np.random.default_rng(s) for s in range(4)]
+    stubbed = [_FirstDrawSingular(np.random.default_rng(s)) if s == 2
+               else np.random.default_rng(s) for s in range(4)]
+    stack = rpensemble.sample_projections(m, d, stubbed)
+    assert stubbed[2].calls == 2
+    for b in range(4):
+        want = _ref_sample_projection(
+            m, d, _FirstDrawSingular(rngs[b]) if b == 2 else rngs[b])
+        assert stack[b].tobytes() == want.tobytes()
+        assert np.copy(stack[b], order="K").tobytes(order="A") == want.tobytes(order="A")
+
+
+def test_stacked_draw_gives_up_after_eight_rank_deficient_draws():
+    class AlwaysSingular:
+        calls = 0
+
+        def standard_normal(self, shape):
+            self.calls += 1
+            return np.zeros(shape)
+
+    rng = AlwaysSingular()
+    with pytest.raises(DataError, match="8 attempts"):
+        rpensemble.sample_projections(5, 2, [np.random.default_rng(0), rng])
+    assert rng.calls == 8
+
+
+@pytest.mark.parametrize("n, m, seed, decimals", RP_DATA)
+def test_gaussian_nb_matches_2d_formulas(n, m, seed, decimals):
+    x, y = _xy(n, m, seed=seed, decimals=decimals)
+    x_new = np.random.default_rng(seed + 100).normal(0, 1, (31, m))
+    state = gaussian_nb.fit(x, y, {}, seed=0)
+    assert gaussian_nb.to_jsonable(state) == gaussian_nb.to_jsonable(_ref_gnb_fit(x, y))
+    assert gaussian_nb.scores(state, x_new).tobytes() == _ref_gnb_scores(
+        _ref_gnb_fit(x, y), x_new).tobytes()
+
+
+def test_gaussian_nb_stack_matches_per_slice():
+    x, y = _xy(70, 30, seed=7)
+    projections = rpensemble.sample_projections(
+        30, 4, [np.random.default_rng(s) for s in range(6)])
+    z = np.matmul(x, projections.transpose(0, 2, 1))
+    z_tr, z_ho, y_tr, y_ho = z[:, :50], z[:, 50:], y[:50], y[50:]
+    errors = models.holdout_errors(models.ModelSpec("gaussian_nb"), z_tr, y_tr,
+                                   z_ho, y_ho)
+    spec = models.ModelSpec("gaussian_nb")
+    for b in range(6):
+        fitted = models.fit(spec, z_tr[b], y_tr)
+        assert errors[b] == np.mean(models.predict_labels(fitted, z_ho[b]) != y_ho)
+        assert (np.matmul(x, projections.transpose(0, 2, 1))[b].tobytes()
+                == (x @ projections[b].T).tobytes())
+
+
+def test_gaussian_nb_holdout_zero_score_votes_class_1():
+    # equal class statistics and priors score every row exactly 0, which the
+    # threshold (>= 0) labels class 1 in the stack as in predict_labels
+    spec = models.ModelSpec("gaussian_nb")
+    z_tr, y_tr = np.array([[[-1.0], [1.0], [-1.0], [1.0]]]), np.array([0, 0, 1, 1])
+    z_ho, y_ho = np.array([[[0.3], [5.0]]]), np.array([1, 1])
+    assert models.predict_labels(models.fit(spec, z_tr[0], y_tr), z_ho[0]).tolist() == [1, 1]
+    assert models.holdout_errors(spec, z_tr, y_tr, z_ho, y_ho).tolist() == [0.0]
+
+
+def test_holdout_errors_rejects_non_finite_stack():
+    x, y = _xy(30, 6, seed=8)
+    z = np.stack([x, x])
+    z[1, 3, 2] = np.nan
+    with pytest.raises(DataError, match="non-finite"):
+        models.holdout_errors(models.ModelSpec("gaussian_nb"), z, y, z, y)
