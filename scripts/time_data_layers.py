@@ -1,12 +1,20 @@
 #!/usr/bin/env python3
 """Time the data layers on one synthetic cohort: best-of-3 wall times of
-save_expression, load_expression, log2_transform and fsqn, and the SHA-256 of
-the written file, so a speed-up can be checked to leave the bytes unchanged.
+save_expression, load_expression, log2_transform, fsqn and the t-SNE
+affinities, the time per t-SNE iteration, and the SHA-256 of the written file
+and of the embedding, so a speed-up can be checked to leave the bytes
+unchanged.
 
 The cohort is drawn in memory with omicsurv.synth (seed 0). The microarray
 table, whose values need all 17 digits, is saved to a temporary directory and
 loaded back. The loaded table is log2-transformed, and the log2 RNA-seq table
 is quantile-normalized onto it, as `omicsurv normalize --log2` does.
+
+t-SNE runs on the loaded log2 microarray table at perplexity 30: the
+affinities alone, then a fixed 50-iteration 3-D embedding. Its time per
+iteration is the best embedding time less the best affinities time, over 50.
+The embedding's iterates depend on the BLAS thread count, so compare its
+SHA-256 between runs with the same thread settings (e.g. OPENBLAS_NUM_THREADS=1).
 
 Usage: python scripts/time_data_layers.py [--patients N] [--genes M]
 """
@@ -17,7 +25,10 @@ import tempfile
 import time
 from pathlib import Path
 
-from omicsurv import dataio, normalize, synth
+from omicsurv import dataio, normalize, project, synth
+
+TSNE_PERPLEXITY = 30.0
+TSNE_ITERATIONS = 50
 
 
 def best_of_3(fn):
@@ -53,7 +64,18 @@ def main():
     print(f"log2_transform   {seconds:8.3f} s")
     seconds, _ = best_of_3(lambda: normalize.fsqn(rna_log2, micro_log2))
     print(f"fsqn             {seconds:8.3f} s")
+    features = dataio.FeatureMatrix(patient_ids=micro_log2.patient_ids,
+                                    feature_names=micro_log2.gene_ids,
+                                    values=micro_log2.values)
+    affinity_s, _ = best_of_3(lambda: project.input_affinities(features, TSNE_PERPLEXITY))
+    print(f"input_affinities {affinity_s:8.3f} s")
+    config = project.TsneConfig(output_dims=3, perplexity=TSNE_PERPLEXITY,
+                                iterations=TSNE_ITERATIONS)
+    seconds, embedding = best_of_3(lambda: project.tsne(features, config))
+    per_iter_ms = 1e3 * (seconds - affinity_s) / TSNE_ITERATIONS
+    print(f"tsne iteration   {per_iter_ms:8.3f} ms  ({TSNE_ITERATIONS} iterations, 3-D)")
     print(f"microarray.csv sha256 {digest}")
+    print(f"tsne coords sha256 {hashlib.sha256(embedding.coords.tobytes()).hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -128,15 +128,21 @@ def _load_xy(features_path, labels_path):
     header = next(reader, [])
     if header[:2] != ["patient_id", "label"]:
         raise DataError(f"{labels_path}: expected header patient_id,label")
-    for line, row in enumerate(reader, start=2):
+    first_line = {}
+    for row in reader:
         if not row:
             continue
+        line, pid = reader.line_num, row[0]
         label = row[1].strip() if len(row) > 1 else ""
         if label not in ("0", "1"):
             raise DataError(
                 f"{labels_path}: line {line}: label must be 0 or 1, "
                 f"got {label!r}")
-        labels_by_id[row[0]] = int(label)
+        if pid in first_line:
+            raise DataError(f"{labels_path}: line {line}: duplicate patient id "
+                            f"{pid!r} (first at line {first_line[pid]})")
+        first_line[pid] = line
+        labels_by_id[pid] = int(label)
     keep = [i for i, pid in enumerate(features.patient_ids) if pid in labels_by_id]
     if not keep:
         raise DataError("no overlap between features and labels")

@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from . import dataio, evaluation, normalize, project, search, survival
-from .errors import ConfigError, OmicsurvError
+from .errors import ConfigError, DataError, OmicsurvError
 from .typed import read_section
 
 WORKERS_ENV_VAR = "OMICSURV_WORKERS"
@@ -79,10 +79,11 @@ class ExperimentConfig:
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+        raw = yaml.safe_load(dataio.read_text(path))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except DataError as exc:  # read_text's not-UTF-8 error, located
+        raise ConfigError(str(exc)) from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed config: {exc}") from None
     if not isinstance(raw, dict):

@@ -6,6 +6,15 @@ embedding is optimized by plain gradient descent with momentum (0.5 for the
 first 250 iterations, 0.8 after) and early exaggeration. Initial coordinates
 are drawn per point from a generator keyed by (seed, patient-id hash), so
 permuting the input rows permutes the embedding identically.
+
+The iteration loop allocates its n x n arrays (the kernel, Q and one scratch
+for the gram matrix, the gradient weights and the log) once and rewrites them
+in place with the same elementwise operations, in the same order, as fresh
+arrays would get. Its KL trace is sum_{p>0} p log p - <P, log max(Q, eps)>:
+the entropy term is computed once, and each iteration takes one log and one
+dot product over the full matrix, since P is zero wherever the masked form
+drops an entry. That equals KL(P||Q) to within rounding. ``kl_divergence``
+keeps the masked per-entry formula, which cancels less.
 """
 
 from __future__ import annotations
@@ -50,11 +59,17 @@ class Embedding:
     kl_trace: np.ndarray    # KL divergence recorded at every iteration
 
 
-def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
+def _pairwise_sq_dists(x: np.ndarray, out: np.ndarray | None = None,
+                       scratch: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances, written into ``out`` (using ``scratch``
+    for the gram matrix) when the n x n buffers are given."""
     sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    d2 = np.add(sq[:, None], sq[None, :], out=out)
+    gram = np.matmul(x, x.T, out=scratch)
+    gram *= 2.0
+    d2 -= gram
     np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _conditional_row(d2_row: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
@@ -113,10 +128,16 @@ def input_affinities(features: FeatureMatrix | np.ndarray,
     return (cond + cond.T) / (2.0 * n)
 
 
-def _q_matrix(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    num = 1.0 / (1.0 + _pairwise_sq_dists(coords))
+def _q_matrix(coords: np.ndarray, num: np.ndarray | None = None,
+              q: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Q and its unnormalized Student-t kernel; written into the n x n
+    buffers ``num``, ``q`` and ``scratch`` when given, fresh arrays if not."""
+    num = _pairwise_sq_dists(coords, out=num, scratch=scratch)
+    num += 1.0
+    np.divide(1.0, num, out=num)
     np.fill_diagonal(num, 0.0)
-    q = num / num.sum()
+    q = np.divide(num, num.sum(), out=q)
     return q, num
 
 
@@ -125,8 +146,10 @@ def _kl(p_pos: np.ndarray, q_pos: np.ndarray) -> float:
     return float(np.sum(p_pos * np.log(p_pos / np.maximum(q_pos, _EPS))))
 
 
-def _gradient(p, q, num, coords: np.ndarray) -> np.ndarray:
-    w = (p - q) * num
+def _gradient(p, q, num, coords: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    w = np.subtract(p, q, out=out)
+    w *= num
     return 4.0 * (w.sum(axis=1)[:, None] * coords - w @ coords)
 
 
@@ -161,22 +184,28 @@ def tsne(features: FeatureMatrix, config: TsneConfig) -> Embedding:
     """Run exact t-SNE; the returned trace records KL(P||Q) per iteration
     against the un-exaggerated P."""
     p = input_affinities(features, config.perplexity)
-    mask = p > 0
-    p_pos = p[mask]
+    p_exaggerated = (p * config.early_exaggeration_factor
+                     if config.early_exaggeration_iters else p)
+    p_pos = p[p > 0]
+    entropy_term = float(np.sum(p_pos * np.log(p_pos)))
     coords = _init_coords(features.patient_ids, config.output_dims, config.seed)
     velocity = np.zeros_like(coords)
     trace = np.empty(config.iterations)
+    n = p.shape[0]
+    num, q, scratch = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
     # the Q of each iteration's KL trace entry is the next iteration's Q
-    q, num = _q_matrix(coords)
+    _q_matrix(coords, num, q, scratch)
     for it in range(config.iterations):
-        exaggerate = it < config.early_exaggeration_iters
-        p_eff = p * config.early_exaggeration_factor if exaggerate else p
-        grad = _gradient(p_eff, q, num, coords)
+        p_eff = p_exaggerated if it < config.early_exaggeration_iters else p
+        grad = _gradient(p_eff, q, num, coords, out=scratch)
         momentum = 0.5 if it < _MOMENTUM_SWITCH_ITER else 0.8
         velocity = momentum * velocity - config.learning_rate * grad
         coords = coords + velocity
-        q, num = _q_matrix(coords)
-        trace[it] = _kl(p_pos, q[mask])
+        _q_matrix(coords, num, q, scratch)
+        # KL(P||Q) as sum_{p>0} p log p - <P, log max(Q, eps)>
+        np.maximum(q, _EPS, out=scratch)
+        np.log(scratch, out=scratch)
+        trace[it] = entropy_term - np.vdot(p, scratch)
     return Embedding(patient_ids=list(features.patient_ids), coords=coords,
                      kl_trace=trace)
 

@@ -419,6 +419,39 @@ def test_unknown_param_is_config_error(tmp_path, cohort, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+
+def test_report_config_not_utf8_is_config_error(tmp_path, cohort, capsys):
+    path = write_config(tmp_path, cohort)
+    offset = path.stat().st_size + len(b"# caf")
+    with open(path, "ab") as fh:
+        fh.write(b"# caf\xe9\n")
+    assert cli.main(["report", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: {path}: not UTF-8 text "
+                   f"(byte 0xe9 at offset {offset})\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, output_flag", [
+    ("train", "--model-out"), ("cv", "--output"), ("search", "--output")])
+def test_duplicate_label_id_is_located_data_error(tmp_path, cohort, capsys,
+                                                   command, output_flag):
+    ids = dataio.load_features(cohort / "microarray.csv").patient_ids
+    rows = [f"{pid},{i % 2}" for i, pid in enumerate(ids[:20])]
+    rows.insert(6, "")  # a blank line still counts
+    rows.append(f"{ids[1]},0")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("patient_id,label\n" + "\n".join(rows) + "\n",
+                      encoding="utf-8")
+    code = cli.main([command, "--family", "gaussian_nb",
+                     "--features", str(cohort / "microarray.csv"),
+                     "--labels", str(labels), output_flag, str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"data error: {labels}: line 23: duplicate patient id {ids[1]!r} "
+        f"(first at line 3)\n")
+    assert not (tmp_path / "out").exists()
+
 class TestProjectionVariantNames(object):
     def test_tsne_variant_descriptor(self, tmp_path):
         data = make_cohort(tmp_path, n_patients=40, n_genes=8)

@@ -1,14 +1,18 @@
 """The one-pass split scoring of ``random_forest``, the cached residual of
-``l1_logistic`` and the stacked group pass of ``rp_ensemble`` against the
-per-feature, per-coordinate and per-projection loops they replaced, kept here
-as reference code: trees, weights and ensembles must match bit for bit."""
+``l1_logistic``, the stacked group pass of ``rp_ensemble`` and the buffered
+iteration loop of exact t-SNE against the per-feature, per-coordinate,
+per-projection and allocate-per-iteration loops they replaced, kept here as
+reference code: trees, weights, ensembles and embeddings must match bit for
+bit. The t-SNE KL trace, computed with one log per iteration, must match
+the masked per-entry formula within rounding."""
 
 import json
 
 import numpy as np
 import pytest
 
-from omicsurv import models, rpensemble
+from omicsurv import models, project, rpensemble
+from omicsurv.dataio import FeatureMatrix
 from omicsurv.errors import DataError
 from omicsurv.models import forest, gaussian_nb, logistic
 
@@ -203,6 +207,52 @@ def _ref_gnb_scores(state, x):
     ll1 = loglik(state.mean1, state.var1) + state.log_prior1
     ll0 = loglik(state.mean0, state.var0) + state.log_prior0
     return ll1 - ll0
+
+
+# --- reference t-SNE: fresh n x n temporaries and a masked KL per iteration --
+
+def _ref_pairwise_sq_dists(x):
+    sq = np.sum(x * x, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.fill_diagonal(d2, 0.0)
+    return np.maximum(d2, 0.0)
+
+
+def _ref_q_matrix(coords):
+    num = 1.0 / (1.0 + _ref_pairwise_sq_dists(coords))
+    np.fill_diagonal(num, 0.0)
+    q = num / num.sum()
+    return q, num
+
+
+def _ref_kl(p_pos, q_pos):
+    return float(np.sum(p_pos * np.log(p_pos / np.maximum(q_pos, project._EPS))))
+
+
+def _ref_gradient(p, q, num, coords):
+    w = (p - q) * num
+    return 4.0 * (w.sum(axis=1)[:, None] * coords - w @ coords)
+
+
+def _ref_tsne(features, config):
+    p = project.input_affinities(features, config.perplexity)
+    mask = p > 0
+    p_pos = p[mask]
+    coords = project._init_coords(features.patient_ids, config.output_dims,
+                                  config.seed)
+    velocity = np.zeros_like(coords)
+    trace = np.empty(config.iterations)
+    q, num = _ref_q_matrix(coords)
+    for it in range(config.iterations):
+        exaggerate = it < config.early_exaggeration_iters
+        p_eff = p * config.early_exaggeration_factor if exaggerate else p
+        grad = _ref_gradient(p_eff, q, num, coords)
+        momentum = 0.5 if it < project._MOMENTUM_SWITCH_ITER else 0.8
+        velocity = momentum * velocity - config.learning_rate * grad
+        coords = coords + velocity
+        q, num = _ref_q_matrix(coords)
+        trace[it] = _ref_kl(p_pos, q[mask])
+    return coords, trace
 
 
 # --- data --------------------------------------------------------------------
@@ -405,3 +455,65 @@ def test_holdout_errors_rejects_non_finite_stack():
     z[1, 3, 2] = np.nan
     with pytest.raises(DataError, match="non-finite"):
         models.holdout_errors(models.ModelSpec("gaussian_nb"), z, y, z, y)
+
+
+# --- t-SNE --------------------------------------------------------------------
+
+def _tsne_table(n, seed, duplicated=0):
+    """n distinct patients; ``duplicated`` of them repeat earlier rows."""
+    x = np.random.default_rng(seed).normal(0, 1, (n - duplicated, 12))
+    x = np.vstack([x, x[:duplicated]])
+    return FeatureMatrix([f"p{i:03d}" for i in range(n)],
+                         [f"g{j}" for j in range(12)], x)
+
+
+# (n, output_dims, iterations, early_exaggeration_iters, duplicated rows);
+# 300 iterations pass the momentum switch at 250
+TSNE_CASES = [
+    (40, 1, 60, 20, 0), (40, 2, 60, 20, 0), (40, 3, 60, 20, 0),
+    (40, 15, 30, 10, 0),
+    (40, 2, 60, 0, 0), (40, 2, 60, 60, 0), (40, 2, 60, 100, 0),
+    (40, 3, 1, 250, 0), (40, 2, 1, 0, 0),
+    (5, 2, 50, 10, 0), (150, 3, 300, 250, 0),
+    (40, 2, 80, 20, 10),
+]
+
+
+@pytest.mark.parametrize("n, dims, iterations, exaggerated, duplicated", TSNE_CASES)
+def test_tsne_matches_allocating_loop(n, dims, iterations, exaggerated, duplicated):
+    features = _tsne_table(n, seed=n + dims, duplicated=duplicated)
+    config = project.TsneConfig(output_dims=dims,
+                                perplexity={5: 1.2, 40: 10.0}.get(n, 30.0),
+                                iterations=iterations,
+                                early_exaggeration_iters=exaggerated, seed=3)
+    got = project.tsne(features, config)
+    coords, trace = _ref_tsne(features, config)
+    assert got.coords.shape == (n, dims)
+    assert got.coords.tobytes() == coords.tobytes()
+    assert got.kl_trace.shape == trace.shape
+    np.testing.assert_allclose(got.kl_trace, trace, rtol=1e-12, atol=0)
+    p = project.input_affinities(features, config.perplexity)
+    np.testing.assert_allclose(got.kl_trace[-1],
+                               project.kl_divergence(p, got.coords),
+                               rtol=1e-12, atol=0)
+
+
+def test_buffered_distances_match_fresh_ones():
+    x = np.random.default_rng(9).normal(0, 3, (30, 200))
+    x = np.vstack([x, x[:5]])
+    out, scratch = np.full((35, 35), np.nan), np.full((35, 35), np.nan)
+    got = project._pairwise_sq_dists(x, out=out, scratch=scratch)
+    assert got is out
+    assert got.tobytes() == _ref_pairwise_sq_dists(x).tobytes()
+    assert project._pairwise_sq_dists(x).tobytes() == got.tobytes()
+
+
+def test_kl_gradient_and_divergence_match_reference():
+    features = _tsne_table(30, seed=10, duplicated=4)
+    p = project.input_affinities(features, 6.0)
+    coords = np.random.default_rng(11).normal(0, 2, (30, 3))
+    q, num = _ref_q_matrix(coords)
+    assert project.kl_gradient(p, coords).tobytes() == _ref_gradient(
+        p, q, num, coords).tobytes()
+    mask = p > 0
+    assert project.kl_divergence(p, coords) == _ref_kl(p[mask], q[mask])
