@@ -204,10 +204,10 @@ def rp_benefit(seed: int, n_patients: int = 400, n_genes: int = 500,
     x_tr, y_tr = x[train_mask], y[train_mask]
     x_te, y_te = x[test_idx], y[test_idx]
 
-    rp_config = rpensemble.RpConfig(b1_groups=b1, b2_per_group=b2,
-                                    projected_dim=d, seed=seed)
-    model = rpensemble.train(x_tr, y_tr, rp_config)
-    ensemble_error = float(np.mean(rpensemble.predict_labels(model, x_te) != y_te))
+    model = models.fit(models.ModelSpec(
+        "rp_ensemble", {"b1_groups": b1, "b2_per_group": b2, "projected_dim": d},
+        seed), x_tr, y_tr)
+    ensemble_error = float(np.mean(models.predict_labels(model, x_te) != y_te))
 
     base_spec = models.ModelSpec("gaussian_nb", {}, seed)
     single_errors = []
@@ -219,8 +219,8 @@ def rp_benefit(seed: int, n_patients: int = 400, n_genes: int = 500,
         single_errors.append(float(np.mean(labels != y_te)))
 
     # the informative genes occupy the first n_informative feature columns
-    informative = model.feature_importance[:n_informative]
-    background = model.feature_importance[n_informative:]
+    informative = model.state.feature_importance[:n_informative]
+    background = model.state.feature_importance[n_informative:]
     return RpBenchmarkResult(
         seed=seed,
         ensemble_error=ensemble_error,

@@ -145,7 +145,8 @@ def _load_xy(features_path, labels_path):
         labels_by_id[pid] = int(label)
     keep = [i for i, pid in enumerate(features.patient_ids) if pid in labels_by_id]
     if not keep:
-        raise DataError("no overlap between features and labels")
+        raise DataError(f"no overlap between features {features_path} and "
+                        f"labels {labels_path}")
     x = features.values[np.array(keep)]
     y = np.array([labels_by_id[features.patient_ids[i]] for i in keep])
     return x, y
@@ -156,11 +157,11 @@ def _cmd_train(args) -> int:
     spec = models.ModelSpec(family=args.family,
                             hyperparameters=_parse_kv(args.param), seed=args.seed)
     model = models.fit(spec, x, y)
+    importance = getattr(model.state, "feature_importance", None)
+    if args.importance and importance is None:
+        raise ConfigError(f"{args.family} reports no feature importances")
     models.save_model(model, args.model_out)
     if args.importance:
-        importance = getattr(model.state, "feature_importance", None)
-        if importance is None:
-            raise ConfigError(f"{args.family} reports no feature importances")
         names = dataio.load_features(args.features).feature_names
         with open(args.importance, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

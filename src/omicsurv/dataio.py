@@ -223,9 +223,10 @@ def _read_delimited(text: str, path) -> tuple[list[list[str]], list[int]]:
 
 def _parse_cells(rows, lines, path) -> np.ndarray:
     width = len(rows[0])
-    for i, row in enumerate(rows):
+    for line, row in zip(lines, rows):
         if len(row) != width:
-            raise DataError(f"{path}: ragged row {i} ({len(row)} cells, expected {width})")
+            raise DataError(f"{path}: line {line}: ragged row "
+                            f"({len(row)} cells, expected {width})")
     out = np.empty((len(rows) - 1, len(rows[0]) - 1), dtype=np.float64)
     for i, row in enumerate(rows[1:]):
         for j, cell in enumerate(row[1:]):

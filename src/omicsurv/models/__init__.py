@@ -1,16 +1,17 @@
 """Uniform model contract over the classifier/regressor suite.
 
 Every family is trained through ``fit(spec, x, y)`` and scored through
-``predict_scores`` where larger scores favor class 1. For ``mlp_regressor``
-the targets are observed survival times and the predicted time is used
-directly as the survival score.
+``predict_scores`` where larger scores favor class 1. ``mlp_regressor`` fits
+squared error to the ``y`` it is given and its prediction is the score: through
+the Python API that ``y`` may hold observed survival times, while ``cv``,
+``search`` and ``report`` give it the 0/1 horizon labels.
 
 ``_TABLE`` maps each family to the module that implements it. Every such
 module declares ``PARAMS = {key: (type, default)}`` and exposes
-``fit(x, y, params, seed, sample_weight=None)`` (``params`` complete and
-typed), ``scores(state, x)``, ``threshold(state)`` (the hard-label cut),
-``to_jsonable(state)`` and ``from_jsonable(d)``. Only the MLPs use
-``sample_weight``; the other families ignore it. A module may also declare
+``fit(x, y, params, seed)`` (``params`` complete and typed; the MLP module
+also takes the ``task`` its ``_TABLE`` entry passes), ``scores(state, x)``,
+``threshold(state)`` (the hard-label cut), ``to_jsonable(state)`` and
+``from_jsonable(d)``. A module may also declare
 ``check_params(params)``, which rejects values that are well typed but do not
 fit together (``rp_ensemble``'s base hyperparameters against its base family),
 and ``holdout_errors(z_tr, y_tr, z_ho, y_ho, params)``, which fits one model
@@ -98,19 +99,16 @@ def _validate_training_data(x: np.ndarray, y: np.ndarray, classifier: bool):
         raise DataError("single-class training set")
 
 
-def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
-        sample_weight: np.ndarray | None = None) -> TrainedModel:
-    """Train one model. ``y`` is binary for classifiers; for mlp_regressor it
-    holds observed survival times and ``sample_weight`` may down-weight
-    censored patients."""
+def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> TrainedModel:
+    """Train one model. ``y`` is binary for classifiers; mlp_regressor fits
+    squared error to whatever real targets it is given."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     module, options = _TABLE[spec.family]
     params = read_params(spec.family, spec.hyperparameters)
     _validate_training_data(x, y, classifier=options.get("task") != "regress")
     try:
-        state = module.fit(x, y, params, spec.seed,
-                           sample_weight=sample_weight, **options)
+        state = module.fit(x, y, params, spec.seed, **options)
     except ConfigError as exc:
         raise ConfigError(f"{spec.family}: {exc}") from None
     return TrainedModel(spec=spec, n_features=x.shape[1], state=state)
@@ -127,14 +125,6 @@ def holdout_errors(spec: ModelSpec, z_tr: np.ndarray, y_tr: np.ndarray,
     params = read_params(spec.family, spec.hyperparameters)
     _validate_training_data(z_tr, y_tr, classifier=True)
     return module.holdout_errors(z_tr, y_tr, z_ho, y_ho, params)
-
-
-def censor_weights(events: np.ndarray, censor_weight: float = 1.0) -> np.ndarray:
-    """Per-sample weights for the time regressor: censored rows get
-    ``censor_weight`` (default 1.0, i.e. no down-weighting)."""
-    if not 0.0 <= censor_weight <= 1.0:
-        raise ConfigError("censor_weight must lie in [0,1]")
-    return np.where(np.asarray(events, dtype=bool), 1.0, censor_weight)
 
 
 def predict_scores(model: TrainedModel, x: np.ndarray) -> np.ndarray:

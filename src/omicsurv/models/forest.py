@@ -117,8 +117,7 @@ PARAMS = {"n_trees": (int, 100), "max_depth": (int, None), "mtry": (int, None),
           "bootstrap": (bool, True)}
 
 
-def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
-        sample_weight=None) -> ForestState:
+def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int) -> ForestState:
     mtry = max(1, int(np.sqrt(x.shape[1]))) if params["mtry"] is None else params["mtry"]
 
     trees = []

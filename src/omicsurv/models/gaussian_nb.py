@@ -27,8 +27,7 @@ class GnbState:
 PARAMS = {}
 
 
-def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
-        sample_weight=None) -> GnbState:
+def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int) -> GnbState:
     x0, x1 = x[..., y == 0, :], x[..., y == 1, :]
     n, n0, n1 = x.shape[-2], x0.shape[-2], x1.shape[-2]
     return GnbState(

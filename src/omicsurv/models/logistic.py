@@ -48,8 +48,7 @@ def _soft_threshold(v: float, thresh: float) -> float:
 PARAMS = {"lambda": (float, 0.01), "max_sweeps": (int, 200), "tol": (float, 1e-8)}
 
 
-def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
-        sample_weight=None) -> LogisticState:
+def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int) -> LogisticState:
     lam = params["lambda"]
 
     n, m = x.shape

@@ -1,9 +1,10 @@
 """Fully-connected networks with equal-width tanh hidden layers.
 
 One code path serves both the classifier (logistic loss on a single logit)
-and the survival-time regressor (weighted mean squared error against the
-observed times). tanh keeps the loss smooth so finite-difference gradient
-checks are exact to first order everywhere.
+and the regressor (mean squared error against the ``y`` it is given: observed
+survival times through the Python API, the 0/1 horizon labels in ``cv``,
+``search`` and ``report``). tanh keeps the loss smooth so finite-difference
+gradient checks are exact to first order everywhere.
 """
 
 from __future__ import annotations
@@ -43,19 +44,18 @@ def _forward(weights, biases, x):
     return acts
 
 
-def _loss_and_output_grad(out: np.ndarray, y: np.ndarray, task: str,
-                          sample_weight: np.ndarray):
+def _loss_and_output_grad(out: np.ndarray, y: np.ndarray, task: str):
     n = len(y)
     if task == "classify":
         y_pm = 2.0 * y - 1.0
         margins = y_pm * out
-        loss = float(np.mean(sample_weight * np.logaddexp(0.0, -margins)))
+        loss = float(np.mean(np.logaddexp(0.0, -margins)))
         sig = 1.0 / (1.0 + np.exp(np.clip(margins, -500, 500)))
-        dout = -(sample_weight * y_pm * sig) / n
+        dout = -(y_pm * sig) / n
     else:
         resid = y - out
-        loss = float(np.mean(sample_weight * resid ** 2))
-        dout = -2.0 * sample_weight * resid / n
+        loss = float(np.mean(resid ** 2))
+        dout = -2.0 * resid / n
     return loss, dout
 
 
@@ -72,13 +72,10 @@ def _backward(weights, acts, dout):
     return gw, gb
 
 
-def loss_and_gradients(state: MlpState, x: np.ndarray, y: np.ndarray,
-                       sample_weight: np.ndarray | None = None):
-    if sample_weight is None:
-        sample_weight = np.ones(len(y))
+def loss_and_gradients(state: MlpState, x: np.ndarray, y: np.ndarray):
     acts = _forward(state.weights, state.biases, x)
     out = acts[-1][:, 0]
-    loss, dout = _loss_and_output_grad(out, y, state.task, sample_weight)
+    loss, dout = _loss_and_output_grad(out, y, state.task)
     gw, gb = _backward(state.weights, acts, dout)
     return loss, gw, gb
 
@@ -88,15 +85,12 @@ PARAMS = {"n_hidden_layers": (int, 2), "width": (int, 32), "epochs": (int, 200),
 
 
 def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
-        sample_weight: np.ndarray | None = None,
         task: str = "classify") -> MlpState:
     lr, batch_size = params["learning_rate"], params["batch_size"]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     weights, biases = _init_params(x.shape[1], params["width"],
                                    params["n_hidden_layers"], rng)
     state = MlpState(weights=weights, biases=biases, task=task)
-    if sample_weight is None:
-        sample_weight = np.ones(len(y))
     yf = y.astype(np.float64)
 
     n = len(y)
@@ -107,7 +101,7 @@ def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
             idx = order[start:start + batch_size]
             acts = _forward(state.weights, state.biases, x[idx])
             out = acts[-1][:, 0]
-            _, dout = _loss_and_output_grad(out, yf[idx], task, sample_weight[idx])
+            _, dout = _loss_and_output_grad(out, yf[idx], task)
             gw, gb = _backward(state.weights, acts, dout)
             for w, b, dw, db in zip(state.weights, state.biases, gw, gb):
                 w -= lr * dw

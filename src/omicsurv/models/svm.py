@@ -37,8 +37,7 @@ PARAMS = {"C": (float, 1.0), "gamma": (float, None), "tol": (float, 1e-3),
           "max_iter": (int, 20000)}
 
 
-def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
-        sample_weight=None) -> SvmState:
+def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int) -> SvmState:
     c, tol = params["C"], params["tol"]
     gamma = 1.0 / x.shape[1] if params["gamma"] is None else params["gamma"]
 

@@ -243,8 +243,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
                     dataset, _ = survival.make_labeled_dataset(
                         variant.features, clinical, horizon)
                     data_name = f"{variant.descriptor} t={horizon:g}"
-                    fold_sizes = [len(f) for f in evaluation.stratified_kfold(
-                        dataset.labels, config.plan)]
                     for model_idx, space in enumerate(config.models):
                         stream = int(np.random.SeedSequence(
                             [config.seed, model_idx,
@@ -259,12 +257,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
                                 repr(t.mean_auc),
                                 json.dumps(t.params, sort_keys=True),
                             ])
-                        for fold, fold_auc in enumerate(best.fold_aucs):
-                            report.rows.append(evaluation.EvalRow(
-                                model=space.family, data=data_name,
-                                fold=fold, auc=fold_auc,
-                                n_test=fold_sizes[fold],
-                            ))
+                        report.rows.extend(replace(row, data=data_name)
+                                           for row in best.rows)
 
         with _stage("report"):
             report_path = out_dir / "report.csv"

@@ -195,10 +195,6 @@ def predict_scores(model: RpModel, x: np.ndarray) -> np.ndarray:
     return _vote_matrix(model.base_models, model.projections, x).mean(axis=0)
 
 
-def predict_labels(model: RpModel, x: np.ndarray) -> np.ndarray:
-    return (predict_scores(model, x) >= model.alpha).astype(np.int64)
-
-
 # RpConfig's fields but seed, same defaults; alpha None is learned in train
 PARAMS = {"b1_groups": (int, 100), "b2_per_group": (int, 20),
           "projected_dim": (int, 5), "base_family": (str, "gaussian_nb"),
@@ -211,8 +207,7 @@ def check_params(params: dict) -> None:
     RpConfig(**params)
 
 
-def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
-        sample_weight=None) -> RpModel:
+def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int) -> RpModel:
     return train(x, y, RpConfig(seed=seed, **params))
 
 

@@ -136,7 +136,7 @@ class SearchSpace:
 class TrialRecord:
     index: int
     params: dict
-    fold_aucs: list[float]
+    rows: list[evaluation.EvalRow]  # one per cross-validation fold
     mean_auc: float
     wall_time: float
 
@@ -144,13 +144,12 @@ class TrialRecord:
 def _run_trial(space: SearchSpace, x, y, plan, seed: int, index: int) -> TrialRecord:
     start = time.perf_counter()
     spec = space.sample(seed, index)
-    report = evaluation.cross_validate(spec, (x, y), plan)
-    aucs = [row.auc for row in report.rows]
+    rows = evaluation.cross_validate(spec, (x, y), plan).rows
     return TrialRecord(
         index=index,
         params=dict(spec.hyperparameters),
-        fold_aucs=aucs,
-        mean_auc=float(np.mean(aucs)),
+        rows=rows,
+        mean_auc=float(np.mean([row.auc for row in rows])),
         wall_time=time.perf_counter() - start,
     )
 

@@ -24,7 +24,6 @@ def _write_params(state: mlp.MlpState, flat: np.ndarray) -> None:
 
 
 def gradient_check(spec: models.ModelSpec, x: np.ndarray, y: np.ndarray,
-                   sample_weight: np.ndarray | None = None,
                    step: float = 1e-5) -> float:
     """Compare backprop gradients against central finite differences over
     every parameter; returns the max relative error."""
@@ -43,7 +42,7 @@ def gradient_check(spec: models.ModelSpec, x: np.ndarray, y: np.ndarray,
     )
     state = mlp.MlpState(weights=weights, biases=biases, task=options["task"])
 
-    _, gw, gb = mlp.loss_and_gradients(state, x, y, sample_weight)
+    _, gw, gb = mlp.loss_and_gradients(state, x, y)
     analytic = np.concatenate([g.ravel() for g in gw] + [g.ravel() for g in gb])
 
     flat = _flatten_params(state)
@@ -52,10 +51,10 @@ def gradient_check(spec: models.ModelSpec, x: np.ndarray, y: np.ndarray,
         orig = flat[i]
         flat[i] = orig + step
         _write_params(state, flat)
-        up, _, _ = mlp.loss_and_gradients(state, x, y, sample_weight)
+        up, _, _ = mlp.loss_and_gradients(state, x, y)
         flat[i] = orig - step
         _write_params(state, flat)
-        down, _, _ = mlp.loss_and_gradients(state, x, y, sample_weight)
+        down, _, _ = mlp.loss_and_gradients(state, x, y)
         flat[i] = orig
         numeric[i] = (up - down) / (2.0 * step)
     _write_params(state, flat)

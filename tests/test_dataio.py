@@ -427,7 +427,7 @@ class TestSubsetPatients:
 # --- reference code: the per-cell reader and the csv.writer writer that the
 # block reader and the row-join writer replaced. Loaded values must match
 # them bit for bit, written files byte for byte, and errors word for word
-# apart from the cell's line and column.
+# apart from the line (and, for a cell, the column) that the loader names.
 
 def ref_read(path, kind="float"):
     with open(path, newline="", encoding="utf-8") as fh:
@@ -435,9 +435,9 @@ def ref_read(path, kind="float"):
     if len(rows) < 2:
         raise DataError(f"{path}: no data rows")
     width = len(rows[0])
-    for i, row in enumerate(rows):
+    for row in rows:
         if len(row) != width:
-            raise DataError(f"{path}: ragged row {i} ({len(row)} cells, expected {width})")
+            raise DataError(f"{path}: ragged row ({len(row)} cells, expected {width})")
     out = np.empty((len(rows) - 1, width - 1), dtype=np.float64)
     for i, row in enumerate(rows[1:]):
         for j, cell in enumerate(row[1:]):
@@ -494,20 +494,23 @@ READ_CASES = {
 }
 
 
-# text, value kind, the cell's location, what the message gains at its end
+# text, value kind, the row's or cell's location, what the message gains at its end
 ERROR_CASES = {
     "no_data_rows": ("patient_id,a\n\n", "float", "", ""),
-    "ragged": ("patient_id,a,b\np1,1,2\np2,3\n", "float", "", ""),
-    "ragged_after_bad_cell": ("patient_id,a,b\np1,x,2\np2,3\n", "float", "", ""),
-    "header_only_id_wide": ("patient_id,a,b\np1,1,2,3\n", "float", "", ""),
+    "ragged": ("patient_id,a,b\np1,1,2\np2,3\n", "float", "line 3: ", ""),
+    "ragged_after_bad_cell": ("patient_id,a,b\np1,x,2\np2,3\n", "float",
+                              "line 3: ", ""),
+    "ragged_after_blank_line": ("patient_id,a,b\np1,1,2\n\np2,3\n", "float",
+                                "line 4: ", ""),
+    "header_only_id_wide": ("patient_id,a,b\np1,1,2,3\n", "float", "line 2: ", ""),
     "non_numeric": ("patient_id,a,b\np1,1,2\n\np2,3,NA\n", "float",
                     "line 4, column 3: ", ""),
     "empty_cell": ("patient_id,a,b\np1,1,\n", "float", "line 2, column 3: ", ""),
     "blank_cell": ("patient_id,a,b\np1, ,2\n", "float", "line 2, column 2: ", ""),
-    "no_comma": ("patient_id,a\np1\np2,1\n", "float", "", ""),
+    "no_comma": ("patient_id,a\np1\np2,1\n", "float", "line 2: ", ""),
     "unit_separator": ("patient_id,a\np1,1\x1f\n", "float", "line 2, column 2: ", ""),
     "hash": ("patient_id,a\np1,1#2\n", "float", "line 2, column 2: ", ""),
-    "ids_only": ("patient_id,a\np1\np2\n", "float", "", ""),
+    "ids_only": ("patient_id,a\np1\np2\n", "float", "line 2: ", ""),
     "quoted_non_numeric": ('patient_id,"a,b"\n"p,1",x\n', "float",
                            "line 2, column 2: ", ""),
     "cna_fraction": ("patient_id,a,b\np1,1,0.5\n", "int", "line 2, column 3: ",

@@ -1,3 +1,4 @@
+import inspect
 import re
 from pathlib import Path
 
@@ -36,6 +37,14 @@ class TestModelSpec:
         assert set(models.FAMILIES) == {
             "gaussian_nb", "svm_rbf", "l1_logistic", "random_forest",
             "rectangle_mlp", "mlp_regressor", "rp_ensemble"}
+
+    @pytest.mark.parametrize("family", models.FAMILIES)
+    def test_fit_contract(self, family):
+        """A family's fit takes x, y, params and seed, plus only the options
+        its table entry passes."""
+        module, options = models._TABLE[family]
+        assert list(inspect.signature(module.fit).parameters) == [
+            "x", "y", "params", "seed", *options]
 
     @pytest.mark.parametrize("family", models.FAMILIES)
     def test_unknown_hyperparameter(self, family):
@@ -269,13 +278,6 @@ class TestMlp:
                 err = gradient_check(
                     spec(family, seed=trial, width=5, n_hidden_layers=2), x, y)
                 assert err < 1e-4
-
-    def test_censor_weights(self):
-        events = np.array([True, False, True])
-        w = models.censor_weights(events, censor_weight=0.25)
-        np.testing.assert_allclose(w, [1.0, 0.25, 1.0])
-        with pytest.raises(ConfigError):
-            models.censor_weights(events, censor_weight=2.0)
 
     def test_regressor_requires_weights_for_censor_weight(self):
         x, _ = separable_xy()

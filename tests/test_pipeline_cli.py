@@ -419,6 +419,42 @@ def test_unknown_param_is_config_error(tmp_path, cohort, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+def test_train_importance_of_family_without_importances(tmp_path, cohort, capsys):
+    labels = tmp_path / "labels.csv"
+    assert cli.main(["label", "--clinical", str(cohort / "clinical.csv"),
+                     "--t", "60", "--output", str(labels)]) == 0
+    code = cli.main(["train", "--family", "gaussian_nb",
+                     "--features", str(cohort / "microarray.csv"),
+                     "--labels", str(labels),
+                     "--model-out", str(tmp_path / "model.json"),
+                     "--importance", str(tmp_path / "imp.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: gaussian_nb reports no feature importances\n")
+    assert not (tmp_path / "model.json").exists()
+    assert not (tmp_path / "imp.csv").exists()
+
+
+def test_no_label_overlap_names_both_files(tmp_path, cohort, capsys):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("patient_id,label\nnobody,0\nnoone,1\n", encoding="utf-8")
+    features = cohort / "microarray.csv"
+    code = cli.main(["cv", "--family", "gaussian_nb", "--features", str(features),
+                     "--labels", str(labels), "--output", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"data error: no overlap between features {features} and labels {labels}\n")
+
+
+def test_report_folds_beyond_minority_class_fail_every_trial(tmp_path, cohort,
+                                                             capsys):
+    path = write_config(tmp_path, cohort, cv={"k_folds": 50})
+    assert cli.main(["report", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: stage 'evaluate' failed: all 1 search trials failed: "
+        "trial 0: k_folds=50 exceeds minority class count ")
+    assert not (tmp_path / "out" / "report.csv").exists()
+
 
 def test_report_config_not_utf8_is_config_error(tmp_path, cohort, capsys):
     path = write_config(tmp_path, cohort)

@@ -67,28 +67,26 @@ class TestConfigValidation:
 class TestDegeneracies:
     def test_b1_b2_one_equals_base(self):
         x, y = separable_xy(n_features=6, seed=1)
-        config = rpensemble.RpConfig(b1_groups=1, b2_per_group=1,
-                                     projected_dim=2, seed=7)
-        model = rpensemble.train(x, y, config)
+        model = models.fit(models.ModelSpec("rp_ensemble", {
+            "b1_groups": 1, "b2_per_group": 1, "projected_dim": 2}, 7), x, y)
         rng = np.random.default_rng(np.random.SeedSequence([7, 0, 0]))
         proj = rpensemble.sample_projection(6, 2, rng)
         base = models.fit(models.ModelSpec("gaussian_nb", {}, 7),
                           x @ proj.T, y)
         np.testing.assert_array_equal(
-            rpensemble.predict_scores(model, x),
+            models.predict_scores(model, x),
             models.predict_labels(base, x @ proj.T).astype(float))
 
     def test_d_equals_m_rotation(self):
         x, y = separable_xy(n_features=4, seed=2)
-        config = rpensemble.RpConfig(b1_groups=1, b2_per_group=1,
-                                     projected_dim=4, seed=3)
-        model = rpensemble.train(x, y, config)
+        model = models.fit(models.ModelSpec("rp_ensemble", {
+            "b1_groups": 1, "b2_per_group": 1, "projected_dim": 4}, 3), x, y)
         rng = np.random.default_rng(np.random.SeedSequence([3, 0, 0]))
         proj = rpensemble.sample_projection(4, 4, rng)
         base = models.fit(models.ModelSpec("gaussian_nb", {}, 3),
                           x @ proj.T, y)
         base_acc = np.mean(models.predict_labels(base, x @ proj.T) == y)
-        rp_acc = np.mean(rpensemble.predict_labels(model, x) == y)
+        rp_acc = np.mean(models.predict_labels(model, x) == y)
         assert rp_acc == base_acc
 
 

@@ -131,7 +131,7 @@ class TestRandomSearch:
         assert best1.index == best2.index
         for a, b in zip(trials1, trials2):
             assert a.params == b.params
-            assert a.fold_aucs == b.fold_aucs
+            assert a.rows == b.rows
 
     @pytest.mark.parametrize("budget, workers, pool_size", [(1, 2, 1), (3, 8, 3),
                                                            (5, 2, 2)])
@@ -173,6 +173,6 @@ class TestRandomSearch:
         _, trials = search.random_search(space, x, y, plan, 3, 0)
         assert [t.index for t in trials] == [0, 1, 2]
         for t in trials:
-            assert len(t.fold_aucs) == 3
+            assert len(t.rows) == 3
             assert t.wall_time >= 0
-            assert t.mean_auc == pytest.approx(np.mean(t.fold_aucs))
+            assert t.mean_auc == pytest.approx(np.mean([r.auc for r in t.rows]))
