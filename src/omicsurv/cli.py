@@ -122,6 +122,7 @@ def _cmd_project(args) -> int:
 
 
 def _load_xy(features_path, labels_path):
+    """(x, y, feature names) of the feature rows the labels file labels."""
     features = dataio.load_features(features_path)
     labels_by_id = {}
     reader = csv.reader(io.StringIO(dataio.read_text(labels_path), newline=""))
@@ -149,11 +150,11 @@ def _load_xy(features_path, labels_path):
                         f"labels {labels_path}")
     x = features.values[np.array(keep)]
     y = np.array([labels_by_id[features.patient_ids[i]] for i in keep])
-    return x, y
+    return x, y, features.feature_names
 
 
 def _cmd_train(args) -> int:
-    x, y = _load_xy(args.features, args.labels)
+    x, y, names = _load_xy(args.features, args.labels)
     spec = models.ModelSpec(family=args.family,
                             hyperparameters=_parse_kv(args.param), seed=args.seed)
     model = models.fit(spec, x, y)
@@ -162,7 +163,6 @@ def _cmd_train(args) -> int:
         raise ConfigError(f"{args.family} reports no feature importances")
     models.save_model(model, args.model_out)
     if args.importance:
-        names = dataio.load_features(args.features).feature_names
         with open(args.importance, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["feature", "importance"])
@@ -173,7 +173,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_cv(args) -> int:
-    x, y = _load_xy(args.features, args.labels)
+    x, y, _ = _load_xy(args.features, args.labels)
     spec = models.ModelSpec(family=args.family,
                             hyperparameters=_parse_kv(args.param), seed=args.seed)
     plan = evaluation.CvPlan(k_folds=args.k, stratified=True, seed=args.seed)
@@ -190,7 +190,7 @@ def _cmd_search(args) -> int:
                        lambda text: search.parse_param(search.coerce(text)))
     space = search.SearchSpace(family=args.family, params=params,
                                budget=args.budget)
-    x, y = _load_xy(args.features, args.labels)
+    x, y, _ = _load_xy(args.features, args.labels)
     plan = evaluation.CvPlan(k_folds=args.k, stratified=True, seed=args.seed)
     workers = pipeline.default_workers() if args.workers is None else args.workers
     best, trials = search.random_search(space, x, y, plan, space.budget,

@@ -140,28 +140,37 @@ def stratified_kfold(labels, plan: CvPlan) -> list[np.ndarray]:
     return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
 
 
+def evaluate_fold(spec: models.ModelSpec, x: np.ndarray, y: np.ndarray,
+                  test_idx: np.ndarray, fold: int,
+                  data_descriptor: str = "data") -> EvalRow:
+    """Fit ``spec`` on every sample outside ``test_idx`` and score the AUC of
+    its predictions on ``test_idx``; ``x`` float64 and ``y`` int64 arrays."""
+    train_mask = np.ones(len(y), dtype=bool)
+    train_mask[test_idx] = False
+    model = models.fit(spec, x[train_mask], y[train_mask])
+    scores = models.predict_scores(model, x[test_idx])
+    return EvalRow(
+        model=spec.family,
+        data=data_descriptor,
+        fold=fold,
+        auc=auc(scores, y[test_idx]),
+        n_test=len(test_idx),
+    )
+
+
 def cross_validate(spec: models.ModelSpec, data: tuple, plan: CvPlan,
-                   data_descriptor: str = "data") -> EvalReport:
+                   data_descriptor: str = "data",
+                   folds: list[np.ndarray] | None = None) -> EvalReport:
     """Per-fold fit/score/AUC for a ModelSpec; rows are named by its family.
 
     ``data`` is an ``(x, y)`` pair. Any transductive preprocessing (t-SNE) is
-    assumed already applied to the features.
+    assumed already applied to the features. ``folds`` are the test indices
+    of each fold, ``stratified_kfold(y, plan)`` when not given.
     """
     x, y = data
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    folds = stratified_kfold(y, plan)
-    report = EvalReport()
-    for fold_idx, test_idx in enumerate(folds):
-        train_mask = np.ones(len(y), dtype=bool)
-        train_mask[test_idx] = False
-        model = models.fit(spec, x[train_mask], y[train_mask])
-        scores = models.predict_scores(model, x[test_idx])
-        report.rows.append(EvalRow(
-            model=spec.family,
-            data=data_descriptor,
-            fold=fold_idx,
-            auc=auc(scores, y[test_idx]),
-            n_test=len(test_idx),
-        ))
-    return report
+    if folds is None:
+        folds = stratified_kfold(y, plan)
+    return EvalReport([evaluate_fold(spec, x, y, test_idx, fold_idx, data_descriptor)
+                       for fold_idx, test_idx in enumerate(folds)])

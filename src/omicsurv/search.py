@@ -1,7 +1,11 @@
 """Seeded random hyperparameter search over declarative distributions.
 
 Each trial's hyperparameters derive deterministically from (seed, trial
-index), so results are identical for any worker count or scheduling order.
+index), and the cross-validation folds are split once per search, before any
+trial runs. With one worker the trials run in-process, one ``cross_validate``
+each. With more, a process pool runs one task per (trial, fold), and the
+parent reassembles each trial from its fold rows in fold order. The results
+are therefore bit-identical for any worker count or scheduling order.
 """
 
 from __future__ import annotations
@@ -136,22 +140,39 @@ class SearchSpace:
 class TrialRecord:
     index: int
     params: dict
-    rows: list[evaluation.EvalRow]  # one per cross-validation fold
+    rows: list[evaluation.EvalRow]  # one per cross-validation fold, in fold order
     mean_auc: float
+    # Seconds spent fitting and scoring the trial's folds: its cross-validation
+    # when the search runs in-process, the sum of its fold tasks' times in a pool.
     wall_time: float
 
 
-def _run_trial(space: SearchSpace, x, y, plan, seed: int, index: int) -> TrialRecord:
-    start = time.perf_counter()
-    spec = space.sample(seed, index)
-    rows = evaluation.cross_validate(spec, (x, y), plan).rows
+def _record(index: int, spec: models.ModelSpec, rows: list[evaluation.EvalRow],
+            wall_time: float) -> TrialRecord:
     return TrialRecord(
         index=index,
         params=dict(spec.hyperparameters),
         rows=rows,
         mean_auc=float(np.mean([row.auc for row in rows])),
-        wall_time=time.perf_counter() - start,
+        wall_time=wall_time,
     )
+
+
+# (specs, x, y, folds) of the search a pool worker serves, set once per worker
+# by _init_worker so that the arrays are not sent with every task.
+_task_inputs: tuple = ()
+
+
+def _init_worker(specs, x, y, folds) -> None:
+    global _task_inputs
+    _task_inputs = (specs, x, y, folds)
+
+
+def _run_fold(trial: int, fold: int) -> tuple[evaluation.EvalRow, float]:
+    specs, x, y, folds = _task_inputs
+    start = time.perf_counter()
+    row = evaluation.evaluate_fold(specs[trial], x, y, folds[fold], fold)
+    return row, time.perf_counter() - start
 
 
 def random_search(space: SearchSpace, x, y, plan: evaluation.CvPlan,
@@ -159,39 +180,52 @@ def random_search(space: SearchSpace, x, y, plan: evaluation.CvPlan,
                   worker_count: int = 1) -> tuple[TrialRecord, list[TrialRecord]]:
     """Evaluate ``budget`` sampled configurations; return (best, all trials).
 
-    The best trial maximizes mean fold AUC, ties broken by lower index.
+    The best trial maximizes mean fold AUC, ties broken by lower index. The
+    folds are split once, so a split error (``k_folds`` above the minority
+    class count) is one DataError. A trial that fails fails with the error of
+    its lowest-index failing fold; if every trial fails, that is a ConfigError
+    listing them.
     """
     if budget < 1:
         raise ConfigError("search budget must be >= 1")
     if worker_count < 1:
         raise ConfigError("worker_count must be >= 1")
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    folds = evaluation.stratified_kfold(y, plan)
+    specs = [space.sample(seed, i) for i in range(budget)]
 
     failures: list[tuple[int, Exception]] = []
     trials: list[TrialRecord] = []
     if worker_count == 1:
-        for i in range(budget):
+        for i, spec in enumerate(specs):
+            start = time.perf_counter()
             try:
-                trials.append(_run_trial(space, x, y, plan, seed, i))
+                rows = evaluation.cross_validate(spec, (x, y), plan, folds=folds).rows
             except Exception as exc:  # noqa: BLE001 - aggregated below
                 failures.append((i, exc))
+                continue
+            trials.append(_record(i, spec, rows, time.perf_counter() - start))
     else:
-        # No more workers than trials. A budget-1 search still runs in a worker:
-        # run here, its numpy and LAPACK pages would stay in this process's
-        # resident set for the rest of the run and raise the run's peak.
-        with ProcessPoolExecutor(max_workers=min(worker_count, budget)) as pool:
-            futures = {
-                i: pool.submit(_run_trial, space, x, y, plan, seed, i)
-                for i in range(budget)
-            }
-            for i in range(budget):
-                try:
-                    trials.append(futures[i].result())
+        # One task per (trial, fold), so a budget-1 search keeps every worker
+        # busy too; never more workers than tasks.
+        k = len(folds)
+        with ProcessPoolExecutor(max_workers=min(worker_count, budget * k),
+                                 initializer=_init_worker,
+                                 initargs=(specs, x, y, folds)) as pool:
+            futures = [pool.submit(_run_fold, i, f)
+                       for i in range(budget) for f in range(k)]
+            for i, spec in enumerate(specs):
+                try:  # in fold order: the lowest failing fold's error is raised
+                    done = [futures[i * k + f].result() for f in range(k)]
                 except Exception as exc:  # noqa: BLE001
                     failures.append((i, exc))
+                    continue
+                trials.append(_record(i, spec, [row for row, _ in done],
+                                      sum(elapsed for _, elapsed in done)))
 
     if not trials:
         details = "; ".join(f"trial {i}: {exc}" for i, exc in failures)
         raise ConfigError(f"all {budget} search trials failed: {details}")
-    trials.sort(key=lambda t: t.index)
     best = max(trials, key=lambda t: (t.mean_auc, -t.index))
     return best, trials

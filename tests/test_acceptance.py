@@ -283,21 +283,23 @@ def test_10_determinism_and_scheduling(tmp_path):
         "search": {"budget": 2},
         "seed": 0,
     }
-    reports = {}
-    for tag, workers in (("a", 1), ("b", 1), ("c", 4)):
+    outputs = {}
+    for tag, workers in (("a", 1), ("b", 1), ("c", 4), ("d", 2)):
         config = dict(base)
         config["workers"] = workers
         config["output"] = str(tmp_path / f"out_{tag}")
         path = tmp_path / f"config_{tag}.yaml"
         path.write_text(yaml.safe_dump(config), encoding="utf-8")
         assert cli.main(["report", "--config", str(path)]) == 0
-        reports[tag] = (tmp_path / f"out_{tag}" / "report.csv").read_bytes()
+        outputs[tag] = tuple((tmp_path / f"out_{tag}" / name).read_bytes()
+                             for name in ("report.csv", "trials.csv"))
     elapsed = time.perf_counter() - start
-    rerun_ok = reports["a"] == reports["b"]
-    workers_ok = reports["a"] == reports["c"]
+    rerun_ok = outputs["a"] == outputs["b"]
+    workers_ok = outputs["a"] == outputs["c"] == outputs["d"]
     verdict(10, rerun_ok and workers_ok and elapsed < 300,
-            f"report.csv bit-identical across reruns={rerun_ok} and worker "
-            f"counts 1 vs 4={workers_ok}; runtime {elapsed:.0f}s (<300s)")
+            f"report.csv and trials.csv bit-identical across reruns={rerun_ok} "
+            f"and worker counts 1 vs 4 vs 2={workers_ok}; runtime {elapsed:.0f}s "
+            f"(<300s)")
 
 
 def test_11_readme_context_anchor():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from omicsurv import cli, dataio, models, pipeline
+from omicsurv import cli, dataio, models, pipeline, survival
 from omicsurv.errors import ConfigError
 
 
@@ -232,12 +232,17 @@ class TestCli:
         assert payload["format_version"] == 1
         assert payload["family"] == "gaussian_nb"
 
-    def test_train_rp_with_importance(self, tmp_path):
+    def test_train_rp_with_importance(self, tmp_path, monkeypatch):
         data = make_cohort(tmp_path)
         labels = self.labels_for(tmp_path, data)
         imp = tmp_path / "imp.csv"
+        features = str(data / "microarray.csv")
+        loads = []
+        load_features = dataio.load_features
+        monkeypatch.setattr(dataio, "load_features",
+                            lambda path: loads.append(path) or load_features(path))
         code = cli.main(["train", "--family", "rp_ensemble",
-                         "--features", str(data / "microarray.csv"),
+                         "--features", features,
                          "--labels", str(labels),
                          "--param", "b1_groups=3", "--param", "b2_per_group=2",
                          "--param", "projected_dim=3",
@@ -249,6 +254,8 @@ class TestCli:
         values = [float(r[1]) for r in rows]
         assert values == sorted(values, reverse=True)
         assert abs(sum(values) - 1.0) < 1e-9
+        assert loads == [features]  # the features CSV is parsed once
+        assert sorted(r[0] for r in rows) == sorted(load_features(features).feature_names)
 
     def test_rp_ensemble_cv_train_and_reload(self, tmp_path):
         data = make_cohort(tmp_path)
@@ -265,7 +272,7 @@ class TestCli:
                          "--model-out", str(model_path), *inputs]) == 0
         loaded = models.load_model(model_path)
         assert len(loaded.state.projections) == 7
-        x, y = cli._load_xy(features, labels)
+        x, y, _ = cli._load_xy(features, labels)
         trained = models.fit(loaded.spec, x, y)
         np.testing.assert_array_equal(models.predict_scores(loaded, x),
                                       models.predict_scores(trained, x))
@@ -446,14 +453,35 @@ def test_no_label_overlap_names_both_files(tmp_path, cohort, capsys):
         f"data error: no overlap between features {features} and labels {labels}\n")
 
 
-def test_report_folds_beyond_minority_class_fail_every_trial(tmp_path, cohort,
-                                                             capsys):
+def test_report_folds_beyond_minority_class_is_data_error(tmp_path, cohort, capsys):
+    labels = [survival.make_label(record, 60).value
+              for record in dataio.load_clinical(cohort / "clinical.csv")]
+    minority = min(labels.count(0), labels.count(1))
     path = write_config(tmp_path, cohort, cv={"k_folds": 50})
-    assert cli.main(["report", "--config", str(path)]) == 2
-    assert capsys.readouterr().err.startswith(
-        "config error: stage 'evaluate' failed: all 1 search trials failed: "
-        "trial 0: k_folds=50 exceeds minority class count ")
+    assert cli.main(["report", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "data error: stage 'evaluate' failed: k_folds=50 exceeds minority "
+        f"class count {minority}\n")
     assert not (tmp_path / "out" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("cv", []), ("search", ["--budget", "3", "--workers", "1"]),
+    ("search", ["--budget", "3", "--workers", "2"])],
+    ids=["cv", "search-1-worker", "search-2-workers"])
+def test_folds_beyond_minority_class_fail_once(tmp_path, cohort, capsys,
+                                              command, extra):
+    ids = dataio.load_features(cohort / "microarray.csv").patient_ids
+    labels = tmp_path / "labels.csv"
+    labels.write_text("patient_id,label\n" + "".join(
+        f"{pid},{i % 2}\n" for i, pid in enumerate(ids[:20])), encoding="utf-8")
+    code = cli.main([command, "--family", "gaussian_nb", "--k", "30", *extra,
+                     "--features", str(cohort / "microarray.csv"),
+                     "--labels", str(labels), "--output", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "data error: k_folds=30 exceeds minority class count 10\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_config_not_utf8_is_config_error(tmp_path, cohort, capsys):

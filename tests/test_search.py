@@ -9,6 +9,48 @@ from omicsurv.errors import ConfigError
 from conftest import separable_xy
 
 
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: runs the initializer, and each task
+    as it is submitted, in this process."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def run(self, future, fn, args):
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001 - delivered through the future
+            future.set_exception(exc)
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        self.run(future, fn, args)
+        return future
+
+
+class ReversePool(InlinePool):
+    """Holds the tasks of a 1-trial, 3-fold search until all are submitted,
+    then runs them last to first."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        super().__init__(max_workers, initializer, initargs)
+        self.held = []
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        self.held.append((future, fn, args))
+        if len(self.held) == 3:
+            for task in reversed(self.held):
+                self.run(*task)
+        return future
+
+
 class TestDistributions:
     def test_uniform_bounds(self):
         dist = search.Uniform(2.0, 3.0)
@@ -124,47 +166,70 @@ class TestRandomSearch:
         x, y, plan = self.search_args()
         space = search.SearchSpace(
             "l1_logistic", {"lambda": search.LogUniform(1e-3, 1.0)})
-        best1, trials1 = search.random_search(space, x, y, plan, 4, 0,
-                                              worker_count=1)
-        best2, trials2 = search.random_search(space, x, y, plan, 4, 0,
-                                              worker_count=2)
-        assert best1.index == best2.index
-        for a, b in zip(trials1, trials2):
-            assert a.params == b.params
-            assert a.rows == b.rows
+        for budget in (1, 3, 4):
+            best1, trials1 = search.random_search(space, x, y, plan, budget, 0,
+                                                  worker_count=1)
+            for workers in (2, 4):
+                best, trials = search.random_search(space, x, y, plan, budget, 0,
+                                                    worker_count=workers)
+                assert best.index == best1.index
+                assert [t.index for t in trials] == list(range(budget))
+                for a, b in zip(trials, trials1):
+                    assert a.params == b.params
+                    assert a.rows == b.rows
+                    assert a.mean_auc.hex() == b.mean_auc.hex()
 
-    @pytest.mark.parametrize("budget, workers, pool_size", [(1, 2, 1), (3, 8, 3),
-                                                           (5, 2, 2)])
-    def test_pool_no_larger_than_budget(self, monkeypatch, budget, workers, pool_size):
+    @pytest.mark.parametrize("budget, workers, pool_size", [
+        (1, 2, 2), (1, 8, 3), (3, 8, 8), (3, 16, 9), (5, 2, 2)])
+    def test_pool_no_larger_than_task_count(self, monkeypatch, budget, workers,
+                                            pool_size):
         sizes = []
 
-        class InlinePool:  # records the pool size, runs each trial here
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def pool(**kwargs):
+            sizes.append(kwargs["max_workers"])
+            return InlinePool(**kwargs)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
-        x, y, plan = self.search_args()
+        monkeypatch.setattr(search, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(search, "_task_inputs", ())
+        x, y, plan = self.search_args()  # 3 folds
         _, trials = search.random_search(search.SearchSpace("gaussian_nb", {}),
                                          x, y, plan, budget, 0, worker_count=workers)
         assert sizes == [pool_size] and len(trials) == budget
 
+    def test_failing_folds_give_the_same_error_at_any_worker_count(self):
+        x, y, plan = self.search_args()
+        x[5, 1] = np.inf  # every fold that trains on row 5 fails
+        space = search.SearchSpace("gaussian_nb", {})
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(ConfigError) as info:
+                search.random_search(space, x, y, plan, 2, 0, worker_count=workers)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == (
+            "all 2 search trials failed: trial 0: non-finite training features; "
+            "trial 1: non-finite training features")
+
+    def test_trial_fails_with_its_lowest_failing_fold(self, monkeypatch):
+        def evaluate_fold(spec, x, y, test_idx, fold):
+            if fold > 0:
+                raise ValueError(f"fold {fold} failed")
+            return evaluation.EvalRow(spec.family, "data", fold, 0.5, len(test_idx))
+
+        monkeypatch.setattr(evaluation, "evaluate_fold", evaluate_fold)
+        monkeypatch.setattr(search, "ProcessPoolExecutor", ReversePool)
+        monkeypatch.setattr(search, "_task_inputs", ())
+        x, y, plan = self.search_args()
+        with pytest.raises(ConfigError,
+                           match=r"^all 1 search trials failed: trial 0: fold 1 failed$"):
+            search.random_search(search.SearchSpace("gaussian_nb", {}),
+                                 x, y, plan, 1, 0, worker_count=2)
+
     def test_all_failures_aggregated(self):
         x, y, plan = self.search_args()
-        bad = np.zeros_like(y)  # single class -> every trial fails
+        x[0, 0] = np.nan  # every fold that trains on row 0 fails
         space = search.SearchSpace("gaussian_nb", {})
         with pytest.raises(ConfigError, match="all 3 search trials failed"):
-            search.random_search(space, x, bad, plan, 3, 0)
+            search.random_search(space, x, y, plan, 3, 0)
 
     def test_trials_sorted_and_recorded(self):
         x, y, plan = self.search_args()
