@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
-"""Time RP-ensemble training on one synthetic cohort: the best-of-3 wall time
-of rpensemble.train with its defaults (100 groups x 20 projections, dim 5,
-Gaussian-NB base), and the SHA-256 of the trained model's JSON, so a speed-up
-can be checked to leave the model unchanged.
+"""Time model training on one synthetic cohort, printing for each model the
+best-of-3 wall time and the SHA-256 of the trained model's JSON, so a speed-up
+can be checked to leave the model unchanged:
+
+- rpensemble.train with its defaults (100 groups x 20 projections, dim 5,
+  Gaussian-NB base);
+- the random_forest fit with 50 trees of max_depth 8 (seed 0), whose JSON is
+  the model file's, format_version included.
 
 The cohort is drawn in memory with omicsurv.synth (seed 0). The features are
 the log2 microarray table, labelled at a 60-month horizon as
@@ -16,7 +20,7 @@ import hashlib
 import json
 import time
 
-from omicsurv import dataio, normalize, rpensemble, survival, synth
+from omicsurv import dataio, models, normalize, rpensemble, survival, synth
 
 
 def best_of_3(fn):
@@ -26,6 +30,10 @@ def best_of_3(fn):
         result = fn()
         times.append(time.perf_counter() - start)
     return min(times), result
+
+
+def sha256_of(payload) -> str:
+    return hashlib.sha256(json.dumps(payload).encode("utf-8")).hexdigest()
 
 
 def main():
@@ -50,9 +58,12 @@ def main():
     print(f"rpensemble.train {seconds:8.3f} s  "
           f"({rp_config.b1_groups} x {rp_config.b2_per_group} projections, "
           f"dim {rp_config.projected_dim})")
-    digest = hashlib.sha256(
-        json.dumps(rpensemble.to_jsonable(model)).encode("utf-8")).hexdigest()
-    print(f"model json sha256 {digest}")
+    print(f"model json sha256 {sha256_of(rpensemble.to_jsonable(model))}")
+
+    spec = models.ModelSpec("random_forest", {"n_trees": 50, "max_depth": 8}, seed=0)
+    seconds, model = best_of_3(lambda: models.fit(spec, x, y))
+    print(f"random_forest    {seconds:8.3f} s  (50 trees, max_depth 8)")
+    print(f"model json sha256 {sha256_of(models.to_jsonable(model))}")
 
 
 if __name__ == "__main__":

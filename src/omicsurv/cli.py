@@ -153,10 +153,18 @@ def _load_xy(features_path, labels_path):
     return x, y, features.feature_names
 
 
-def _cmd_train(args) -> int:
-    x, y, names = _load_xy(args.features, args.labels)
+def _checked_spec(args) -> models.ModelSpec:
+    """The ModelSpec of --family, --param and --seed, its hyperparameters
+    checked before any data is read."""
     spec = models.ModelSpec(family=args.family,
                             hyperparameters=_parse_kv(args.param), seed=args.seed)
+    models.read_params(spec.family, spec.hyperparameters)
+    return spec
+
+
+def _cmd_train(args) -> int:
+    spec = _checked_spec(args)
+    x, y, names = _load_xy(args.features, args.labels)
     model = models.fit(spec, x, y)
     importance = getattr(model.state, "feature_importance", None)
     if args.importance and importance is None:
@@ -173,9 +181,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_cv(args) -> int:
+    spec = _checked_spec(args)
     x, y, _ = _load_xy(args.features, args.labels)
-    spec = models.ModelSpec(family=args.family,
-                            hyperparameters=_parse_kv(args.param), seed=args.seed)
     plan = evaluation.CvPlan(k_folds=args.k, stratified=True, seed=args.seed)
     report = evaluation.cross_validate(spec, (x, y), plan,
                                        data_descriptor=args.features)

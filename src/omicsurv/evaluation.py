@@ -82,9 +82,17 @@ def _class_counts(labels: np.ndarray) -> tuple[int, int]:
     return n_pos, n_neg
 
 
+def _finite_scores(scores) -> np.ndarray:
+    scores = np.asarray(scores, dtype=np.float64)
+    bad = np.count_nonzero(~np.isfinite(scores))
+    if bad:
+        raise DataError(f"scores must be finite, got {bad} non-finite of {len(scores)}")
+    return scores
+
+
 def auc(scores, labels) -> float:
     """Mann-Whitney AUC: P(score_pos > score_neg) + 0.5 * P(tie)."""
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _finite_scores(scores)
     labels = np.asarray(labels, dtype=np.int64)
     if len(scores) != len(labels):
         raise DataError("scores and labels must have equal length")
@@ -96,7 +104,7 @@ def auc(scores, labels) -> float:
 
 def roc_curve(scores, labels) -> RocCurve:
     """One point per distinct threshold, endpoints (0,0) and (1,1) included."""
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _finite_scores(scores)
     labels = np.asarray(labels, dtype=np.int64)
     n_pos, n_neg = _class_counts(labels)
     order = np.argsort(-scores, kind="stable")

@@ -12,8 +12,9 @@ module declares ``PARAMS = {key: (type, default)}`` and exposes
 also takes the ``task`` its ``_TABLE`` entry passes), ``scores(state, x)``,
 ``threshold(state)`` (the hard-label cut), ``to_jsonable(state)`` and
 ``from_jsonable(d)``. A module may also declare
-``check_params(params)``, which rejects values that are well typed but do not
-fit together (``rp_ensemble``'s base hyperparameters against its base family),
+``check_params(params)``, which rejects values that are well typed but out of
+range or do not fit together (``random_forest``'s tree count, ``mtry`` and
+depth; ``rp_ensemble``'s base hyperparameters against its base family),
 and ``holdout_errors(z_tr, y_tr, z_ho, y_ho, params)``, which fits one model
 per slice of a stack of B training tables (B, n, d) and returns each one's
 misclassification rate on the matching holdout slice, shape (B,), as one
@@ -47,7 +48,10 @@ _TABLE = {
 
 FAMILIES = tuple(_TABLE)
 
-MODEL_FORMAT_VERSION = 1
+# Format 2 stores the forest as flat arrays. Format 1 differs only in its
+# nested forest trees, which forest.from_jsonable flattens, so it still loads.
+MODEL_FORMAT_VERSION = 2
+_READABLE_FORMATS = (1, MODEL_FORMAT_VERSION)
 
 
 def check_family(family: str) -> None:
@@ -156,7 +160,7 @@ def to_jsonable(model: TrainedModel) -> dict:
 
 
 def from_jsonable(payload: dict) -> TrainedModel:
-    if payload.get("format_version") != MODEL_FORMAT_VERSION:
+    if payload.get("format_version") not in _READABLE_FORMATS:
         raise DataError(f"unsupported model format {payload.get('format_version')}")
     spec = ModelSpec(family=payload["family"],
                      hyperparameters=payload["hyperparameters"],

@@ -49,6 +49,13 @@ class TestAuc:
             with pytest.raises(DataError, match="0 or 1"):
                 check([0.1, 0.2, 0.3], [0, 2, 0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        """A NaN would otherwise be ranked above every finite score."""
+        for check in (evaluation.auc, evaluation.roc_curve):
+            with pytest.raises(DataError, match="1 non-finite of 4"):
+                check([0.1, bad, 0.3, 0.2], [0, 1, 0, 1])
+
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1)),
                     min_size=2, max_size=40))
     @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -17,6 +18,28 @@ from mlp_checks import epoch_losses, gradient_check
 def spec(family, seed=0, **hp):
     return models.ModelSpec(family=family, hyperparameters=hp, seed=seed)
 
+
+# A random_forest model file of format 1 (nested trees), as written before
+# format 2, for n_trees 3 and max_depth 2.
+FOREST_FORMAT_1 = {
+    "format_version": 1, "family": "random_forest",
+    "hyperparameters": {"n_trees": 3, "max_depth": 2}, "seed": 5, "n_features": 3,
+    "state": {"trees": [
+        {"feature": 1, "threshold": 0.65, "frac_ones": 0.5833333333333334,
+         "left": {"feature": 0, "threshold": 1.9, "frac_ones": 0.7,
+                  "left": {"frac_ones": 0.7777777777777778},
+                  "right": {"frac_ones": 0.0}},
+         "right": {"frac_ones": 0.0}},
+        {"feature": 0, "threshold": 1.1, "frac_ones": 0.08333333333333333,
+         "left": {"frac_ones": 0.0},
+         "right": {"feature": 1, "threshold": -1.85, "frac_ones": 0.5,
+                   "left": {"frac_ones": 0.0}, "right": {"frac_ones": 1.0}}},
+        {"feature": 0, "threshold": 1.9, "frac_ones": 0.3333333333333333,
+         "left": {"feature": 2, "threshold": -0.05, "frac_ones": 0.4444444444444444,
+                  "left": {"frac_ones": 0.0}, "right": {"frac_ones": 1.0}},
+         "right": {"frac_ones": 0.0}},
+    ]},
+}
 
 SMALL_HP = {
     "gaussian_nb": {},
@@ -219,6 +242,37 @@ class TestRandomForest:
         b = models.fit(spec("random_forest", n_trees=10), x, y)
         assert (models.predict_scores(a, x) == models.predict_scores(b, x)).all()
 
+    @pytest.mark.parametrize("low, high", [
+        (np.nextafter(1.0, 0.0), 1.0),  # the midpoint rounds up to 1.0
+        (1e308, 1.7e308),  # the sum of the two overflows to inf
+    ])
+    def test_split_between_close_values(self, low, high):
+        """Where the midpoint rounds up to the value above, the split is at the
+        value below, so both children get rows and the tree ends."""
+        x = np.array([[low], [high], [high], [low]])
+        y = np.array([0, 1, 1, 0])
+        model = models.fit(spec("random_forest", n_trees=1, bootstrap=False,
+                                max_depth=50), x, y)
+        assert model.state.threshold[0] == low
+        assert len(model.state.feature) == 3
+        assert (models.predict_labels(model, x) == y).all()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_trees", 0, "n_trees must be >= 1, got 0"),
+        ("mtry", 0, "mtry must be >= 1, got 0"),
+        ("mtry", -1, "mtry must be >= 1, got -1"),
+        ("max_depth", -1, "max_depth must be >= 0, got -1"),
+    ])
+    def test_out_of_range_params_rejected(self, key, value, message):
+        x, y = separable_xy()
+        match = f"random_forest: {message}"
+        with pytest.raises(ConfigError, match=match):
+            models.read_params("random_forest", {key: value})
+        with pytest.raises(ConfigError, match=match):
+            models.fit(spec("random_forest", **{key: value}), x, y)
+        with pytest.raises(ConfigError, match=match):
+            search.SearchSpace("random_forest", {key: search.parse_param(f"int:{value},3")})
+
 
 class TestMlp:
     def test_classifier_loss_decreases(self):
@@ -337,6 +391,42 @@ class TestSerialization:
         again = models.load_model(tmp_path / "m.json")
         np.testing.assert_allclose(models.predict_scores(again, x),
                                    models.predict_scores(model, x))
+
+    def test_forest_format_2_round_trip(self, tmp_path):
+        x, y = separable_xy()
+        model = models.fit(spec("random_forest", n_trees=5, max_depth=3), x, y)
+        models.save_model(model, tmp_path / "forest.json")
+        payload = json.loads((tmp_path / "forest.json").read_text(encoding="utf-8"))
+        assert payload["format_version"] == 2
+        assert sorted(payload["state"]) == ["feature", "frac_ones", "left", "roots",
+                                            "threshold"]
+        again = models.load_model(tmp_path / "forest.json")
+        for name in ("feature", "threshold", "left", "frac_ones", "roots"):
+            assert getattr(again.state, name).tobytes() == getattr(model.state, name).tobytes()
+        query = x + 0.25
+        assert (models.predict_scores(again, query)
+                == models.predict_scores(model, query)).all()
+
+    def test_forest_format_1_still_loads(self, tmp_path):
+        """A format-1 file with nested trees, as the earlier omicsurv wrote it,
+        scores as it did then, and is saved again as format 2."""
+        path = tmp_path / "forest_v1.json"
+        path.write_text(json.dumps(FOREST_FORMAT_1), encoding="utf-8")
+        model = models.load_model(path)
+        query = np.array([[-1.0, 0.0, 0.5], [0.3, -0.2, 0.0], [1.2, 1.0, -1.0],
+                          [2.0, -2.0, 0.0]])
+        want = [2 / 3, 2 / 3, 1 / 3, 0.0]
+        assert models.predict_scores(model, query).tolist() == want
+        # breadth-first within each tree; the right child follows the left
+        assert model.state.roots.tolist() == [0, 5, 10]
+        assert model.state.feature.tolist() == [1, 0, -1, -1, -1, 0, -1, 1, -1, -1,
+                                                0, 2, -1, -1, -1]
+        assert model.state.left.tolist() == [1, 3, -1, -1, -1, 6, -1, 8, -1, -1,
+                                             11, 13, -1, -1, -1]
+        models.save_model(model, tmp_path / "forest_v2.json")
+        again = models.load_model(tmp_path / "forest_v2.json")
+        assert models.to_jsonable(again)["format_version"] == 2
+        assert models.predict_scores(again, query).tolist() == want
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"

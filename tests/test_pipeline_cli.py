@@ -229,7 +229,7 @@ class TestCli:
                          "--model-out", str(model_path)])
         assert code == 0
         payload = json.loads(model_path.read_text(encoding="utf-8"))
-        assert payload["format_version"] == 1
+        assert payload["format_version"] == 2
         assert payload["family"] == "gaussian_nb"
 
     def test_train_rp_with_importance(self, tmp_path, monkeypatch):
@@ -379,6 +379,14 @@ def cohort(tmp_path_factory):
     ("models", [{"family": "rp_ensemble",
                  "params": {"base_hyperparameters": {"bogus": 1}}}],
      "rp_ensemble: gaussian_nb: unknown config key 'bogus'"),
+    ("models", [{"family": "random_forest", "params": {"mtry": 0}}],
+     "random_forest: mtry must be >= 1, got 0"),
+    ("models", [{"family": "random_forest", "params": {"n_trees": 0}}],
+     "random_forest: n_trees must be >= 1, got 0"),
+    ("models", [{"family": "random_forest", "params": {"mtry": -1}}],
+     "random_forest: mtry must be >= 1, got -1"),
+    ("models", [{"family": "random_forest", "params": {"max_depth": "int:-1,8"}}],
+     "random_forest: max_depth must be >= 0, got -1"),
 ])
 def test_report_config_error_before_any_work(tmp_path, cohort, capsys,
                                              key, value, named):
@@ -408,6 +416,27 @@ def test_train_non_numeric_param_is_config_error(tmp_path, cohort, capsys):
     err = capsys.readouterr().err
     assert "svm_rbf" in err and "'C'" in err
     assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("command, param, named", [
+    ("train", "mtry=0", "mtry must be >= 1, got 0"),
+    ("cv", "n_trees=0", "n_trees must be >= 1, got 0"),
+    ("train", "mtry=-1", "mtry must be >= 1, got -1"),
+    ("cv", "max_depth=-1", "max_depth must be >= 0, got -1"),
+])
+def test_forest_param_out_of_range_before_data_is_read(tmp_path, capsys, command,
+                                                      param, named):
+    """The input files do not exist: the parameter is rejected (exit 2) before
+    they are read (exit 3)."""
+    out_flag = "--model-out" if command == "train" else "--output"
+    code = cli.main([command, "--family", "random_forest", "--param", param,
+                     "--features", str(tmp_path / "missing.csv"),
+                     "--labels", str(tmp_path / "missing_labels.csv"),
+                     out_flag, str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"random_forest: {named}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, output_flag", [

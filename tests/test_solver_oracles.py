@@ -1,9 +1,10 @@
-"""The one-pass split scoring of ``random_forest``, the cached residual of
+"""The level-wise growth of ``random_forest``, the cached residual of
 ``l1_logistic``, the stacked group pass of ``rp_ensemble`` and the buffered
 iteration loop of exact t-SNE against the per-feature, per-coordinate,
 per-projection and allocate-per-iteration loops they replaced, kept here as
 reference code: trees, weights, ensembles and embeddings must match bit for
-bit. The t-SNE KL trace, computed with one log per iteration, must match
+bit. The reference forest visits its nodes breadth-first, as ``fit`` draws
+them, and scores each node's candidate features one at a time. The t-SNE KL trace, computed with one log per iteration, must match
 the masked per-entry formula within rounding."""
 
 import json
@@ -11,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from omicsurv import models, project, rpensemble
+from omicsurv import models, project, ranks, rpensemble
 from omicsurv.dataio import FeatureMatrix
 from omicsurv.errors import DataError
 from omicsurv.models import forest, gaussian_nb, logistic
@@ -19,12 +20,19 @@ from omicsurv.models import forest, gaussian_nb, logistic
 
 # --- reference random forest: one argsort/cumsum per candidate feature ------
 
+def _gini(counts, total):
+    if total == 0:
+        return 0.0
+    p = counts / total
+    return 1.0 - float(np.sum(p * p))
+
+
 def _ref_best_split_on(x_col, y):
     order = np.argsort(x_col, kind="stable")
     xs, ys = x_col[order], y[order].astype(np.float64)
     n = len(ys)
     total_pos = ys.sum()
-    parent = forest._gini(np.array([n - total_pos, total_pos]), n)
+    parent = _gini(np.array([n - total_pos, total_pos]), n)
 
     valid = xs[1:] != xs[:-1]
     if not valid.any():
@@ -52,39 +60,54 @@ def _ref_best_over(x, y, features):
     return chosen
 
 
-def _ref_grow(x, y, depth, max_depth, mtry, rng):
-    node = forest.TreeNode(frac_ones=float(np.mean(y)))
-    if len(y) < 2 or node.frac_ones in (0.0, 1.0):
-        return node
+def _ref_split(x, y, depth, max_depth, mtry, rng):
+    """(feature, threshold) of one node, or None for a leaf."""
+    if len(y) < 2 or np.mean(y) in (0.0, 1.0):
+        return None
     if max_depth is not None and depth >= max_depth:
-        return node
+        return None
     feature_order = rng.permutation(x.shape[1])
     chosen = _ref_best_over(x, y, feature_order[:mtry])
     if chosen is None:
         chosen = _ref_best_over(x, y, feature_order[mtry:])
-    if chosen is None:
-        return node
-    _, f, threshold = chosen
-    mask = x[:, f] <= threshold
-    node.feature = f
-    node.threshold = threshold
-    node.left = _ref_grow(x[mask], y[mask], depth + 1, max_depth, mtry, rng)
-    node.right = _ref_grow(x[~mask], y[~mask], depth + 1, max_depth, mtry, rng)
-    return node
+    return None if chosen is None else chosen[1:]
 
 
 def _ref_forest(x, y, params, seed):
+    """All trees grown breadth-first, one level at a time, tree by tree and
+    node by node within a level, into the flat arrays ``forest.fit`` fills."""
     mtry = max(1, int(np.sqrt(x.shape[1]))) if params["mtry"] is None else params["mtry"]
-    trees = []
+    rngs, level = [], []
     for t in range(params["n_trees"]):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-        if params["bootstrap"]:
-            idx = rng.integers(0, len(y), size=len(y))
-            xt, yt = x[idx], y[idx]
-        else:
-            xt, yt = x, y
-        trees.append(_ref_grow(xt, yt, 0, params["max_depth"], mtry, rng))
-    return forest.ForestState(trees=trees)
+        rows = (rng.integers(0, len(y), size=len(y)) if params["bootstrap"]
+                else np.arange(len(y)))
+        rngs.append(rng)
+        level.append((t, rows))
+    feature, threshold, left, frac_ones = [], [], [], []
+    depth = 0
+    while level:
+        next_level = []
+        first_child = len(frac_ones) + len(level)
+        for t, rows in level:
+            xt, yt = x[rows], y[rows]
+            frac_ones.append(float(np.mean(yt)))
+            split = _ref_split(xt, yt, depth, params["max_depth"], mtry, rngs[t])
+            if split is None:
+                feature.append(-1)
+                threshold.append(0.0)
+                left.append(-1)
+                continue
+            f, cut = split
+            mask = xt[:, f] <= cut
+            feature.append(f)
+            threshold.append(cut)
+            left.append(first_child + len(next_level))
+            next_level += [(t, rows[mask]), (t, rows[~mask])]
+        depth += 1
+        level = next_level
+    return forest.ForestState(np.array(feature), np.array(threshold), np.array(left),
+                              np.array(frac_ones), np.arange(params["n_trees"]))
 
 
 # --- reference l1_logistic: masked sigmoid, residual on every coordinate ----
@@ -283,12 +306,31 @@ def _duplicated_rows():
     return x, y
 
 
+def _twin_columns():
+    # a constant column and two equal ones: a node that draws the constant one
+    # first falls back to the twins, whose gains tie, so the twin drawn first
+    # must win even when the fallback scores them in separate passes
+    x, y = _xy(40, 2, seed=6)
+    return np.column_stack([np.full(40, 2.0), x[:, 0], x[:, 0]]), y
+
+
+def _zero_gain():
+    # the one split leaves 1 of 5 rows of class 1 on the left and 2 of 10 on
+    # the right, as in the node: its gain is 0, computed as 5.6e-17, which
+    # the 1e-12 floor rejects
+    x = np.repeat([[0.0], [1.0]], [5, 10], axis=0)
+    y = np.array([1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0])
+    return x, y
+
+
 FOREST_DATA = {
     "continuous": lambda: _xy(60, 12, seed=1),
     "ties": lambda: _xy(60, 12, seed=2, decimals=0),
     "constant_columns": _constant_columns,
     "duplicated_rows": _duplicated_rows,
     "n2": lambda: (np.array([[0.0, 1.0, 5.0], [1.0, 1.0, -5.0]]), np.array([0, 1])),
+    "twin_columns": _twin_columns,
+    "zero_gain": _zero_gain,
 }
 
 
@@ -304,6 +346,87 @@ def test_forest_matches_per_feature_loop(data, bootstrap, max_depth, mtry):
     want = forest.to_jsonable(_ref_forest(x, y, params, seed=11))
     assert json.dumps(got) == json.dumps(want)
     assert got == want
+
+
+@pytest.mark.parametrize("data", sorted(FOREST_DATA))
+@pytest.mark.parametrize("budget", [1, 1000])
+def test_forest_pass_size_does_not_change_trees(monkeypatch, data, budget):
+    """Passes of about one node, or of a whole level, and fallbacks of one
+    column at a time, grow the reference's trees."""
+    x, y = FOREST_DATA[data]()
+    params = models.read_params("random_forest", {"n_trees": 6, "mtry": 1})
+    monkeypatch.setattr(forest, "_BUDGET", budget)
+    got = forest.to_jsonable(forest.fit(x, y, params, seed=2))
+    assert got == forest.to_jsonable(_ref_forest(x, y, params, seed=2))
+
+
+@pytest.mark.parametrize("decimals", [None, 1, 0])
+def test_dense_ranks_match_unique_inverse(decimals):
+    rows, _ = _xy(7, 40, seed=9, decimals=decimals)
+    rows[3] = 1.5
+    rows[4, ::2] = -0.0
+    rows[4, 1::2] = 0.0
+    want = np.array([np.unique(row, return_inverse=True)[1] for row in rows])
+    got = ranks.dense_ranks(rows)
+    assert got.dtype == np.int32 and (got == want).all()
+
+
+def test_forest_rejects_rounding_gain():
+    x, y = _zero_gain()
+    params = models.read_params("random_forest", {"n_trees": 1, "bootstrap": False})
+    assert forest.fit(x, y, params, seed=0).feature.tolist() == [-1]
+
+
+def test_forest_wide_keys_grow_the_same_trees(monkeypatch):
+    """Sort keys too wide for int32 are int64; the trees do not change."""
+    x, y = FOREST_DATA["continuous"]()
+    params = models.read_params("random_forest", {"n_trees": 5})
+    want = forest.to_jsonable(forest.fit(x, y, params, seed=8))
+    monkeypatch.setattr(forest, "_INT32_MAX", 0)
+    assert forest.to_jsonable(forest.fit(x, y, params, seed=8)) == want
+
+
+def _tree(state, t):
+    """Tree t of a flat forest as nested (feature, threshold, frac_ones,
+    left, right) tuples; a leaf is its frac_ones."""
+    def walk(i):
+        if state.feature[i] < 0:
+            return float(state.frac_ones[i])
+        return (int(state.feature[i]), float(state.threshold[i]),
+                float(state.frac_ones[i]), walk(state.left[i]), walk(state.left[i] + 1))
+    return walk(state.roots[t])
+
+
+def test_forest_tree_depends_only_on_seed_and_index():
+    x, y = FOREST_DATA["continuous"]()
+    small, large = (forest.fit(x, y, models.read_params("random_forest", {"n_trees": count}),
+                               seed=3) for count in (3, 7))
+    assert [_tree(small, t) for t in range(3)] == [_tree(large, t) for t in range(3)]
+
+
+def test_forest_scores_match_per_row_walk():
+    x, y = FOREST_DATA["ties"]()
+    state = forest.fit(x, y, models.read_params("random_forest", {"n_trees": 7}), seed=6)
+    query = np.vstack([x, x[::-1] + 0.5, [[np.nan] * x.shape[1]]])
+    votes = np.zeros(len(query))
+    for t in range(len(state.roots)):
+        for row, values in enumerate(query):
+            i = state.roots[t]
+            while state.feature[i] >= 0:
+                go_left = values[state.feature[i]] <= state.threshold[i]
+                i = state.left[i] + (0 if go_left else 1)
+            votes[row] += state.frac_ones[i] >= 0.5
+    assert forest.scores(state, query).tobytes() == (votes / len(state.roots)).tobytes()
+
+
+def test_forest_scores_the_same_after_save_and_load(tmp_path):
+    x, y = FOREST_DATA["continuous"]()
+    model = models.fit(models.ModelSpec("random_forest", {"n_trees": 9}, seed=4), x, y)
+    models.save_model(model, tmp_path / "forest.json")
+    again = models.load_model(tmp_path / "forest.json")
+    query = np.vstack([x, x + 0.25])
+    assert (models.predict_scores(again, query).tobytes()
+            == models.predict_scores(model, query).tobytes())
 
 
 @pytest.mark.parametrize("lam", [1e-3, 1e-2, 1e6])
