@@ -3,8 +3,8 @@
 best-of-3 wall time and the SHA-256 of the trained model's JSON, so a speed-up
 can be checked to leave the model unchanged:
 
-- rpensemble.train with its defaults (100 groups x 20 projections, dim 5,
-  Gaussian-NB base);
+- the rp_ensemble fit with its defaults (100 groups x 20 projections, dim 5,
+  Gaussian-NB base, seed 0), whose JSON is the model file's ``state``;
 - the random_forest fit with 50 trees of max_depth 8 (seed 0), whose JSON is
   the model file's, format_version included.
 
@@ -20,7 +20,7 @@ import hashlib
 import json
 import time
 
-from omicsurv import dataio, models, normalize, rpensemble, survival, synth
+from omicsurv import dataio, models, normalize, survival, synth
 
 
 def best_of_3(fn):
@@ -53,12 +53,13 @@ def main():
     print(f"cohort: {args.patients} patients x {args.genes} genes, "
           f"{len(y)} labelled ({int(y.sum())} class 1)")
 
-    rp_config = rpensemble.RpConfig()
-    seconds, model = best_of_3(lambda: rpensemble.train(x, y, rp_config))
-    print(f"rpensemble.train {seconds:8.3f} s  "
-          f"({rp_config.b1_groups} x {rp_config.b2_per_group} projections, "
-          f"dim {rp_config.projected_dim})")
-    print(f"model json sha256 {sha256_of(rpensemble.to_jsonable(model))}")
+    spec = models.ModelSpec("rp_ensemble", {}, seed=0)
+    seconds, model = best_of_3(lambda: models.fit(spec, x, y))
+    params = model.state.params
+    print(f"rp_ensemble      {seconds:8.3f} s  "
+          f"({params['b1_groups']} x {params['b2_per_group']} projections, "
+          f"dim {params['projected_dim']})")
+    print(f"model json sha256 {sha256_of(models.to_jsonable(model)['state'])}")
 
     spec = models.ModelSpec("random_forest", {"n_trees": 50, "max_depth": 8}, seed=0)
     seconds, model = best_of_3(lambda: models.fit(spec, x, y))

@@ -209,14 +209,11 @@ def rp_benefit(seed: int, n_patients: int = 400, n_genes: int = 500,
         seed), x_tr, y_tr)
     ensemble_error = float(np.mean(models.predict_labels(model, x_te) != y_te))
 
-    base_spec = models.ModelSpec("gaussian_nb", {}, seed)
-    single_errors = []
-    for b in range(b2):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 12345, b]))
-        proj = rpensemble.sample_projection(x.shape[1], d, rng)
-        fitted = models.fit(base_spec, x_tr @ proj.T, y_tr)
-        labels = models.predict_labels(fitted, x_te @ proj.T)
-        single_errors.append(float(np.mean(labels != y_te)))
+    stack_t = rpensemble.sample_projections(x.shape[1], d, [
+        np.random.default_rng(np.random.SeedSequence([seed, 12345, b]))
+        for b in range(b2)]).transpose(0, 2, 1)
+    single_errors = models.holdout_errors(models.ModelSpec("gaussian_nb", {}, seed),
+                                          x_tr @ stack_t, y_tr, x_te @ stack_t, y_te)
 
     # the informative genes occupy the first n_informative feature columns
     informative = model.state.feature_importance[:n_informative]

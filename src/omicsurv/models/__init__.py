@@ -91,7 +91,8 @@ class TrainedModel:
 
 
 def _validate_training_data(x: np.ndarray, y: np.ndarray, classifier: bool):
-    """Checks ``x`` of shape (n, d), or a stack (B, n, d) of such tables."""
+    """Checks ``x`` of shape (n, d), or a stack (B, n, d) of such tables, and
+    for a classifier that ``y`` holds both labels 0 and 1 and no other."""
     n = x.shape[-2]
     if n != len(y):
         raise DataError(f"feature/target length mismatch: {n} vs {len(y)}")
@@ -99,12 +100,17 @@ def _validate_training_data(x: np.ndarray, y: np.ndarray, classifier: bool):
         raise DataError("need at least 2 training samples")
     if not np.all(np.isfinite(x)):
         raise DataError("non-finite training features")
-    if classifier and len(np.unique(y)) < 2:
+    if not classifier:
+        return
+    labels = np.unique(y)
+    if not np.isin(labels, (0, 1)).all():
+        raise DataError(f"classifier labels must be 0 or 1, got {labels[:10].tolist()}")
+    if len(labels) < 2:
         raise DataError("single-class training set")
 
 
 def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> TrainedModel:
-    """Train one model. ``y`` is binary for classifiers; mlp_regressor fits
+    """Train one model. ``y`` is 0/1 for classifiers; mlp_regressor fits
     squared error to whatever real targets it is given."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)

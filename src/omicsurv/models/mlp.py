@@ -99,10 +99,7 @@ def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
         order = shuffle_rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            acts = _forward(state.weights, state.biases, x[idx])
-            out = acts[-1][:, 0]
-            _, dout = _loss_and_output_grad(out, yf[idx], task)
-            gw, gb = _backward(state.weights, acts, dout)
+            _, gw, gb = loss_and_gradients(state, x[idx], yf[idx])
             for w, b, dw, db in zip(state.weights, state.biases, gw, gb):
                 w -= lr * dw
                 b -= lr * db

@@ -33,6 +33,13 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * np.maximum(d2, 0.0))
 
 
+def _index_sets(alpha: np.ndarray, y_pm: np.ndarray, c: float):
+    """Masks of the candidates for i (up) and j (low) of the violating pair."""
+    up = ((alpha < c - 1e-12) & (y_pm > 0)) | ((alpha > 1e-12) & (y_pm < 0))
+    low = ((alpha < c - 1e-12) & (y_pm < 0)) | ((alpha > 1e-12) & (y_pm > 0))
+    return up, low
+
+
 PARAMS = {"C": (float, 1.0), "gamma": (float, None), "tol": (float, 1e-3),
           "max_iter": (int, 20000)}
 
@@ -51,8 +58,7 @@ def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int) -> SvmState:
     violation = np.inf
     for _ in range(params["max_iter"]):
         yg = -y_pm * grad
-        up = ((alpha < c - 1e-12) & (y_pm > 0)) | ((alpha > 1e-12) & (y_pm < 0))
-        low = ((alpha < c - 1e-12) & (y_pm < 0)) | ((alpha > 1e-12) & (y_pm > 0))
+        up, low = _index_sets(alpha, y_pm, c)
         if not up.any() or not low.any():
             violation = 0.0
             break
@@ -79,8 +85,7 @@ def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int) -> SvmState:
 
     # recompute the violation at the final iterate
     yg = -y_pm * grad
-    up = ((alpha < c - 1e-12) & (y_pm > 0)) | ((alpha > 1e-12) & (y_pm < 0))
-    low = ((alpha < c - 1e-12) & (y_pm < 0)) | ((alpha > 1e-12) & (y_pm > 0))
+    up, low = _index_sets(alpha, y_pm, c)
     if up.any() and low.any():
         m_up = float(np.max(yg[up]))
         m_low = float(np.min(yg[low]))

@@ -16,58 +16,56 @@ Feature importance sums, over the selected projections, each feature's
 squared projection weights scaled by its training variance (so constant and
 all-zero columns get exactly zero importance), normalized to sum to 1.
 
-The module is the ``rp_ensemble`` family of ``omicsurv.models``. It uses
-``models`` only at call time, so their import cycle resolves in either order.
+The module is the ``rp_ensemble`` family of ``omicsurv.models``, whose
+``fit`` and ``predict_scores`` check the data and feature width before
+``train`` and ``predict_scores`` here run. It uses ``models`` only at call
+time, so their import cycle resolves in either order.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import models
 from .errors import ConfigError, DataError
 
+# alpha None is learned in train
+PARAMS = {"b1_groups": (int, 100), "b2_per_group": (int, 20),
+          "projected_dim": (int, 5), "base_family": (str, "gaussian_nb"),
+          "base_hyperparameters": (dict, {}), "vote_threshold_alpha": (float, None),
+          "selection_holdout_fraction": (float, 0.2)}
 
-@dataclass(frozen=True)
-class RpConfig:
-    b1_groups: int = 100
-    b2_per_group: int = 20
-    projected_dim: int = 5
-    base_family: str = "gaussian_nb"
-    base_hyperparameters: dict = field(default_factory=dict)
-    vote_threshold_alpha: float | None = None
-    selection_holdout_fraction: float = 0.2
-    seed: int = 0
 
-    def __post_init__(self):
-        if self.b1_groups < 1 or self.b2_per_group < 1:
-            raise ConfigError("b1_groups and b2_per_group must be >= 1")
-        if self.projected_dim < 1:
-            raise ConfigError("projected_dim must be >= 1")
-        if self.base_family == "rp_ensemble":
-            raise ConfigError("rp_ensemble cannot be its own base family")
-        models.check_family(self.base_family)
-        models.read_params(self.base_family, self.base_hyperparameters)
-        if self.vote_threshold_alpha is not None and not (
-            0.0 < self.vote_threshold_alpha < 1.0
-        ):
-            raise ConfigError("vote_threshold_alpha must lie in (0,1)")
-        if not 0.0 < self.selection_holdout_fraction < 1.0:
-            raise ConfigError("selection_holdout_fraction must lie in (0,1)")
+def check_params(params: dict) -> None:
+    """Range checks on a typed ``PARAMS`` dict, the base family's included."""
+    if params["b1_groups"] < 1 or params["b2_per_group"] < 1:
+        raise ConfigError("b1_groups and b2_per_group must be >= 1")
+    if params["projected_dim"] < 1:
+        raise ConfigError("projected_dim must be >= 1")
+    if params["base_family"] == "rp_ensemble":
+        raise ConfigError("rp_ensemble cannot be its own base family")
+    models.check_family(params["base_family"])
+    models.read_params(params["base_family"], params["base_hyperparameters"])
+    alpha = params["vote_threshold_alpha"]
+    if alpha is not None and not 0.0 < alpha < 1.0:
+        raise ConfigError("vote_threshold_alpha must lie in (0,1)")
+    if not 0.0 < params["selection_holdout_fraction"] < 1.0:
+        raise ConfigError("selection_holdout_fraction must lie in (0,1)")
 
 
 @dataclass
 class RpModel:
-    config: RpConfig
+    params: dict
+    seed: int
     projections: list[np.ndarray]       # B1 matrices, each d x M
     base_models: list[models.TrainedModel]
     alpha: float
     feature_importance: np.ndarray      # length M, sums to 1
     # holdout errors per group, shape (B1, B2); selected index per group
-    group_errors: np.ndarray = None
-    selected_indices: np.ndarray = None
+    group_errors: np.ndarray
+    selected_indices: np.ndarray
 
 
 def sample_projections(m: int, d: int, rngs) -> np.ndarray:
@@ -88,11 +86,6 @@ def sample_projections(m: int, d: int, rngs) -> np.ndarray:
             q[b], r[b] = np.linalg.qr(rngs[b].standard_normal((m, d)))
 
 
-def sample_projection(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed d x m matrix with orthonormal rows."""
-    return sample_projections(m, d, [rng])[0]
-
-
 def _stratified_holdout(y: np.ndarray, fraction: float,
                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     train_idx, hold_idx = [], []
@@ -107,35 +100,32 @@ def _stratified_holdout(y: np.ndarray, fraction: float,
     return np.sort(np.array(train_idx)), np.sort(np.array(hold_idx))
 
 
-def train(x: np.ndarray, y: np.ndarray, config: RpConfig) -> RpModel:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+def train(x: np.ndarray, y: np.ndarray, params: dict, seed: int) -> RpModel:
+    b1, b2, dim = params["b1_groups"], params["b2_per_group"], params["projected_dim"]
     m = x.shape[1]
-    if config.projected_dim > m:
+    if dim > m:
         raise ConfigError("projected_dim must not exceed the feature count")
-    if len(np.unique(y)) < 2:
-        raise DataError("both classes must be present")
 
-    split_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 999]))
+    split_rng = np.random.default_rng(np.random.SeedSequence([seed, 999]))
     train_idx, hold_idx = _stratified_holdout(
-        y, config.selection_holdout_fraction, split_rng
+        y, params["selection_holdout_fraction"], split_rng
     )
     x_tr, y_tr = x[train_idx], y[train_idx]
     x_ho, y_ho = x[hold_idx], y[hold_idx]
 
     base_spec = models.ModelSpec(
-        family=config.base_family,
-        hyperparameters=config.base_hyperparameters,
-        seed=config.seed,
+        family=params["base_family"],
+        hyperparameters=params["base_hyperparameters"],
+        seed=seed,
     )
 
-    errors = np.empty((config.b1_groups, config.b2_per_group))
-    selected = np.empty(config.b1_groups, dtype=np.int64)
+    errors = np.empty((b1, b2))
+    selected = np.empty(b1, dtype=np.int64)
     projections: list[np.ndarray] = []
-    for g in range(config.b1_groups):
-        stack = sample_projections(m, config.projected_dim, [
-            np.random.default_rng(np.random.SeedSequence([config.seed, g, b]))
-            for b in range(config.b2_per_group)
+    for g in range(b1):
+        stack = sample_projections(m, dim, [
+            np.random.default_rng(np.random.SeedSequence([seed, g, b]))
+            for b in range(b2)
         ])
         errors[g] = models.holdout_errors(
             base_spec,
@@ -150,12 +140,11 @@ def train(x: np.ndarray, y: np.ndarray, config: RpConfig) -> RpModel:
         models.fit(base_spec, x @ proj.T, y) for proj in projections
     ]
 
-    votes = _vote_matrix(base_models, projections, x)
-    score = votes.mean(axis=0)
-    if config.vote_threshold_alpha is not None:
-        alpha = config.vote_threshold_alpha
+    score = _vote_matrix(base_models, projections, x).mean(axis=0)
+    if params["vote_threshold_alpha"] is not None:
+        alpha = params["vote_threshold_alpha"]
     else:
-        grid = np.arange(config.b1_groups + 1) / config.b1_groups
+        grid = np.arange(b1 + 1) / b1
         errs = [float(np.mean((score >= a).astype(np.int64) != y)) for a in grid]
         alpha = float(grid[int(np.argmin(errs))])
 
@@ -167,7 +156,8 @@ def train(x: np.ndarray, y: np.ndarray, config: RpConfig) -> RpModel:
     importance = raw / total if total > 0 else np.full(m, 1.0 / m)
 
     return RpModel(
-        config=config,
+        params=params,
+        seed=seed,
         projections=projections,
         base_models=base_models,
         alpha=alpha,
@@ -186,33 +176,12 @@ def _vote_matrix(base_models, projections, x) -> np.ndarray:
 
 def predict_scores(model: RpModel, x: np.ndarray) -> np.ndarray:
     """Fraction of the B1 selected base models voting class 1."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[1] != model.projections[0].shape[1]:
-        raise DataError(
-            f"feature width {x.shape[1]} does not match training width "
-            f"{model.projections[0].shape[1]}"
-        )
     return _vote_matrix(model.base_models, model.projections, x).mean(axis=0)
 
 
-# RpConfig's fields but seed, same defaults; alpha None is learned in train
-PARAMS = {"b1_groups": (int, 100), "b2_per_group": (int, 20),
-          "projected_dim": (int, 5), "base_family": (str, "gaussian_nb"),
-          "base_hyperparameters": (dict, {}), "vote_threshold_alpha": (float, None),
-          "selection_holdout_fraction": (float, 0.2)}
-
-
-def check_params(params: dict) -> None:
-    """Reject what ``RpConfig`` rejects, the base family's checks included."""
-    RpConfig(**params)
-
-
-def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int) -> RpModel:
-    return train(x, y, RpConfig(seed=seed, **params))
-
-
-def scores(model: RpModel, x: np.ndarray) -> np.ndarray:
-    return predict_scores(model, x)
+# the same function objects, so a tracer rebinding train reaches fit too
+fit = train
+scores = predict_scores
 
 
 def threshold(model: RpModel) -> float:
@@ -221,7 +190,7 @@ def threshold(model: RpModel) -> float:
 
 def to_jsonable(model: RpModel) -> dict:
     return {
-        "config": asdict(model.config),
+        "config": {**model.params, "seed": model.seed},
         "projections": [p.tolist() for p in model.projections],
         "base_models": [models.to_jsonable(m) for m in model.base_models],
         "alpha": model.alpha,
@@ -233,7 +202,8 @@ def to_jsonable(model: RpModel) -> dict:
 
 def from_jsonable(d: dict) -> RpModel:
     return RpModel(
-        config=RpConfig(**d["config"]),
+        params={k: v for k, v in d["config"].items() if k != "seed"},
+        seed=d["config"]["seed"],
         projections=[np.array(p) for p in d["projections"]],
         base_models=[models.from_jsonable(m) for m in d["base_models"]],
         alpha=d["alpha"],

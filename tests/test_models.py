@@ -103,6 +103,21 @@ class TestValidation:
         with pytest.raises(DataError, match="single-class"):
             models.fit(spec("gaussian_nb"), np.zeros((4, 2)), np.zeros(4))
 
+    @pytest.mark.parametrize("family", [f for f in models.FAMILIES
+                                        if f != "mlp_regressor"])
+    def test_classifier_labels_outside_0_1(self, family):
+        x, y = separable_xy()
+        with pytest.raises(DataError, match=r"classifier labels must be 0 or 1, "
+                                            r"got \[1, 2\]"):
+            models.fit(spec(family, **SMALL_HP[family]), x, y + 1)
+        with pytest.raises(DataError, match=r"got \[-1, 1\]"):
+            models.fit(spec(family, **SMALL_HP[family]), x, 2 * y - 1)
+
+    def test_regressor_fits_any_targets(self):
+        x, y = separable_xy()
+        model = models.fit(spec("mlp_regressor", epochs=2), x, 10.0 * y + 3.0)
+        assert np.isfinite(models.predict_scores(model, x)).all()
+
     def test_length_mismatch(self):
         with pytest.raises(DataError, match="length mismatch"):
             models.fit(spec("gaussian_nb"), np.zeros((4, 2)), np.zeros(3))

@@ -163,27 +163,27 @@ def _ref_sample_projection(m, d, rng):
     raise DataError("failed to draw a full-rank projection in 8 attempts")
 
 
-def _ref_rp_train(x, y, config):
+def _ref_rp_train(x, y, params, seed):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     m = x.shape[1]
-    split_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 999]))
+    split_rng = np.random.default_rng(np.random.SeedSequence([seed, 999]))
     train_idx, hold_idx = rpensemble._stratified_holdout(
-        y, config.selection_holdout_fraction, split_rng)
+        y, params["selection_holdout_fraction"], split_rng)
     x_tr, y_tr = x[train_idx], y[train_idx]
     x_ho, y_ho = x[hold_idx], y[hold_idx]
-    base_spec = models.ModelSpec(family=config.base_family,
-                                 hyperparameters=config.base_hyperparameters,
-                                 seed=config.seed)
+    base_spec = models.ModelSpec(family=params["base_family"],
+                                 hyperparameters=params["base_hyperparameters"],
+                                 seed=seed)
 
-    errors = np.empty((config.b1_groups, config.b2_per_group))
-    selected = np.empty(config.b1_groups, dtype=np.int64)
+    errors = np.empty((params["b1_groups"], params["b2_per_group"]))
+    selected = np.empty(params["b1_groups"], dtype=np.int64)
     projections = []
-    for g in range(config.b1_groups):
+    for g in range(params["b1_groups"]):
         best_proj = None
-        for b in range(config.b2_per_group):
-            rng = np.random.default_rng(np.random.SeedSequence([config.seed, g, b]))
-            proj = _ref_sample_projection(m, config.projected_dim, rng)
+        for b in range(params["b2_per_group"]):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, g, b]))
+            proj = _ref_sample_projection(m, params["projected_dim"], rng)
             fitted = models.fit(base_spec, x_tr @ proj.T, y_tr)
             err = float(np.mean(models.predict_labels(fitted, x_ho @ proj.T) != y_ho))
             errors[g, b] = err
@@ -194,10 +194,10 @@ def _ref_rp_train(x, y, config):
 
     base_models = [models.fit(base_spec, x @ proj.T, y) for proj in projections]
     score = rpensemble._vote_matrix(base_models, projections, x).mean(axis=0)
-    if config.vote_threshold_alpha is not None:
-        alpha = config.vote_threshold_alpha
+    if params["vote_threshold_alpha"] is not None:
+        alpha = params["vote_threshold_alpha"]
     else:
-        grid = np.arange(config.b1_groups + 1) / config.b1_groups
+        grid = np.arange(params["b1_groups"] + 1) / params["b1_groups"]
         errs = [float(np.mean((score >= a).astype(np.int64) != y)) for a in grid]
         alpha = float(grid[int(np.argmin(errs))])
     var = x.var(axis=0)
@@ -206,7 +206,7 @@ def _ref_rp_train(x, y, config):
         raw += np.sum(proj ** 2, axis=0) * var
     total = raw.sum()
     importance = raw / total if total > 0 else np.full(m, 1.0 / m)
-    return rpensemble.RpModel(config=config, projections=projections,
+    return rpensemble.RpModel(params=params, seed=seed, projections=projections,
                               base_models=base_models, alpha=alpha,
                               feature_importance=importance, group_errors=errors,
                               selected_indices=selected)
@@ -461,23 +461,23 @@ RP_DATA = [(139, 301, 1, None), (60, 20, 2, None), (80, 7, 3, None),
 def test_rp_matches_per_projection_loop(n, m, seed, decimals, dim, b2):
     x, y = _xy(n, m, seed=seed, decimals=decimals)
     d = {"one": 1, "mid": min(5, m), "full": m}[dim]
-    config = rpensemble.RpConfig(b1_groups=4, b2_per_group=b2, projected_dim=d,
-                                 seed=seed)
-    got = rpensemble.to_jsonable(rpensemble.train(x, y, config))
-    want = rpensemble.to_jsonable(_ref_rp_train(x, y, config))
+    params = models.read_params("rp_ensemble", {
+        "b1_groups": 4, "b2_per_group": b2, "projected_dim": d})
+    got = rpensemble.to_jsonable(rpensemble.train(x, y, params, seed))
+    want = rpensemble.to_jsonable(_ref_rp_train(x, y, params, seed))
     assert json.dumps(got) == json.dumps(want)
     assert got == want
 
 
 def test_rp_ties_select_first_minimum():
     x, y = _xy(60, 12, seed=5, decimals=0)
-    config = rpensemble.RpConfig(b1_groups=6, b2_per_group=12, projected_dim=1,
-                                 seed=5)
-    model = rpensemble.train(x, y, config)
+    params = models.read_params("rp_ensemble", {
+        "b1_groups": 6, "b2_per_group": 12, "projected_dim": 1})
+    model = rpensemble.train(x, y, params, 5)
     tied = [np.sum(row == row.min()) > 1 for row in model.group_errors]
     assert any(tied)  # the data does make projections tie
     assert rpensemble.to_jsonable(model) == rpensemble.to_jsonable(
-        _ref_rp_train(x, y, config))
+        _ref_rp_train(x, y, params, 5))
 
 
 @pytest.mark.parametrize("base", [
@@ -487,12 +487,12 @@ def test_rp_ties_select_first_minimum():
 def test_rp_fallback_family_matches_per_projection_loop(base):
     family, params = base
     x, y = _xy(50, 9, seed=6)
-    config = rpensemble.RpConfig(b1_groups=3, b2_per_group=4, projected_dim=3,
-                                 base_family=family, base_hyperparameters=params,
-                                 seed=6)
+    rp_params = models.read_params("rp_ensemble", {
+        "b1_groups": 3, "b2_per_group": 4, "projected_dim": 3,
+        "base_family": family, "base_hyperparameters": params})
     assert not hasattr(models._TABLE[family][0], "holdout_errors")
-    got = rpensemble.to_jsonable(rpensemble.train(x, y, config))
-    want = rpensemble.to_jsonable(_ref_rp_train(x, y, config))
+    got = rpensemble.to_jsonable(rpensemble.train(x, y, rp_params, 6))
+    want = rpensemble.to_jsonable(_ref_rp_train(x, y, rp_params, 6))
     assert json.dumps(got) == json.dumps(want)
 
 
