@@ -47,7 +47,7 @@ def main():
     latent = synth.gen_latent(config)
     micro = normalize.log2_transform(synth.gen_microarray(config, latent))
     clinical, _ = synth.gen_clinical(config, latent)
-    dataset, _ = survival.make_labeled_dataset(
+    dataset = survival.make_labeled_dataset(
         dataio.build_features(micro, clinical), clinical, 60.0)
     x, y = dataset.features.values, dataset.labels
     print(f"cohort: {args.patients} patients x {args.genes} genes, "

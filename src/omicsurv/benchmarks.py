@@ -67,10 +67,10 @@ def integration_benefit(seed: int, n_patients: int = 800, n_genes: int = 500,
     combined = normalize.integrate([micro, rnaseq], 0)
     pooled, _ = dataio.merge([micro, rnaseq])
 
-    ds_pool, _ = survival.make_labeled_dataset(
+    ds_pool = survival.make_labeled_dataset(
         dataio.build_features(pooled, cohort.clinical), cohort.clinical,
         HORIZON_MONTHS)
-    ds_comb, _ = survival.make_labeled_dataset(
+    ds_comb = survival.make_labeled_dataset(
         dataio.build_features(combined, cohort.clinical), cohort.clinical,
         HORIZON_MONTHS)
     assert ds_pool.features.patient_ids == ds_comb.features.patient_ids
@@ -193,7 +193,7 @@ def rp_benefit(seed: int, n_patients: int = 400, n_genes: int = 500,
     latent = synth.gen_latent(config)
     micro = normalize.log2_transform(synth.gen_microarray(config, latent))
     clinical, _ = synth.gen_clinical(config, latent)
-    dataset, _ = survival.make_labeled_dataset(
+    dataset = survival.make_labeled_dataset(
         dataio.build_features(micro, clinical), clinical, HORIZON_MONTHS)
     x, y = dataset.features.values, dataset.labels
 

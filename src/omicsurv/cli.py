@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -79,15 +78,10 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_label(args) -> int:
+    if not args.t > 0:
+        raise ConfigError(f"--t must be positive, got {args.t}")
     records = dataio.load_clinical(args.clinical)
-    with open(args.output, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["patient_id", "label"])
-        for record in records:
-            label = survival.make_label(record, args.t)
-            if label is survival.SurvivalLabel.DROPPED:
-                continue
-            writer.writerow([record.patient_id, label.value])
+    dataio.save_labels(survival.horizon_labels(records, args.t), args.output)
     return 0
 
 
@@ -124,33 +118,10 @@ def _cmd_project(args) -> int:
 def _load_xy(features_path, labels_path):
     """(x, y, feature names) of the feature rows the labels file labels."""
     features = dataio.load_features(features_path)
-    labels_by_id = {}
-    reader = csv.reader(io.StringIO(dataio.read_text(labels_path), newline=""))
-    header = next(reader, [])
-    if header[:2] != ["patient_id", "label"]:
-        raise DataError(f"{labels_path}: expected header patient_id,label")
-    first_line = {}
-    for row in reader:
-        if not row:
-            continue
-        line, pid = reader.line_num, row[0]
-        label = row[1].strip() if len(row) > 1 else ""
-        if label not in ("0", "1"):
-            raise DataError(
-                f"{labels_path}: line {line}: label must be 0 or 1, "
-                f"got {label!r}")
-        if pid in first_line:
-            raise DataError(f"{labels_path}: line {line}: duplicate patient id "
-                            f"{pid!r} (first at line {first_line[pid]})")
-        first_line[pid] = line
-        labels_by_id[pid] = int(label)
-    keep = [i for i, pid in enumerate(features.patient_ids) if pid in labels_by_id]
-    if not keep:
-        raise DataError(f"no overlap between features {features_path} and "
-                        f"labels {labels_path}")
-    x = features.values[np.array(keep)]
-    y = np.array([labels_by_id[features.patient_ids[i]] for i in keep])
-    return x, y, features.feature_names
+    dataset = survival.select_labeled(
+        features, dataio.load_labels(labels_path),
+        f"no overlap between features {features_path} and labels {labels_path}")
+    return dataset.features.values, dataset.labels, features.feature_names
 
 
 def _checked_spec(args) -> models.ModelSpec:

@@ -1,8 +1,9 @@
-"""Loading, validation and merging of expression / CNA / clinical tables.
+"""Loading, validation and merging of matrix, clinical and labels tables.
 
 All tables are delimited UTF-8 text. Expression and CNA files share one
 layout: header ``patient_id,<gene>,<gene>,...`` with one row per patient.
-Clinical files use the header ``patient_id,time_months,event,age,group``.
+Clinical files use the header ``patient_id,time_months,event,age,group``,
+and labels files ``patient_id,label`` with one 0/1 label per patient.
 
 Files are written as ``csv.writer`` writes them: CRLF line ends, a field
 quoted only when it holds ``,``, ``"`` or a line break, floats by ``repr``,
@@ -32,6 +33,8 @@ from .errors import DataError
 CNA_CATEGORIES = (-2, -1, 0, 1, 2)
 
 CLINICAL_HEADER = ["patient_id", "time_months", "event", "age", "group"]
+
+LABELS_HEADER = ["patient_id", "label"]
 
 
 @dataclass(frozen=True)
@@ -329,14 +332,14 @@ def _clinical_number(text: str, what: str) -> float:
         raise DataError(f"non-numeric {what} {text!r}") from None
 
 
-def _clinical_record(row: list[str]) -> ClinicalRecord:
-    """One data row as a record; a DataError says what is wrong, not where."""
+def _clinical_record(row: list[str]) -> tuple[str, ClinicalRecord]:
+    """One data row as (id, record); a DataError says what is wrong, not where."""
     if len(row) != len(CLINICAL_HEADER):
         raise DataError(f"ragged row ({len(row)} cells, expected {len(CLINICAL_HEADER)})")
     pid, time_s, event_s, age_s, group_s = [c.strip() for c in row]
     if event_s not in ("0", "1"):
         raise DataError(f"event must be 0 or 1, got {event_s!r}")
-    return ClinicalRecord(
+    return pid, ClinicalRecord(
         patient_id=pid,
         observed_time_months=_clinical_number(time_s, "time"),
         event=event_s == "1",
@@ -345,26 +348,46 @@ def _clinical_record(row: list[str]) -> ClinicalRecord:
     )
 
 
-def load_clinical(path) -> list[ClinicalRecord]:
-    """Load clinical records, one per patient_id; empty age/group -> None.
-    Every error names ``<file>: line L``, the header being line 1."""
+def _label_row(row: list[str]) -> tuple[str, int]:
+    label = row[1].strip() if len(row) > 1 else ""
+    if label not in ("0", "1"):
+        raise DataError(f"label must be 0 or 1, got {label!r}")
+    return row[0], int(label)
+
+
+def _read_keyed(path, header_ok, header: list[str], parse_row,
+                id_name: str) -> dict:
+    """``{id: value}`` of a table's data rows, in file order, from ``parse_row``
+    of each; ``header_ok`` checks the first row. Every error names
+    ``<file>: line L``, the header being line 1."""
     rows, lines = _read_delimited(read_text(path), path)
-    if [h.strip() for h in rows[0]] != CLINICAL_HEADER:
-        raise DataError(f"{path}: expected header {','.join(CLINICAL_HEADER)}")
-    records = []
-    first_line = {}
+    if not header_ok(rows[0]):
+        raise DataError(f"{path}: expected header {','.join(header)}")
+    out, first_line = {}, {}
     for line, row in zip(lines[1:], rows[1:]):
         try:
-            record = _clinical_record(row)
+            key, value = parse_row(row)
         except DataError as exc:
             raise DataError(f"{path}: line {line}: {exc}") from None
-        pid = record.patient_id
-        if pid in first_line:
-            raise DataError(f"{path}: line {line}: duplicate patient_id {pid!r} "
-                            f"(first at line {first_line[pid]})")
-        first_line[pid] = line
-        records.append(record)
-    return records
+        if key in first_line:
+            raise DataError(f"{path}: line {line}: duplicate {id_name} {key!r} "
+                            f"(first at line {first_line[key]})")
+        first_line[key] = line
+        out[key] = value
+    return out
+
+
+def load_clinical(path) -> list[ClinicalRecord]:
+    """Load clinical records, one per patient_id; empty age/group -> None."""
+    return list(_read_keyed(
+        path, lambda head: [h.strip() for h in head] == CLINICAL_HEADER,
+        CLINICAL_HEADER, _clinical_record, "patient_id").values())
+
+
+def load_labels(path) -> dict[str, int]:
+    """``{patient_id: 0 or 1}`` in file order; later columns are ignored."""
+    return _read_keyed(path, lambda head: head[:2] == LABELS_HEADER,
+                       LABELS_HEADER, _label_row, "patient id")
 
 
 def _fmt(x: float) -> str:
@@ -414,6 +437,13 @@ def save_clinical(records: list[ClinicalRecord], path) -> None:
                 "" if r.age_years is None else _fmt(r.age_years),
                 r.group_label or "",
             ])
+
+
+def save_labels(labels: dict[str, int], path) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LABELS_HEADER)
+        writer.writerows(labels.items())
 
 
 def load_features(path) -> FeatureMatrix:

@@ -13,8 +13,8 @@ also takes the ``task`` its ``_TABLE`` entry passes), ``scores(state, x)``,
 ``threshold(state)`` (the hard-label cut), ``to_jsonable(state)`` and
 ``from_jsonable(d)``. A module may also declare
 ``check_params(params)``, which rejects values that are well typed but out of
-range or do not fit together (``random_forest``'s tree count, ``mtry`` and
-depth; ``rp_ensemble``'s base hyperparameters against its base family),
+range or do not fit together (``svm_rbf``'s ``C``, ``random_forest``'s tree
+count; ``rp_ensemble``'s base hyperparameters against its base family),
 and ``holdout_errors(z_tr, y_tr, z_ho, y_ho, params)``, which fits one model
 per slice of a stack of B training tables (B, n, d) and returns each one's
 misclassification rate on the matching holdout slice, shape (B,), as one

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ConfigError
+
 
 @dataclass
 class SvmState:
@@ -42,6 +44,17 @@ def _index_sets(alpha: np.ndarray, y_pm: np.ndarray, c: float):
 
 PARAMS = {"C": (float, 1.0), "gamma": (float, None), "tol": (float, 1e-3),
           "max_iter": (int, 20000)}
+
+
+def check_params(params: dict) -> None:
+    if not params["C"] > 0:
+        raise ConfigError(f"C must be > 0, got {params['C']}")
+    if params["gamma"] is not None and not params["gamma"] > 0:
+        raise ConfigError(f"gamma must be > 0, got {params['gamma']}")
+    if not params["tol"] >= 0:
+        raise ConfigError(f"tol must be >= 0, got {params['tol']}")
+    if params["max_iter"] < 1:
+        raise ConfigError(f"max_iter must be >= 1, got {params['max_iter']}")
 
 
 def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int) -> SvmState:

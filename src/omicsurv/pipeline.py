@@ -67,7 +67,7 @@ class ExperimentConfig:
             raise ConfigError(f"reference index {self.reference} out of range")
         if not self.clinical_path:
             raise ConfigError("data.clinical path is required")
-        if not self.horizons or any(t <= 0 for t in self.horizons):
+        if not self.horizons or any(not t > 0 for t in self.horizons):
             raise ConfigError("label horizons must be positive")
         if not self.models:
             raise ConfigError("config lists no models")
@@ -187,7 +187,9 @@ def _build_variants(config: ExperimentConfig, merged, clinical, cna) -> list[_Va
                                          include_age=config.include_age, cna=cna)
         variants.append(_Variant(descriptor=f"RNA+CNA raw{age_suffix}",
                                  features=combined))
-    expr_only = dataio.build_features(merged, clinical, include_age=False)
+    # t-SNE sees the raw variant's patients: with age, those with a clinical record
+    expr_only = dataio.build_features(
+        dataio.subset_patients(merged, raw.patient_ids), clinical)
     age_records = clinical if config.include_age else None
     for dim in config.projection_dims:
         projected = project.project_with_age(
@@ -240,7 +242,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         with _stage("evaluate"):
             for horizon in config.horizons:
                 for variant in variants:
-                    dataset, _ = survival.make_labeled_dataset(
+                    dataset = survival.make_labeled_dataset(
                         variant.features, clinical, horizon)
                     data_name = f"{variant.descriptor} t={horizon:g}"
                     for model_idx, space in enumerate(config.models):

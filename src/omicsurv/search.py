@@ -25,6 +25,10 @@ class Uniform:
     low: float
     high: float
 
+    def __post_init__(self):
+        if not self.low <= self.high:
+            raise ConfigError(f"uniform needs low <= high, got {self.low},{self.high}")
+
     def sample(self, rng):
         return float(rng.uniform(self.low, self.high))
 
@@ -46,6 +50,10 @@ class LogUniform:
 class IntUniform:
     low: int
     high: int  # inclusive
+
+    def __post_init__(self):
+        if self.high < self.low:
+            raise ConfigError(f"int needs low <= high, got {self.low},{self.high}")
 
     def sample(self, rng):
         return int(rng.integers(self.low, self.high + 1))
@@ -101,6 +109,16 @@ def coerce(text: str):
     return text
 
 
+def _examples(value) -> list:
+    """What a parameter's values are checked by: a range's two ends, a
+    categorical's choices, a fixed value itself."""
+    if hasattr(value, "choices"):
+        return list(value.choices)
+    if hasattr(value, "high"):
+        return [value.low, value.high]
+    return [value]
+
+
 @dataclass(frozen=True)
 class SearchSpace:
     """A model family plus fixed values and/or distributions per parameter,
@@ -114,10 +132,9 @@ class SearchSpace:
         models.check_family(self.family)
         if self.budget < 1:
             raise ConfigError("search budget must be >= 1")
-        # a range is checked by its low bound, a categorical by each choice, each
-        # together with the first example of every other parameter
-        examples = {name: getattr(value, "choices", [getattr(value, "low", value)])
-                    for name, value in self.params.items()}
+        # each example is checked together with the first example of every
+        # other parameter
+        examples = {name: _examples(value) for name, value in self.params.items()}
         first = {name: values[0] for name, values in examples.items()}
         for name, values in examples.items():
             for example in values:

@@ -29,22 +29,9 @@ class SurvivalLabel(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ClassPriors:
-    p_died: float
-    p_survived: float
-
-    def __post_init__(self):
-        if not (0 <= self.p_died <= 1 and 0 <= self.p_survived <= 1):
-            raise DataError("priors must lie in [0,1]")
-        if abs(self.p_died + self.p_survived - 1.0) > 1e-12:
-            raise DataError("priors must sum to 1")
-
-
-@dataclass(frozen=True)
 class LabeledDataset:
     features: FeatureMatrix
     labels: np.ndarray  # binary, aligned with feature rows
-    horizon_months: float
 
     def __post_init__(self):
         if len(self.labels) != self.features.n_patients:
@@ -62,7 +49,7 @@ class SurvivalCurve:
 
 
 def make_label(record: ClinicalRecord, t: float) -> SurvivalLabel:
-    if t <= 0:
+    if not t > 0:
         raise DataError(f"horizon must be positive, got {t}")
     if record.observed_time_months > t:
         return SurvivalLabel.SURVIVED
@@ -71,37 +58,32 @@ def make_label(record: ClinicalRecord, t: float) -> SurvivalLabel:
     return SurvivalLabel.DROPPED
 
 
-def make_labeled_dataset(features: FeatureMatrix, clinical: list[ClinicalRecord],
-                         t: float) -> tuple[LabeledDataset, ClassPriors]:
-    """Label each feature row and drop censored-before-horizon patients.
+def select_labeled(features: FeatureMatrix, labels: dict[str, int],
+                   none_labeled: str) -> LabeledDataset:
+    """The feature rows whose patient ``labels`` labels 0 or 1, in feature
+    order; a DataError ``none_labeled`` if there is none."""
+    keep = [i for i, pid in enumerate(features.patient_ids) if pid in labels]
+    if not keep:
+        raise DataError(none_labeled)
+    ids = [features.patient_ids[i] for i in keep]
+    return LabeledDataset(
+        features=FeatureMatrix(ids, features.feature_names, features.values[keep]),
+        labels=np.array([labels[pid] for pid in ids], dtype=np.int64))
 
-    Patients without a clinical record are dropped as well; priors are
-    computed over the retained labels.
-    """
-    by_id = {r.patient_id: r for r in clinical}
-    keep_idx: list[int] = []
-    labels: list[int] = []
-    for i, pid in enumerate(features.patient_ids):
-        record = by_id.get(pid)
-        if record is None:
-            continue
-        label = make_label(record, t)
-        if label is SurvivalLabel.DROPPED:
-            continue
-        keep_idx.append(i)
-        labels.append(label.value)
-    if not keep_idx:
-        raise DataError(f"every patient was dropped at horizon t={t}")
-    idx = np.array(keep_idx)
-    kept = FeatureMatrix(
-        patient_ids=[features.patient_ids[i] for i in keep_idx],
-        feature_names=features.feature_names,
-        values=features.values[idx].copy(),
-    )
-    y = np.array(labels, dtype=np.int64)
-    priors = ClassPriors(p_died=float(np.mean(y == 0)),
-                         p_survived=float(np.mean(y == 1)))
-    return LabeledDataset(features=kept, labels=y, horizon_months=t), priors
+
+def horizon_labels(clinical: list[ClinicalRecord], t: float) -> dict[str, int]:
+    """``{patient_id: 0 or 1}`` at horizon ``t``, dropped patients left out."""
+    labels = {r.patient_id: make_label(r, t) for r in clinical}
+    return {pid: label.value for pid, label in labels.items()
+            if label is not SurvivalLabel.DROPPED}
+
+
+def make_labeled_dataset(features: FeatureMatrix, clinical: list[ClinicalRecord],
+                         t: float) -> LabeledDataset:
+    """Label each feature row at horizon ``t``; patients censored before it or
+    without a clinical record are dropped."""
+    return select_labeled(features, horizon_labels(clinical, t),
+                          f"every patient was dropped at horizon t={t}")
 
 
 def _km_single(records: list[ClinicalRecord], group: str | None) -> SurvivalCurve:

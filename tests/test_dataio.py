@@ -205,6 +205,44 @@ class TestClinical:
             f"{p}: line 4: duplicate patient_id 'p1' (first at line 2)")
 
 
+class TestLabels:
+    def test_round_trip(self, tmp_path):
+        labels = {"p2": 1, "p0": 0, "a,b": 1}
+        path = tmp_path / "labels.csv"
+        dataio.save_labels(labels, path)
+        again = dataio.load_labels(path)
+        assert again == labels and list(again) == list(labels)
+        dataio.save_labels(again, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+    def test_literal_crlf_file_written_back_byte_for_byte(self, tmp_path):
+        text = b'patient_id,label\r\np3,1\r\np1,0\r\n"x,y",1\r\n'
+        path = tmp_path / "labels.csv"
+        path.write_bytes(text)
+        labels = dataio.load_labels(path)
+        assert labels == {"p3": 1, "p1": 0, "x,y": 1}
+        dataio.save_labels(labels, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == text
+
+    def test_label_whitespace_and_extra_columns(self, tmp_path):
+        p = write(tmp_path / "l.csv", "patient_id,label,note\n\np1, 1 ,x\np2,0\n")
+        assert dataio.load_labels(p) == {"p1": 1, "p2": 0}
+
+    @pytest.mark.parametrize("text, what", [
+        ("id,label\np1,1\n", "expected header patient_id,label"),
+        ("patient_id,label\n", "no data rows"),
+        ("patient_id,label\np1,1\np2,yes\n", "line 3: label must be 0 or 1, got 'yes'"),
+        ("patient_id,label\np1\n", "line 2: label must be 0 or 1, got ''"),
+        ("patient_id,label\np1,1\n\np1,0\n",
+         "line 4: duplicate patient id 'p1' (first at line 2)"),
+    ])
+    def test_errors_name_file_and_line(self, tmp_path, text, what):
+        p = write(tmp_path / "l.csv", text)
+        with pytest.raises(DataError) as info:
+            dataio.load_labels(p)
+        assert str(info.value) == f"{p}: {what}"
+
+
 CLINICAL_HEAD = "patient_id,time_months,event,age,group\n"
 
 

@@ -19,6 +19,20 @@ def spec(family, seed=0, **hp):
     return models.ModelSpec(family=family, hyperparameters=hp, seed=seed)
 
 
+def assert_out_of_range_rejected(family, key, value, message):
+    """``value`` is a ConfigError naming the family in ``read_params``, in
+    ``fit`` and as the low end of a search range."""
+    x, y = separable_xy()
+    match = re.escape(f"{family}: {message}")
+    with pytest.raises(ConfigError, match=match):
+        models.read_params(family, {key: value})
+    with pytest.raises(ConfigError, match=match):
+        models.fit(spec(family, **{key: value}), x, y)
+    kind = "int" if isinstance(value, int) else "uniform"
+    with pytest.raises(ConfigError, match=match):
+        search.SearchSpace(family, {key: search.parse_param(f"{kind}:{value},3")})
+
+
 # A random_forest model file of format 1 (nested trees), as written before
 # format 2, for n_trees 3 and max_depth 2.
 FOREST_FORMAT_1 = {
@@ -127,6 +141,38 @@ class TestValidation:
         model = models.fit(spec("gaussian_nb"), x, y)
         with pytest.raises(DataError, match="does not match training width"):
             models.predict_scores(model, np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize("family, key, value, message", [
+    ("svm_rbf", "C", -1.0, "C must be > 0, got -1.0"),
+    ("svm_rbf", "C", 0.0, "C must be > 0, got 0.0"),
+    ("svm_rbf", "gamma", -1.0, "gamma must be > 0, got -1.0"),
+    ("svm_rbf", "tol", -1.0, "tol must be >= 0, got -1.0"),
+    ("svm_rbf", "max_iter", 0, "max_iter must be >= 1, got 0"),
+    ("l1_logistic", "lambda", -1.0, "lambda must be >= 0, got -1.0"),
+    ("l1_logistic", "max_sweeps", 0, "max_sweeps must be >= 1, got 0"),
+    ("l1_logistic", "tol", -1.0, "tol must be >= 0, got -1.0"),
+    ("rectangle_mlp", "n_hidden_layers", -1, "n_hidden_layers must be >= 0, got -1"),
+    ("rectangle_mlp", "width", 0, "width must be >= 1, got 0"),
+    ("rectangle_mlp", "epochs", 0, "epochs must be >= 1, got 0"),
+    ("rectangle_mlp", "learning_rate", -1.0, "learning_rate must be > 0, got -1.0"),
+    ("rectangle_mlp", "batch_size", 0, "batch_size must be >= 1, got 0"),
+    ("mlp_regressor", "width", 0, "width must be >= 1, got 0"),
+    ("mlp_regressor", "learning_rate", 0.0, "learning_rate must be > 0, got 0.0"),
+])
+def test_out_of_range_params_rejected(family, key, value, message):
+    assert_out_of_range_rejected(family, key, value, message)
+
+
+def test_range_ends_accepted():
+    """The smallest value each range check allows fits."""
+    x, y = separable_xy()
+    for family, params in [
+            ("svm_rbf", {"C": 1e-3, "tol": 0.0, "max_iter": 1}),
+            ("l1_logistic", {"lambda": 0.0, "max_sweeps": 1, "tol": 0.0}),
+            ("rectangle_mlp", {"n_hidden_layers": 0, "width": 1, "epochs": 1,
+                               "batch_size": 1})]:
+        models.fit(spec(family, **params), x, y)
 
 
 class TestGaussianNb:
@@ -279,14 +325,7 @@ class TestRandomForest:
         ("max_depth", -1, "max_depth must be >= 0, got -1"),
     ])
     def test_out_of_range_params_rejected(self, key, value, message):
-        x, y = separable_xy()
-        match = f"random_forest: {message}"
-        with pytest.raises(ConfigError, match=match):
-            models.read_params("random_forest", {key: value})
-        with pytest.raises(ConfigError, match=match):
-            models.fit(spec("random_forest", **{key: value}), x, y)
-        with pytest.raises(ConfigError, match=match):
-            search.SearchSpace("random_forest", {key: search.parse_param(f"int:{value},3")})
+        assert_out_of_range_rejected("random_forest", key, value, message)
 
 
 class TestMlp:

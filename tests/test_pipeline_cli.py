@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 import yaml
 
-from omicsurv import cli, dataio, models, pipeline, survival
+from omicsurv import cli, dataio, models, normalize, pipeline, survival
+from omicsurv.dataio import ClinicalRecord
 from omicsurv.errors import ConfigError
 
 
@@ -387,6 +388,20 @@ def cohort(tmp_path_factory):
      "random_forest: mtry must be >= 1, got -1"),
     ("models", [{"family": "random_forest", "params": {"max_depth": "int:-1,8"}}],
      "random_forest: max_depth must be >= 0, got -1"),
+    ("models", [{"family": "svm_rbf", "params": {"C": -1}}],
+     "svm_rbf: C must be > 0, got -1.0"),
+    ("models", [{"family": "l1_logistic", "params": {"max_sweeps": 0}}],
+     "l1_logistic: max_sweeps must be >= 1, got 0"),
+    ("models", [{"family": "rectangle_mlp", "params": {"batch_size": 0}}],
+     "rectangle_mlp: batch_size must be >= 1, got 0"),
+    ("models", [{"family": "svm_rbf", "params": {"C": "uniform:5,1"}}],
+     "uniform needs low <= high, got 5.0,1.0"),
+    ("models", [{"family": "random_forest", "params": {"max_depth": "int:3,1"}}],
+     "int needs low <= high, got 3,1"),
+    ("models", [{"family": "rp_ensemble",
+                 "params": {"selection_holdout_fraction": "uniform:0.5,1.5"}}],
+     "rp_ensemble: selection_holdout_fraction must lie in (0,1)"),
+    ("labels.horizons", [float("nan")], "label horizons must be positive"),
 ])
 def test_report_config_error_before_any_work(tmp_path, cohort, capsys,
                                              key, value, named):
@@ -437,6 +452,54 @@ def test_forest_param_out_of_range_before_data_is_read(tmp_path, capsys, command
     err = capsys.readouterr().err
     assert f"random_forest: {named}" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, family, param, named", [
+    ("train", "rectangle_mlp", "batch_size=0", "rectangle_mlp: batch_size must be >= 1, got 0"),
+    ("cv", "svm_rbf", "C=0", "svm_rbf: C must be > 0, got 0.0"),
+    ("cv", "l1_logistic", "lambda=-1", "l1_logistic: lambda must be >= 0, got -1.0"),
+    ("search", "rectangle_mlp", "learning_rate=uniform:-1,1",
+     "rectangle_mlp: learning_rate must be > 0, got -1.0"),
+    ("search", "svm_rbf", "C=uniform:5,1", "uniform needs low <= high, got 5.0,1.0"),
+    ("search", "random_forest", "max_depth=int:3,1", "int needs low <= high, got 3,1"),
+    ("search", "rp_ensemble", "selection_holdout_fraction=uniform:0.5,1.5",
+     "rp_ensemble: selection_holdout_fraction must lie in (0,1)"),
+])
+def test_param_out_of_range_before_data_is_read(tmp_path, capsys, command, family,
+                                                param, named):
+    """As for the forest above: exit 2 before the missing inputs are read."""
+    out_flag = "--model-out" if command == "train" else "--output"
+    code = cli.main([command, "--family", family, "--param", param,
+                     "--features", str(tmp_path / "missing.csv"),
+                     "--labels", str(tmp_path / "missing_labels.csv"),
+                     out_flag, str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {named}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("t", ["0", "-5", "nan"])
+def test_label_nonpositive_horizon_is_config_error_before_reading(tmp_path, capsys, t):
+    out = tmp_path / "labels.csv"
+    code = cli.main(["label", "--clinical", str(tmp_path / "missing.csv"),
+                     "--t", t, "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: --t must be positive, got {float(t)}\n")
+    assert not out.exists()
+
+
+def test_label_writes_kept_patients_in_clinical_order(tmp_path):
+    clinical = tmp_path / "clinical.csv"
+    dataio.save_clinical([ClinicalRecord("p2", 70.0, False),   # survived
+                          ClinicalRecord("p0", 10.0, False),   # dropped
+                          ClinicalRecord("p1", 60.0, True)],   # died
+                         clinical)
+    out = tmp_path / "labels.csv"
+    assert cli.main(["label", "--clinical", str(clinical), "--t", "60",
+                     "--output", str(out)]) == 0
+    assert out.read_bytes() == b"patient_id,label\r\np2,1\r\np1,0\r\n"
 
 
 @pytest.mark.parametrize("command, output_flag", [
@@ -567,3 +630,28 @@ class TestProjectionVariantNames(object):
         result = pipeline.run_experiment(config)
         names = {r.data for r in result["report"].rows}
         assert names == {"RNA raw age t=60", "RNA TSNE 2 age t=60"}
+
+    def test_tsne_variant_keeps_raw_patients_when_age_is_requested(self, tmp_path):
+        """A patient without a clinical record leaves the raw variant and
+        therefore the t-SNE variant too, instead of failing the projection."""
+        data = make_cohort(tmp_path, n_patients=40, n_genes=8)
+        clinical = dataio.load_clinical(data / "clinical.csv")
+        dataio.save_clinical(clinical[1:], data / "clinical.csv")
+        path = write_config(
+            tmp_path, data,
+            data={
+                "sources": [{"path": str(data / "microarray.csv"), "name": "micro"}],
+                "clinical": str(data / "clinical.csv"),
+                "include_age": True,
+                "projection_dims": [2],
+                "tsne": {"perplexity": 5, "iterations": 40},
+            },
+            models=[{"family": "gaussian_nb"}],
+        )
+        assert cli.main(["report", "--config", str(path)]) == 0
+        config = pipeline.load_config(path)
+        merged = normalize.log2_transform(dataio.load_expression(
+            data / "microarray.csv", platform_id="micro"))
+        raw, projected = pipeline._build_variants(config, merged, clinical[1:], None)
+        assert clinical[0].patient_id not in raw.features.patient_ids
+        assert projected.features.patient_ids == raw.features.patient_ids

@@ -74,6 +74,21 @@ class TestDistributions:
         draws = {dist.sample(rng) for _ in range(200)}
         assert draws == {1, 2, 3}
 
+    @pytest.mark.parametrize("text, message", [
+        ("uniform:5,1", "uniform needs low <= high, got 5.0,1.0"),
+        ("int:3,1", "int needs low <= high, got 3,1"),
+        ("loguniform:5,1", "loguniform needs 0 < low < high"),
+    ])
+    def test_reversed_bounds_rejected(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            search.parse_distribution(text)
+        assert str(info.value) == message
+
+    def test_single_point_ranges_allowed(self):
+        rng = np.random.default_rng(0)
+        assert search.Uniform(2.0, 2.0).sample(rng) == 2.0
+        assert search.IntUniform(3, 3).sample(rng) == 3
+
     def test_categorical(self):
         dist = search.Categorical(("a", "b"))
         rng = np.random.default_rng(0)
@@ -128,6 +143,17 @@ class TestSearchSpace:
             search.SearchSpace("rp_ensemble", {
                 "base_family": search.Categorical(("svm_rbf", "gaussian_nb")),
                 "base_hyperparameters": {"C": 1.0}})
+
+    @pytest.mark.parametrize("family, params, message", [
+        ("rp_ensemble", {"selection_holdout_fraction": search.Uniform(0.5, 1.5)},
+         "selection_holdout_fraction must lie in (0,1)"),
+        ("rp_ensemble", {"vote_threshold_alpha": search.Uniform(0.2, 1.0)},
+         "vote_threshold_alpha must lie in (0,1)"),
+    ])
+    def test_both_ends_of_a_range_checked(self, family, params, message):
+        with pytest.raises(ConfigError) as info:
+            search.SearchSpace(family, params)
+        assert str(info.value) == f"{family}: {message}"
 
     def test_categorical_coverage_default_seed(self):
         space = search.SearchSpace(

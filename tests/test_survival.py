@@ -29,6 +29,8 @@ class TestMakeLabel:
     def test_nonpositive_horizon(self):
         with pytest.raises(DataError):
             survival.make_label(record(), 0)
+        with pytest.raises(DataError, match="horizon must be positive, got nan"):
+            survival.make_label(record(), float("nan"))
 
     @given(st.floats(0, 200), st.booleans(), st.floats(0.1, 200))
     @settings(max_examples=200, deadline=None)
@@ -39,30 +41,6 @@ class TestMakeLabel:
         assert survival.make_label(record(time=c, event=event), t) is expected
 
 
-class TestPriors:
-    def test_counting(self):
-        priors = survival.ClassPriors(p_died=0.25, p_survived=0.75)
-        assert priors.p_died == 0.25
-
-    def test_sum_constraint(self):
-        with pytest.raises(DataError):
-            survival.ClassPriors(p_died=0.3, p_survived=0.8)
-
-    def test_from_dataset(self):
-        feats = FeatureMatrix([f"p{i}" for i in range(4)], ["f"],
-                              np.zeros((4, 1)))
-        clinical = [record(f"p{i}", time=100.0, event=False) for i in range(3)]
-        clinical.append(record("p3", time=10.0, event=True))
-        _, priors = survival.make_labeled_dataset(feats, clinical, 60.0)
-        assert priors.p_died == 0.25 and priors.p_survived == 0.75
-
-    def test_all_survive(self):
-        feats = FeatureMatrix(["p0", "p1"], ["f"], np.zeros((2, 1)))
-        clinical = [record("p0", time=100), record("p1", time=100)]
-        _, priors = survival.make_labeled_dataset(feats, clinical, 60.0)
-        assert priors.p_died == 0.0 and priors.p_survived == 1.0
-
-
 class TestMakeLabeledDataset:
     def test_drops_censored_and_unknown(self):
         feats = FeatureMatrix(["p0", "p1", "p2"], ["f"],
@@ -70,7 +48,7 @@ class TestMakeLabeledDataset:
         clinical = [record("p0", time=100.0, event=False),     # survived
                     record("p1", time=10.0, event=False)]      # dropped
         # p2 has no clinical record -> dropped
-        ds, _ = survival.make_labeled_dataset(feats, clinical, 60.0)
+        ds = survival.make_labeled_dataset(feats, clinical, 60.0)
         assert ds.features.patient_ids == ["p0"]
         np.testing.assert_array_equal(ds.labels, [1])
 
