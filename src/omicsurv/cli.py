@@ -8,7 +8,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -20,13 +19,13 @@ from . import (dataio, evaluation, models, normalize, pipeline, project,
 from .errors import ConfigError, DataError, OmicsurvError
 
 
-def _parse_kv(pairs: list[str], parse_value=search.coerce) -> dict:
+def _parse_kv(pairs: list[str]) -> dict:
     out = {}
     for pair in pairs or []:
         key, sep, value = pair.partition("=")
         if not sep:
             raise ConfigError(f"expected key=value, got {pair!r}")
-        out[key] = parse_value(value)
+        out[key] = search.coerce(value)
     return out
 
 
@@ -46,11 +45,9 @@ def _cmd_synth(args) -> int:
     dataio.save_cna(synth.gen_cna(config, latent), out / "cna.csv")
     records, truth = synth.gen_clinical(config, latent)
     dataio.save_clinical(records, out / "clinical.csv")
-    with open(out / "truth.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["patient_id", "true_death_time", "true_risk"])
-        for pid, death, risk in zip(truth.patient_ids, truth.death_times, truth.risk):
-            writer.writerow([pid, repr(float(death)), repr(float(risk))])
+    dataio.save_rows(out / "truth.csv", ["patient_id", "true_death_time", "true_risk"],
+                     ([pid, float(death), float(risk)] for pid, death, risk
+                      in zip(truth.patient_ids, truth.death_times, truth.risk)))
     print(f"wrote synthetic cohort to {out}")
     return 0
 
@@ -88,14 +85,10 @@ def _cmd_label(args) -> int:
 def _cmd_km(args) -> int:
     records = dataio.load_clinical(args.clinical)
     curves = survival.kaplan_meier(records, group_by=args.group_by)
-    with open(args.output, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "time", "survival", "at_risk"])
-        for curve in curves:
-            for t, s, r in zip(curve.event_times, curve.survival_probabilities,
-                               curve.at_risk_counts):
-                writer.writerow([curve.group_label or "", repr(float(t)),
-                                 repr(float(s)), int(r)])
+    dataio.save_rows(args.output, ["group", "time", "survival", "at_risk"], (
+        [curve.group_label, float(t), float(s), int(r)] for curve in curves
+        for t, s, r in zip(curve.event_times, curve.survival_probabilities,
+                           curve.at_risk_counts)))
     return 0
 
 
@@ -142,11 +135,9 @@ def _cmd_train(args) -> int:
         raise ConfigError(f"{args.family} reports no feature importances")
     models.save_model(model, args.model_out)
     if args.importance:
-        with open(args.importance, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["feature", "importance"])
-            for j in np.argsort(-importance):
-                writer.writerow([names[j], repr(float(importance[j]))])
+        dataio.save_rows(args.importance, ["feature", "importance"],
+                         ([names[j], float(importance[j])]
+                          for j in np.argsort(-importance)))
     print(f"saved {args.family} model to {args.model_out}")
     return 0
 
@@ -164,9 +155,8 @@ def _cmd_cv(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    params = _parse_kv(args.param,
-                       lambda text: search.parse_param(search.coerce(text)))
-    space = search.SearchSpace(family=args.family, params=params,
+    space = search.SearchSpace(family=args.family,
+                               params=search.parse_params(_parse_kv(args.param)),
                                budget=args.budget)
     x, y, _ = _load_xy(args.features, args.labels)
     plan = evaluation.CvPlan(k_folds=args.k, stratified=True, seed=args.seed)
@@ -176,12 +166,9 @@ def _cmd_search(args) -> int:
     print(f"best trial {best.index}: mean AUC {best.mean_auc:.4f} "
           f"params {json.dumps(best.params, sort_keys=True)}")
     if args.output:
-        with open(args.output, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "mean_auc", "params"])
-            for t in trials:
-                writer.writerow([t.index, repr(t.mean_auc),
-                                 json.dumps(t.params, sort_keys=True)])
+        dataio.save_rows(args.output, ["trial", "mean_auc", "params"],
+                         ([t.index, t.mean_auc, json.dumps(t.params, sort_keys=True)]
+                          for t in trials))
     return 0
 
 

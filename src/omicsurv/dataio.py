@@ -1,4 +1,5 @@
-"""Loading, validation and merging of matrix, clinical and labels tables.
+"""Loading, validation and merging of matrix, clinical and labels tables;
+the one module that writes a table or aligns tables by id.
 
 All tables are delimited UTF-8 text. Expression and CNA files share one
 layout: header ``patient_id,<gene>,<gene>,...`` with one row per patient.
@@ -23,7 +24,7 @@ import io
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -138,7 +139,6 @@ class FeatureMatrix:
 class MergeReport:
     """Bookkeeping of a multi-source merge."""
 
-    source_patient_counts: dict[str, int] = field(default_factory=dict)
     union_patient_count: int = 0
     intersection_gene_count: int = 0
     # patient_id -> platform_id of the source whose values won
@@ -390,11 +390,6 @@ def load_labels(path) -> dict[str, int]:
                        LABELS_HEADER, _label_row, "patient id")
 
 
-def _fmt(x: float) -> str:
-    # repr gives the shortest decimal that round-trips exactly
-    return repr(float(x))
-
-
 # The characters for which csv.writer's minimal quoting quotes a field.
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
@@ -425,25 +420,30 @@ def save_cna(matrix: CnaMatrix, path) -> None:
                   matrix.values.astype(np.int64, copy=False).tolist(), str)
 
 
-def save_clinical(records: list[ClinicalRecord], path) -> None:
+def _cell(x):
+    # repr gives the shortest decimal that round-trips exactly
+    return repr(float(x)) if isinstance(x, (float, np.floating)) else x
+
+
+def save_rows(path, header: list[str], rows) -> None:
+    """Write a table as ``csv.writer`` writes it to a UTF-8 file: CRLF line
+    ends, a field quoted only when it needs it, ``None`` as an empty cell and
+    every float (numpy floats too) as ``repr(float(x))``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CLINICAL_HEADER)
-        for r in records:
-            writer.writerow([
-                r.patient_id,
-                _fmt(r.observed_time_months),
-                "1" if r.event else "0",
-                "" if r.age_years is None else _fmt(r.age_years),
-                r.group_label or "",
-            ])
+        writer.writerow(header)
+        writer.writerows([_cell(x) for x in row] for row in rows)
+
+
+def save_clinical(records: list[ClinicalRecord], path) -> None:
+    save_rows(path, CLINICAL_HEADER, (
+        [r.patient_id, float(r.observed_time_months), int(r.event),
+         None if r.age_years is None else float(r.age_years), r.group_label]
+        for r in records))
 
 
 def save_labels(labels: dict[str, int], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LABELS_HEADER)
-        writer.writerows(labels.items())
+    save_rows(path, LABELS_HEADER, labels.items())
 
 
 def load_features(path) -> FeatureMatrix:
@@ -451,6 +451,24 @@ def load_features(path) -> FeatureMatrix:
     table.reject(path, ~np.isfinite(table.values), "feature values must be finite")
     return FeatureMatrix(patient_ids=table.row_ids, feature_names=table.col_ids,
                          values=table.values)
+
+
+def positions(ids: list[str], wanted: list[str], what: str) -> np.ndarray:
+    """The index in ``ids`` of each id of ``wanted``, in ``wanted``'s order;
+    a DataError names the first ``wanted`` ids that ``ids`` lacks."""
+    pos = {x: i for i, x in enumerate(ids)}
+    missing = [x for x in wanted if x not in pos]
+    if missing:
+        raise DataError(f"{what} not in matrix: {missing[:5]}")
+    return np.array([pos[x] for x in wanted], dtype=np.intp)
+
+
+def common_genes(sources: list[ExpressionMatrix], order: list[str]) -> list[str]:
+    """The genes of ``order`` that every source has, in ``order``'s order."""
+    common = set(order).intersection(*(s.gene_ids for s in sources))
+    if not common:
+        raise DataError("empty gene intersection across sources")
+    return [g for g in order if g in common]
 
 
 def merge(sources: list[ExpressionMatrix]) -> tuple[ExpressionMatrix, MergeReport]:
@@ -464,42 +482,34 @@ def merge(sources: list[ExpressionMatrix]) -> tuple[ExpressionMatrix, MergeRepor
     scales = {s.scale for s in sources}
     if len(scales) != 1:
         raise DataError(f"scale mismatch across sources: {sorted(scales)}")
-
-    common = set(sources[0].gene_ids)
-    for s in sources[1:]:
-        common &= set(s.gene_ids)
-    if not common:
-        raise DataError("empty gene intersection across sources")
     # keep the first source's gene order for determinism
-    genes = [g for g in sources[0].gene_ids if g in common]
+    genes = common_genes(sources, sources[0].gene_ids)
 
     report = MergeReport(intersection_gene_count=len(genes))
-    patient_order: list[str] = []
-    winner: dict[str, tuple[ExpressionMatrix, int]] = {}
-    for src in sources:
-        report.source_patient_counts[src.platform_id] = src.n_patients
-        for i, pid in enumerate(src.patient_ids):
-            if pid not in winner:
-                patient_order.append(pid)
-                winner[pid] = (src, i)
+    first: dict[str, int] = {}  # patient_id -> index of the first source with it
+    for k, src in enumerate(sources):
+        for pid in src.patient_ids:
+            if pid not in first:
+                first[pid] = k
             else:
                 # duplicate patient: earliest source wins
-                report.resolutions[pid] = winner[pid][0].platform_id
-    report.union_patient_count = len(patient_order)
+                report.resolutions[pid] = sources[first[pid]].platform_id
+    report.union_patient_count = len(first)
 
-    out = np.empty((len(patient_order), len(genes)))
-    col_cache: dict[int, np.ndarray] = {}
-    for r, pid in enumerate(patient_order):
-        src, i = winner[pid]
-        key = id(src)
-        if key not in col_cache:
-            gene_pos = {g: j for j, g in enumerate(src.gene_ids)}
-            col_cache[key] = np.array([gene_pos[g] for g in genes])
-        out[r] = src.values[i, col_cache[key]]
+    # a source's first-seen patients are one contiguous block of the output,
+    # copied a row at a time so that no second output-sized array is made
+    out = np.empty((len(first), len(genes)))
+    r = 0
+    for k, src in enumerate(sources):
+        cols = positions(src.gene_ids, genes, "genes")
+        for i, pid in enumerate(src.patient_ids):
+            if first[pid] == k:
+                out[r] = src.values[i, cols]
+                r += 1
 
     merged = ExpressionMatrix(
         platform_id="+".join(s.platform_id for s in sources),
-        patient_ids=patient_order,
+        patient_ids=list(first),
         gene_ids=genes,
         values=out,
         scale=sources[0].scale,
@@ -509,18 +519,8 @@ def merge(sources: list[ExpressionMatrix]) -> tuple[ExpressionMatrix, MergeRepor
 
 def subset_patients(matrix: ExpressionMatrix, patient_ids: list[str]) -> ExpressionMatrix:
     """Row-restrict a matrix to the given patients, in the given order."""
-    pos = {p: i for i, p in enumerate(matrix.patient_ids)}
-    missing = [p for p in patient_ids if p not in pos]
-    if missing:
-        raise DataError(f"patients not in matrix: {missing[:5]}")
-    idx = np.array([pos[p] for p in patient_ids])
-    return ExpressionMatrix(
-        platform_id=matrix.platform_id,
-        patient_ids=list(patient_ids),
-        gene_ids=matrix.gene_ids,
-        values=matrix.values[idx].copy(),
-        scale=matrix.scale,
-    )
+    rows = positions(matrix.patient_ids, patient_ids, "patients")
+    return replace(matrix, patient_ids=list(patient_ids), values=matrix.values[rows])
 
 
 def build_features(expr: ExpressionMatrix, clinical: list[ClinicalRecord],
@@ -535,8 +535,8 @@ def build_features(expr: ExpressionMatrix, clinical: list[ClinicalRecord],
     by_id = {r.patient_id: r for r in clinical}
     keep = list(expr.patient_ids)
     if cna is not None:
-        cna_pos = {p: i for i, p in enumerate(cna.patient_ids)}
-        keep = [p for p in keep if p in cna_pos]
+        in_cna = set(cna.patient_ids)
+        keep = [p for p in keep if p in in_cna]
     if include_age:
         present = [p for p in keep if p in by_id]
         for p in present:
@@ -546,13 +546,11 @@ def build_features(expr: ExpressionMatrix, clinical: list[ClinicalRecord],
     if not keep:
         raise DataError("no patients shared across the provided inputs")
 
-    expr_pos = {p: i for i, p in enumerate(expr.patient_ids)}
-    idx = np.array([expr_pos[p] for p in keep])
-    blocks = [expr.values[idx]]
+    blocks = [expr.values[positions(expr.patient_ids, keep, "patients")]]
     names = list(expr.gene_ids)
     if cna is not None:
-        cidx = np.array([cna_pos[p] for p in keep])
-        blocks.append(cna.values[cidx].astype(np.float64))
+        rows = positions(cna.patient_ids, keep, "patients")
+        blocks.append(cna.values[rows].astype(np.float64))
         names += [f"cna:{g}" for g in cna.gene_ids]
     if include_age:
         ages = np.array([[by_id[p].age_years] for p in keep])

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import models
+from . import dataio, models
 from .errors import ConfigError, DataError
 from .ranks import average_ranks, tie_groups
 
@@ -58,17 +58,11 @@ class EvalReport:
         }
 
     def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["model", "data", "fold", "auc", "n_test"])
-            for r in self.rows:
-                writer.writerow([r.model, r.data, r.fold, repr(r.auc), r.n_test])
-            writer.writerow([])
-            writer.writerow(["model", "data", "mean_auc", "std_auc", ""])
-            for (model, data), (mean, std) in sorted(self.aggregates().items()):
-                writer.writerow([model, data, repr(mean), repr(std), ""])
+        rows = [[r.model, r.data, r.fold, r.auc, r.n_test] for r in self.rows]
+        rows += [[], ["model", "data", "mean_auc", "std_auc", ""]]
+        rows += [[model, data, mean, std, ""]
+                 for (model, data), (mean, std) in sorted(self.aggregates().items())]
+        dataio.save_rows(path, ["model", "data", "fold", "auc", "n_test"], rows)
 
 
 def _class_counts(labels: np.ndarray) -> tuple[int, int]:

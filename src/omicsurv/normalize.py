@@ -8,9 +8,11 @@ endpoint clamping; ties get the average rank so tied inputs stay tied.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .dataio import ExpressionMatrix, merge
+from .dataio import ExpressionMatrix, common_genes, merge, positions
 from .errors import DataError
 from .ranks import average_ranks
 
@@ -56,18 +58,11 @@ def fsqn(target: ExpressionMatrix, reference: ExpressionMatrix) -> ExpressionMat
     if reference.n_patients < 2:
         raise DataError("reference needs at least 2 patients")
 
-    ref_pos = {g: j for j, g in enumerate(reference.gene_ids)}
+    ref_cols = positions(reference.gene_ids, target.gene_ids, "genes")
     out = np.empty_like(target.values)
-    for j, gene in enumerate(target.gene_ids):
-        out[:, j] = quantile_map(target.values[:, j],
-                                 reference.values[:, ref_pos[gene]])
-    return ExpressionMatrix(
-        platform_id=target.platform_id,
-        patient_ids=target.patient_ids,
-        gene_ids=target.gene_ids,
-        values=out,
-        scale=target.scale,
-    )
+    for j, col in enumerate(ref_cols):
+        out[:, j] = quantile_map(target.values[:, j], reference.values[:, col])
+    return replace(target, values=out)
 
 
 def integrate(sources: list[ExpressionMatrix], reference_index: int) -> ExpressionMatrix:
@@ -78,23 +73,11 @@ def integrate(sources: list[ExpressionMatrix], reference_index: int) -> Expressi
     """
     if not 0 <= reference_index < len(sources):
         raise DataError(f"reference_index {reference_index} out of range")
-    common = set(sources[0].gene_ids)
-    for s in sources[1:]:
-        common &= set(s.gene_ids)
-    if not common:
-        raise DataError("empty gene intersection across sources")
-    genes = [g for g in sources[reference_index].gene_ids if g in common]
+    genes = common_genes(sources, sources[reference_index].gene_ids)
 
     def restrict(m: ExpressionMatrix) -> ExpressionMatrix:
-        pos = {g: j for j, g in enumerate(m.gene_ids)}
-        idx = np.array([pos[g] for g in genes])
-        return ExpressionMatrix(
-            platform_id=m.platform_id,
-            patient_ids=m.patient_ids,
-            gene_ids=genes,
-            values=m.values[:, idx].copy(),
-            scale=m.scale,
-        )
+        return replace(m, gene_ids=genes,
+                       values=m.values[:, positions(m.gene_ids, genes, "genes")])
 
     reference = restrict(sources[reference_index])
     ordered = [reference]

@@ -11,7 +11,6 @@ bit-identical across reruns and worker counts.
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
 import hashlib
 import json
@@ -107,8 +106,7 @@ def _apply_override(raw: dict, dotted: str, value):
 
 
 def _search_space(family: str, params: dict, budget: int) -> search.SearchSpace:
-    return search.SearchSpace(
-        family, {k: search.parse_param(v) for k, v in params.items()}, budget)
+    return search.SearchSpace(family, search.parse_params(params), budget)
 
 
 def _config_from_dict(raw: dict) -> ExperimentConfig:
@@ -255,8 +253,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                             worker_count=config.worker_count)
                         for t in trials:
                             trial_rows.append([
-                                space.family, data_name, t.index,
-                                repr(t.mean_auc),
+                                space.family, data_name, t.index, t.mean_auc,
                                 json.dumps(t.params, sort_keys=True),
                             ])
                         report.rows.extend(replace(row, data=data_name)
@@ -266,10 +263,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
             report_path = out_dir / "report.csv"
             report.to_csv(report_path)
             trials_path = out_dir / "trials.csv"
-            with open(trials_path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["model", "data", "trial", "mean_auc", "params"])
-                writer.writerows(trial_rows)
+            dataio.save_rows(trials_path,
+                             ["model", "data", "trial", "mean_auc", "params"], trial_rows)
             manifest["outputs"] = [report_path.name, trials_path.name]
             manifest["complete"] = True
             flush_manifest()

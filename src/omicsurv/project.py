@@ -46,8 +46,11 @@ class TsneConfig:
             raise ConfigError("output_dims must be >= 1")
         if self.perplexity <= 0 or self.learning_rate <= 0:
             raise ConfigError("perplexity and learning_rate must be > 0")
-        if self.iterations < 1 or self.early_exaggeration_iters < 0:
-            raise ConfigError("iteration counts must be non-negative")
+        if self.iterations < 1:
+            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+        if self.early_exaggeration_iters < 0:
+            raise ConfigError("early_exaggeration_iters must be >= 0, "
+                              f"got {self.early_exaggeration_iters}")
         if self.early_exaggeration_factor < 1:
             raise ConfigError("early_exaggeration_factor must be >= 1")
 

@@ -40,7 +40,8 @@ class LogUniform:
 
     def __post_init__(self):
         if self.low <= 0 or self.high <= self.low:
-            raise ConfigError("loguniform needs 0 < low < high")
+            raise ConfigError("loguniform needs 0 < low < high, "
+                              f"got {self.low},{self.high}")
 
     def sample(self, rng):
         return float(np.exp(rng.uniform(np.log(self.low), np.log(self.high))))
@@ -95,6 +96,17 @@ def parse_param(value):
     if isinstance(value, str) and ":" in value:
         return parse_distribution(value)
     return value
+
+
+def parse_params(params: dict) -> dict:
+    """``parse_param`` of every value; an error in a spec names its key."""
+    out = {}
+    for key, value in params.items():
+        try:
+            out[key] = parse_param(value)
+        except ConfigError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+    return out
 
 
 def coerce(text: str):

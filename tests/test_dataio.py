@@ -360,6 +360,13 @@ class TestMerge:
         # p1 exists only in A
         np.testing.assert_array_equal(merged.values[0], a.values[0, [1, 2]])
 
+    def test_first_source_gene_order(self):
+        a = expr([[1, 2, 3]], ["p1"], ["g3", "g1", "g2"], platform="A")
+        b = expr([[4, 5, 6, 7]], ["p2"], ["g1", "g4", "g2", "g3"], platform="B")
+        merged, _ = dataio.merge([a, b])
+        assert merged.gene_ids == ["g3", "g1", "g2"]
+        np.testing.assert_array_equal(merged.values, [[1, 2, 3], [7, 4, 6]])
+
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_associativity_of_sets(self, seed):

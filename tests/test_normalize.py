@@ -114,6 +114,16 @@ class TestIntegrate:
         out = normalize.integrate([ref], 0)
         np.testing.assert_allclose(out.values, ref.values)
 
+    def test_reference_gene_order(self):
+        a = expr([[2, 1], [4, 3]], ["a1", "a2"], ["g1", "g2"], platform="a")
+        ref = expr([[7, 6, 5], [10, 9, 8]], ["r1", "r2"], ["g2", "g9", "g1"],
+                   platform="r")
+        out = normalize.integrate([a, ref], 1)
+        assert out.gene_ids == ["g2", "g1"]
+        assert out.patient_ids == ["r1", "r2", "a1", "a2"]
+        # a's g2 (1, 3) maps onto the reference's (7, 10), its g1 (2, 4) onto (5, 8)
+        np.testing.assert_array_equal(out.values, [[7, 5], [10, 8], [7, 5], [10, 8]])
+
     def test_two_platform_ks(self):
         config = synth.SynthConfig(n_patients=600, n_genes=20,
                                    n_informative_genes=0, seed=1)

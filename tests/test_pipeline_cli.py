@@ -214,6 +214,16 @@ class TestCli:
         assert proj.feature_names == ["tsne_0", "tsne_1"]
         assert proj.n_patients == 30
 
+    def test_project_iterations_below_one(self, tmp_path, capsys):
+        data = make_cohort(tmp_path, n_patients=30, n_genes=6)
+        out = tmp_path / "proj.csv"
+        code = cli.main(["project", "--features", str(data / "microarray.csv"),
+                         "--iterations", "0", "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: iterations must be >= 1, got 0\n")
+        assert not out.exists()
+
     def labels_for(self, tmp_path, data):
         labels = tmp_path / "labels.csv"
         cli.main(["label", "--clinical", str(data / "clinical.csv"),
@@ -402,6 +412,12 @@ def cohort(tmp_path_factory):
                  "params": {"selection_holdout_fraction": "uniform:0.5,1.5"}}],
      "rp_ensemble: selection_holdout_fraction must lie in (0,1)"),
     ("labels.horizons", [float("nan")], "label horizons must be positive"),
+    ("models", [{"family": "svm_rbf", "params": {"gamma": "uniform:5,1"}}],
+     "config error: models[0]: gamma: uniform needs low <= high, got 5.0,1.0\n"),
+    ("data.tsne", {"iterations": 0},
+     "config error: data.tsne: iterations must be >= 1, got 0\n"),
+    ("data.tsne", {"early_exaggeration_iters": -1},
+     "config error: data.tsne: early_exaggeration_iters must be >= 0, got -1\n"),
 ])
 def test_report_config_error_before_any_work(tmp_path, cohort, capsys,
                                              key, value, named):
@@ -460,10 +476,13 @@ def test_forest_param_out_of_range_before_data_is_read(tmp_path, capsys, command
     ("cv", "l1_logistic", "lambda=-1", "l1_logistic: lambda must be >= 0, got -1.0"),
     ("search", "rectangle_mlp", "learning_rate=uniform:-1,1",
      "rectangle_mlp: learning_rate must be > 0, got -1.0"),
-    ("search", "svm_rbf", "C=uniform:5,1", "uniform needs low <= high, got 5.0,1.0"),
-    ("search", "random_forest", "max_depth=int:3,1", "int needs low <= high, got 3,1"),
+    ("search", "svm_rbf", "C=uniform:5,1", "C: uniform needs low <= high, got 5.0,1.0"),
+    ("search", "random_forest", "max_depth=int:3,1",
+     "max_depth: int needs low <= high, got 3,1"),
     ("search", "rp_ensemble", "selection_holdout_fraction=uniform:0.5,1.5",
      "rp_ensemble: selection_holdout_fraction must lie in (0,1)"),
+    ("search", "svm_rbf", "gamma=loguniform:1,0.5",
+     "gamma: loguniform needs 0 < low < high, got 1.0,0.5"),
 ])
 def test_param_out_of_range_before_data_is_read(tmp_path, capsys, command, family,
                                                 param, named):

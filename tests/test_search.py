@@ -77,7 +77,7 @@ class TestDistributions:
     @pytest.mark.parametrize("text, message", [
         ("uniform:5,1", "uniform needs low <= high, got 5.0,1.0"),
         ("int:3,1", "int needs low <= high, got 3,1"),
-        ("loguniform:5,1", "loguniform needs 0 < low < high"),
+        ("loguniform:5,1", "loguniform needs 0 < low < high, got 5.0,1.0"),
     ])
     def test_reversed_bounds_rejected(self, text, message):
         with pytest.raises(ConfigError) as info:
