@@ -6,7 +6,10 @@ can be checked to leave the model unchanged:
 - the rp_ensemble fit with its defaults (100 groups x 20 projections, dim 5,
   Gaussian-NB base, seed 0), whose JSON is the model file's ``state``;
 - the random_forest fit with 50 trees of max_depth 8 (seed 0), whose JSON is
-  the model file's, format_version included.
+  the model file's, format_version included;
+- the l1_logistic fit at lambda 0.01 with the default max_sweeps and tol,
+  also printing the sweeps run and whether they converged, whose JSON is the
+  model file's ``state``.
 
 The cohort is drawn in memory with omicsurv.synth (seed 0). The features are
 the log2 microarray table, labelled at a 60-month horizon as
@@ -65,6 +68,13 @@ def main():
     seconds, model = best_of_3(lambda: models.fit(spec, x, y))
     print(f"random_forest    {seconds:8.3f} s  (50 trees, max_depth 8)")
     print(f"model json sha256 {sha256_of(models.to_jsonable(model))}")
+
+    spec = models.ModelSpec("l1_logistic", {"lambda": 0.01}, seed=0)
+    seconds, model = best_of_3(lambda: models.fit(spec, x, y))
+    state = model.state
+    print(f"l1_logistic      {seconds:8.3f} s  "
+          f"(lambda 0.01, {state.sweeps} sweeps, converged {state.converged})")
+    print(f"model json sha256 {sha256_of(models.to_jsonable(model)['state'])}")
 
 
 if __name__ == "__main__":

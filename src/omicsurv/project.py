@@ -43,16 +43,20 @@ class TsneConfig:
 
     def __post_init__(self):
         if self.output_dims < 1:
-            raise ConfigError("output_dims must be >= 1")
-        if self.perplexity <= 0 or self.learning_rate <= 0:
-            raise ConfigError("perplexity and learning_rate must be > 0")
+            raise ConfigError(f"output_dims must be >= 1, got {self.output_dims}")
+        # written "not x > 0" so that NaN fails too
+        if not self.perplexity > 0:
+            raise ConfigError(f"perplexity must be > 0, got {self.perplexity}")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.early_exaggeration_iters < 0:
             raise ConfigError("early_exaggeration_iters must be >= 0, "
                               f"got {self.early_exaggeration_iters}")
-        if self.early_exaggeration_factor < 1:
-            raise ConfigError("early_exaggeration_factor must be >= 1")
+        if not self.early_exaggeration_factor >= 1:
+            raise ConfigError("early_exaggeration_factor must be >= 1, "
+                              f"got {self.early_exaggeration_factor}")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from omicsurv import evaluation, models, search
+from omicsurv import dataio, evaluation, models, normalize, search, survival, synth
 from omicsurv.errors import ConfigError, DataError
 from omicsurv.models import logistic, mlp
 
@@ -269,10 +269,32 @@ class TestL1Logistic:
         capped = models.fit(
             spec("l1_logistic", **{"lambda": 0.001}, max_sweeps=20), x, y).state
         assert capped.sweeps == 20 and capped.converged is False
-        # the default max_sweeps and tol suffice at this lambda: 162 sweeps
+        # the default max_sweeps and tol suffice at this lambda: 73 sweeps
         done = models.fit(spec("l1_logistic", **{"lambda": 0.05}), x, y).state
         assert done.converged is True and done.sweeps < 200
         assert "sweeps" not in logistic.to_jsonable(done)
+
+    def test_constant_columns_get_no_weight(self):
+        gen = np.random.default_rng(0)
+        x = gen.normal(0, 1, (60, 5))
+        x[:, 2], x[:, 3] = 0.1, -3.7   # their means are off by an ulp
+        y = (x[:, 0] > 0).astype(int)
+        state = models.fit(spec("l1_logistic", **{"lambda": 0.0}), x, y).state
+        assert state.weights[2] == 0.0 and state.weights[3] == 0.0
+
+    def test_converges_on_model_layers_cohort(self):
+        """The cohort of scripts/time_model_layers.py: 300 x 500 log2
+        microarray, labelled at 60 months (213 labelled)."""
+        config = synth.SynthConfig(n_patients=300, n_genes=500,
+                                   n_informative_genes=5, seed=0)
+        latent = synth.gen_latent(config)
+        micro = normalize.log2_transform(synth.gen_microarray(config, latent))
+        clinical, _ = synth.gen_clinical(config, latent)
+        dataset = survival.make_labeled_dataset(
+            dataio.build_features(micro, clinical), clinical, 60.0)
+        x, y = dataset.features.values, dataset.labels
+        state = models.fit(spec("l1_logistic", **{"lambda": 0.01}), x, y).state
+        assert state.converged is True and state.sweeps < 200
 
 
 class TestRandomForest:

@@ -224,6 +224,16 @@ class TestCli:
             "config error: iterations must be >= 1, got 0\n")
         assert not out.exists()
 
+    def test_project_nan_perplexity(self, tmp_path, capsys):
+        data = make_cohort(tmp_path, n_patients=30, n_genes=6)
+        out = tmp_path / "proj.csv"
+        code = cli.main(["project", "--features", str(data / "microarray.csv"),
+                         "--perplexity", "nan", "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: perplexity must be > 0, got nan\n")
+        assert not out.exists()
+
     def labels_for(self, tmp_path, data):
         labels = tmp_path / "labels.csv"
         cli.main(["label", "--clinical", str(data / "clinical.csv"),
@@ -418,6 +428,8 @@ def cohort(tmp_path_factory):
      "config error: data.tsne: iterations must be >= 1, got 0\n"),
     ("data.tsne", {"early_exaggeration_iters": -1},
      "config error: data.tsne: early_exaggeration_iters must be >= 0, got -1\n"),
+    ("data.tsne", {"learning_rate": float("nan")},
+     "config error: data.tsne: learning_rate must be > 0, got nan\n"),
 ])
 def test_report_config_error_before_any_work(tmp_path, cohort, capsys,
                                              key, value, named):

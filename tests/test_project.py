@@ -170,6 +170,23 @@ class TestTsne:
                                    rtol=1e-7, atol=1e-10)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("perplexity", float("nan"), "perplexity must be > 0, got nan"),
+    ("perplexity", 0.0, "perplexity must be > 0, got 0.0"),
+    ("learning_rate", float("nan"), "learning_rate must be > 0, got nan"),
+    ("learning_rate", -1.0, "learning_rate must be > 0, got -1.0"),
+    ("early_exaggeration_factor", float("nan"),
+     "early_exaggeration_factor must be >= 1, got nan"),
+    ("early_exaggeration_factor", 0.5,
+     "early_exaggeration_factor must be >= 1, got 0.5"),
+    ("output_dims", 0, "output_dims must be >= 1, got 0"),
+])
+def test_tsne_config_rejects_out_of_range(key, value, message):
+    with pytest.raises(ConfigError) as excinfo:
+        project.TsneConfig(**{key: value})
+    assert str(excinfo.value) == message
+
+
 class TestProjectWithAge:
     def features(self, n=24):
         gen = np.random.default_rng(5)

@@ -1,11 +1,14 @@
-"""The level-wise growth of ``random_forest``, the cached residual of
-``l1_logistic``, the stacked group pass of ``rp_ensemble`` and the buffered
-iteration loop of exact t-SNE against the per-feature, per-coordinate,
-per-projection and allocate-per-iteration loops they replaced, kept here as
-reference code: trees, weights, ensembles and embeddings must match bit for
-bit. The reference forest visits its nodes breadth-first, as ``fit`` draws
-them, and scores each node's candidate features one at a time. The t-SNE KL trace, computed with one log per iteration, must match
-the masked per-entry formula within rounding."""
+"""The level-wise growth of ``random_forest``, the stacked group pass of
+``rp_ensemble`` and the buffered iteration loop of exact t-SNE against the
+per-feature, per-projection and allocate-per-iteration loops they replaced,
+kept here as reference code: trees, ensembles and embeddings must match bit
+for bit. The reference forest visits its nodes breadth-first, as ``fit``
+draws them, and scores each node's candidate features one at a time. The
+t-SNE KL trace, computed with one log per iteration, must match the masked
+per-entry formula within rounding. ``l1_logistic`` centers its columns and
+bounds the loss once per sweep, so its weights differ from those of the
+uncentered per-coordinate loop kept here; its objective must be no higher
+after as many sweeps."""
 
 import json
 
@@ -429,16 +432,38 @@ def test_forest_scores_the_same_after_save_and_load(tmp_path):
             == models.predict_scores(model, query).tobytes())
 
 
-@pytest.mark.parametrize("lam", [1e-3, 1e-2, 1e6])
+@pytest.mark.parametrize("lam", [1e-3, 1e-2, 5e-2, 1e6])
 @pytest.mark.parametrize("shape, seed", [((60, 15), 1), ((25, 40), 2)])
 def test_logistic_matches_per_coordinate_loop(lam, shape, seed):
+    """Centered columns and one majorizer per sweep reach an objective no
+    higher than the uncentered per-coordinate loop after as many sweeps."""
     x, y = _xy(*shape, seed=seed)
+    for sweeps in (30, 200):
+        params = models.read_params("l1_logistic",
+                                    {"lambda": lam, "max_sweeps": sweeps})
+        state = logistic.fit(x, y, params, seed=0)
+        weights, intercept = _ref_logistic(x, y, params)
+        ref = logistic.LogisticState(weights, intercept, lam, sweeps=0, converged=False)
+        assert logistic.objective(state, x, y) <= logistic.objective(ref, x, y) + 1e-12
+        if lam == 1e6:
+            assert (state.weights == 0).all() and (weights == 0).all()
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e-2, 5e-2])
+@pytest.mark.parametrize("shape, seed", [((60, 15), 1), ((25, 40), 2)])
+def test_logistic_translation_invariant(lam, shape, seed):
+    """Adding a constant to each column leaves the weights where they were
+    and moves only the intercept, so the scores stay put."""
+    x, y = _xy(*shape, seed=seed)
+    shifted = x + np.random.default_rng(seed).uniform(-20.0, 20.0, shape[1])
     params = models.read_params("l1_logistic", {"lambda": lam, "max_sweeps": 50})
     state = logistic.fit(x, y, params, seed=0)
-    weights, intercept = _ref_logistic(x, y, params)
-    assert np.array_equal(state.weights, weights)
-    assert state.weights.tobytes() == weights.tobytes()
-    assert state.intercept == intercept
+    moved = logistic.fit(shifted, y, params, seed=0)
+    scale = np.max(np.abs(state.weights))
+    assert scale > 0
+    assert np.max(np.abs(moved.weights - state.weights)) <= 1e-9 * scale
+    np.testing.assert_allclose(logistic.scores(moved, shifted),
+                               logistic.scores(state, x), rtol=0, atol=1e-9)
 
 
 def test_sigmoid_matches_masked_form():
