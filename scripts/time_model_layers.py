@@ -9,6 +9,11 @@ can be checked to leave the model unchanged:
   the model file's, format_version included;
 - the l1_logistic fit at lambda 0.01 with the default max_sweeps and tol,
   also printing the sweeps run and whether they converged, whose JSON is the
+  model file's ``state``;
+- the svm_rbf fit with its default PARAMS (seed 0), also printing the SMO
+  steps taken and whether they converged, whose JSON is the model file's
+  ``state``;
+- the rectangle_mlp fit with its default PARAMS (seed 0), whose JSON is the
   model file's ``state``.
 
 The cohort is drawn in memory with omicsurv.synth (seed 0). The features are
@@ -74,6 +79,19 @@ def main():
     state = model.state
     print(f"l1_logistic      {seconds:8.3f} s  "
           f"(lambda 0.01, {state.sweeps} sweeps, converged {state.converged})")
+    print(f"model json sha256 {sha256_of(models.to_jsonable(model)['state'])}")
+
+    spec = models.ModelSpec("svm_rbf", {}, seed=0)
+    seconds, model = best_of_3(lambda: models.fit(spec, x, y))
+    state = model.state
+    print(f"svm_rbf          {seconds:8.3f} s  "
+          f"(default params, {state.iterations} SMO steps, "
+          f"converged {state.converged})")
+    print(f"model json sha256 {sha256_of(models.to_jsonable(model)['state'])}")
+
+    spec = models.ModelSpec("rectangle_mlp", {}, seed=0)
+    seconds, model = best_of_3(lambda: models.fit(spec, x, y))
+    print(f"rectangle_mlp    {seconds:8.3f} s  (default params)")
     print(f"model json sha256 {sha256_of(models.to_jsonable(model)['state'])}")
 
 

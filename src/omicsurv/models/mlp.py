@@ -5,6 +5,13 @@ and the regressor (mean squared error against the ``y`` it is given: observed
 survival times through the Python API, the 0/1 horizon labels in ``cv``,
 ``search`` and ``report``). tanh keeps the loss smooth so finite-difference
 gradient checks are exact to first order everywhere.
+
+Training computes no loss: a minibatch step needs only the gradient at the
+output, so the loss lives in ``loss_and_gradients`` alone. ``fit``,
+``scores`` and ``loss_and_gradients`` share one forward and one backward
+pass, which add the bias, take tanh and 1 - a^2, and scale the update by the
+learning rate in place, with the same operations in the same order as on
+fresh arrays.
 """
 
 from __future__ import annotations
@@ -37,30 +44,50 @@ def _forward(weights, biases, x):
     """Returns the list of layer activations; last entry is the raw output."""
     acts = [x]
     h = x
+    last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        z = h @ w + b
-        h = z if i == len(weights) - 1 else np.tanh(z)
+        h = h @ w
+        h += b
+        if i < last:
+            np.tanh(h, out=h)
         acts.append(h)
     return acts
 
 
-def _loss_and_output_grad(out: np.ndarray, y: np.ndarray, task: str):
-    n = len(y)
+def _target(y: np.ndarray, task: str) -> np.ndarray:
+    """What the output is fitted to: y in {-1, 1} for the classifier, y
+    itself for the regressor."""
+    return 2.0 * y - 1.0 if task == "classify" else y
+
+
+def _output_grad(out: np.ndarray, target: np.ndarray, task: str) -> np.ndarray:
+    """Gradient of the mean loss with respect to ``out``."""
+    n = len(target)
     if task == "classify":
-        y_pm = 2.0 * y - 1.0
-        margins = y_pm * out
-        loss = float(np.mean(np.logaddexp(0.0, -margins)))
-        sig = 1.0 / (1.0 + np.exp(np.clip(margins, -500, 500)))
-        dout = -(y_pm * sig) / n
+        # -y_pm * sigmoid(-margin) / n, the margins clipped against overflow
+        dout = target * out
+        np.clip(dout, -500, 500, out=dout)
+        np.exp(dout, out=dout)
+        dout += 1.0
+        np.divide(1.0, dout, out=dout)
+        dout *= target
+        dout /= -n
     else:
-        resid = y - out
-        loss = float(np.mean(resid ** 2))
-        dout = -2.0 * resid / n
-    return loss, dout
+        dout = target - out
+        dout *= -2.0
+        dout /= n
+    return dout
+
+
+def _loss(out: np.ndarray, target: np.ndarray, task: str) -> float:
+    if task == "classify":
+        return float(np.mean(np.logaddexp(0.0, -(target * out))))
+    return float(np.mean((target - out) ** 2))
 
 
 def _backward(weights, acts, dout):
-    """Backprop; returns (weight grads, bias grads) matching the param lists."""
+    """Backprop; returns (weight grads, bias grads) matching the param lists.
+    Overwrites the hidden activations with 1 - a^2."""
     gw = [None] * len(weights)
     gb = [None] * len(weights)
     delta = dout[:, None] if dout.ndim == 1 else dout
@@ -68,15 +95,20 @@ def _backward(weights, acts, dout):
         gw[i] = acts[i].T @ delta
         gb[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ weights[i].T) * (1.0 - acts[i] ** 2)
+            slope = acts[i]
+            np.square(slope, out=slope)
+            np.subtract(1.0, slope, out=slope)
+            delta = delta @ weights[i].T
+            delta *= slope
     return gw, gb
 
 
 def loss_and_gradients(state: MlpState, x: np.ndarray, y: np.ndarray):
     acts = _forward(state.weights, state.biases, x)
     out = acts[-1][:, 0]
-    loss, dout = _loss_and_output_grad(out, y, state.task)
-    gw, gb = _backward(state.weights, acts, dout)
+    target = _target(y, state.task)
+    loss = _loss(out, target, state.task)
+    gw, gb = _backward(state.weights, acts, _output_grad(out, target, state.task))
     return loss, gw, gb
 
 
@@ -101,7 +133,7 @@ def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
     weights, biases = _init_params(x.shape[1], params["width"],
                                    params["n_hidden_layers"], rng)
     state = MlpState(weights=weights, biases=biases, task=task)
-    yf = y.astype(np.float64)
+    target = _target(y.astype(np.float64), task)
 
     n = len(y)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
@@ -109,10 +141,14 @@ def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,
         order = shuffle_rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            _, gw, gb = loss_and_gradients(state, x[idx], yf[idx])
-            for w, b, dw, db in zip(state.weights, state.biases, gw, gb):
-                w -= lr * dw
-                b -= lr * db
+            acts = _forward(weights, biases, x[idx])
+            dout = _output_grad(acts[-1][:, 0], target[idx], task)
+            gw, gb = _backward(weights, acts, dout)
+            for w, b, dw, db in zip(weights, biases, gw, gb):
+                dw *= lr
+                w -= dw
+                db *= lr
+                b -= db
     return state
 
 

@@ -28,6 +28,9 @@ from .dataio import ClinicalRecord, FeatureMatrix
 from .errors import ConfigError, DataError
 
 _EPS = 1e-12
+# elements of each temporary of the bandwidth search (512 KiB: a block stays
+# in cache through the dozen passes one evaluation makes over it)
+_BLOCK_ELEMENTS = 1 << 16
 _MOMENTUM_SWITCH_ITER = 250
 
 
@@ -79,16 +82,70 @@ def _pairwise_sq_dists(x: np.ndarray, out: np.ndarray | None = None,
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _conditional_row(d2_row: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
-    """Conditional distribution for one point at precision beta, and its
-    perplexity 2^H."""
-    logits = -beta * d2_row
-    logits -= logits.max()
-    p = np.exp(logits)
-    z = p.sum()
-    p /= z
-    h_nats = -np.sum(p * np.log(np.maximum(p, _EPS)))
-    return p, float(np.exp(h_nats))
+def _conditional_rows(d2: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional distribution of each row of ``d2`` at its precision in
+    ``beta``, and each row's perplexity 2^H."""
+    p = -beta[:, None] * d2
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    plogp = np.maximum(p, _EPS)
+    np.log(plogp, out=plogp)
+    plogp *= p
+    return p, np.exp(-plogp.sum(axis=1))
+
+
+def _bandwidth_search(d2: np.ndarray, perplexity: float, tol: float) -> np.ndarray:
+    """Conditional distributions at the target perplexity, one row per point
+    of the (n, n - 1) off-diagonal squared distances ``d2``.
+
+    Every row's precision is bracketed and then bisected at once: each step
+    evaluates the rows still searching, a block of rows at a time, and a row
+    leaves once it is done. The errors name the first failing point, as a
+    point-by-point search would."""
+    n = len(d2)
+    cond = np.empty_like(d2)
+    perp = np.empty(n)
+    lo, hi = np.zeros(n), np.ones(n)
+    block = max(1, _BLOCK_ELEMENTS // d2.shape[1])
+
+    def evaluate(rows, beta):
+        for start in range(0, len(rows), block):
+            part = rows[start:start + block]
+            cond[part], perp[part] = _conditional_rows(
+                d2[part], beta[start:start + block])
+
+    # expand each bracket until it contains the target perplexity
+    rows = np.arange(n)
+    for _ in range(64):
+        evaluate(rows, hi[rows])
+        rows = rows[~(perp[rows] <= perplexity)]
+        if not len(rows):
+            break
+        lo[rows] = hi[rows]
+        hi[rows] *= 4.0
+    unbracketed = rows
+
+    searching = np.setdiff1d(np.arange(n), unbracketed)
+    for _ in range(200):
+        searching = searching[~(np.abs(perp[searching] - perplexity) < tol)]
+        if not len(searching):
+            break
+        mid = 0.5 * (lo[searching] + hi[searching])
+        evaluate(searching, mid)
+        above = perp[searching] > perplexity
+        lo[searching[above]] = mid[above]
+        hi[searching[~above]] = mid[~above]
+    unconverged = searching[np.abs(perp[searching] - perplexity) >= tol]
+
+    if len(unbracketed) and (not len(unconverged) or unbracketed[0] < unconverged[0]):
+        raise DataError(f"failed to bracket bandwidth for point {unbracketed[0]}")
+    if len(unconverged):
+        raise DataError(
+            f"bandwidth search did not reach perplexity tolerance for point "
+            f"{unconverged[0]}"
+        )
+    return cond
 
 
 def input_affinities(features: FeatureMatrix | np.ndarray,
@@ -104,35 +161,15 @@ def input_affinities(features: FeatureMatrix | np.ndarray,
             f"perplexity {perplexity} too large for {n} points "
             f"(must be < (N-1)/3)"
         )
-    d2 = _pairwise_sq_dists(x)
-    cond = np.zeros((n, n))
-    for i in range(n):
-        row = np.delete(d2[i], i)
-        lo, hi = 0.0, 1.0
-        # expand until the bracket contains the target perplexity
-        for _ in range(64):
-            _, perp = _conditional_row(row, hi)
-            if perp <= perplexity:
-                break
-            lo, hi = hi, hi * 4.0
-        else:
-            raise DataError(f"failed to bracket bandwidth for point {i}")
-        p, perp = _conditional_row(row, hi)
-        for _ in range(200):
-            if abs(perp - perplexity) < tol:
-                break
-            mid = 0.5 * (lo + hi)
-            p, perp = _conditional_row(row, mid)
-            if perp > perplexity:
-                lo = mid
-            else:
-                hi = mid
-        if abs(perp - perplexity) >= tol:
-            raise DataError(
-                f"bandwidth search did not reach perplexity tolerance for point {i}"
-            )
-        cond[i, np.arange(n) != i] = p
-    return (cond + cond.T) / (2.0 * n)
+    off_diagonal = ~np.eye(n, dtype=bool)
+    cond = _bandwidth_search(_pairwise_sq_dists(x)[off_diagonal].reshape(n, n - 1),
+                             perplexity, tol)
+    p = np.zeros((n, n))
+    p[off_diagonal] = cond.ravel()
+    del cond
+    sym = p + p.T
+    sym /= 2.0 * n
+    return sym
 
 
 def _q_matrix(coords: np.ndarray, num: np.ndarray | None = None,

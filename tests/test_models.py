@@ -231,6 +231,19 @@ class TestSvm:
         b = models.fit(spec("svm_rbf"), x, y)
         assert (models.predict_scores(a, x) == models.predict_scores(b, x)).all()
 
+    def test_records_solver_state(self):
+        x, y = self.xor()
+        capped = models.fit(spec("svm_rbf", C=10.0, gamma=1.0, max_iter=1), x, y).state
+        assert capped.iterations == 1
+        assert capped.converged is False
+        assert capped.final_violation > 1e-3
+        model = models.fit(spec("svm_rbf", C=10.0, gamma=1.0), x, y)
+        assert model.state.converged is True
+        assert 1 < model.state.iterations < 20000
+        loaded = models.from_jsonable(json.loads(json.dumps(models.to_jsonable(model))))
+        assert (loaded.state.iterations, loaded.state.converged) == (0, False)
+        assert "iterations" not in models.to_jsonable(model)["state"]
+
 
 class TestL1Logistic:
     def test_objective_monotone_in_sweeps(self):

@@ -1,14 +1,16 @@
 """The level-wise growth of ``random_forest``, the stacked group pass of
-``rp_ensemble`` and the buffered iteration loop of exact t-SNE against the
-per-feature, per-projection and allocate-per-iteration loops they replaced,
-kept here as reference code: trees, ensembles and embeddings must match bit
-for bit. The reference forest visits its nodes breadth-first, as ``fit``
-draws them, and scores each node's candidate features one at a time. The
-t-SNE KL trace, computed with one log per iteration, must match the masked
-per-entry formula within rounding. ``l1_logistic`` centers its columns and
-bounds the loss once per sweep, so its weights differ from those of the
-uncentered per-coordinate loop kept here; its objective must be no higher
-after as many sweeps."""
+``rp_ensemble``, the buffered iteration loop of exact t-SNE, the all-rows
+bandwidth search of its affinities, and the buffered step loops of SMO
+(``svm_rbf``) and SGD (the MLPs) against the per-feature, per-projection,
+allocate-per-iteration, point-by-point and allocate-per-step loops they
+replaced, kept here as reference code: trees, ensembles, embeddings,
+affinities, dual coefficients and network weights must match bit for bit.
+The reference forest visits its nodes breadth-first, as ``fit`` draws them,
+and scores each node's candidate features one at a time. The t-SNE KL trace,
+computed with one log per iteration, must match the masked per-entry formula
+within rounding. ``l1_logistic`` centers its columns and bounds the loss once
+per sweep, so its weights differ from those of the uncentered per-coordinate
+loop kept here; its objective must be no higher after as many sweeps."""
 
 import json
 
@@ -18,7 +20,7 @@ import pytest
 from omicsurv import models, project, ranks, rpensemble
 from omicsurv.dataio import FeatureMatrix
 from omicsurv.errors import DataError
-from omicsurv.models import forest, gaussian_nb, logistic
+from omicsurv.models import forest, gaussian_nb, logistic, mlp, svm
 
 
 # --- reference random forest: one argsort/cumsum per candidate feature ------
@@ -665,3 +667,308 @@ def test_kl_gradient_and_divergence_match_reference():
         p, q, num, coords).tobytes()
     mask = p > 0
     assert project.kl_divergence(p, coords) == _ref_kl(p[mask], q[mask])
+
+
+# --- reference input affinities: one bandwidth search per point ---------------
+
+def _ref_conditional_row(d2_row, beta):
+    logits = -beta * d2_row
+    logits -= logits.max()
+    p = np.exp(logits)
+    z = p.sum()
+    p /= z
+    h_nats = -np.sum(p * np.log(np.maximum(p, 1e-12)))
+    return p, float(np.exp(h_nats))
+
+
+def _ref_input_affinities(x, perplexity, tol=1e-4):
+    n = x.shape[0]
+    d2 = _ref_pairwise_sq_dists(x)
+    cond = np.zeros((n, n))
+    for i in range(n):
+        row = np.delete(d2[i], i)
+        lo, hi = 0.0, 1.0
+        for _ in range(64):
+            _, perp = _ref_conditional_row(row, hi)
+            if perp <= perplexity:
+                break
+            lo, hi = hi, hi * 4.0
+        else:
+            raise DataError(f"failed to bracket bandwidth for point {i}")
+        p, perp = _ref_conditional_row(row, hi)
+        for _ in range(200):
+            if abs(perp - perplexity) < tol:
+                break
+            mid = 0.5 * (lo + hi)
+            p, perp = _ref_conditional_row(row, mid)
+            if perp > perplexity:
+                lo = mid
+            else:
+                hi = mid
+        if abs(perp - perplexity) >= tol:
+            raise DataError(
+                f"bandwidth search did not reach perplexity tolerance for point {i}"
+            )
+        cond[i, np.arange(n) != i] = p
+    return (cond + cond.T) / (2.0 * n)
+
+
+def _clustered(n, twins, first):
+    """n points in 12-D, rows first .. first + twins - 1 all equal."""
+    x = np.random.default_rng(n + twins).normal(0, 1, (n, 12))
+    x[first:first + twins] = x[first]
+    return x
+
+
+@pytest.mark.parametrize("n, perplexity, duplicated", [
+    (5, 1.2, 0), (60, 10.0, 0), (60, 10.0, 12), (127, 30.0, 0),
+    (300, 30.0, 0), (300, 5.0, 40)])
+def test_affinities_match_point_by_point_search(n, perplexity, duplicated):
+    x = _tsne_table(n, seed=n + duplicated, duplicated=duplicated).values
+    got = project.input_affinities(x, perplexity)
+    assert got.tobytes() == _ref_input_affinities(x, perplexity).tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 150, 1000])
+def test_affinities_do_not_depend_on_the_block_size(monkeypatch, block):
+    # 59 off-diagonal distances per row: one row, two and 16 rows per block
+    monkeypatch.setattr(project, "_BLOCK_ELEMENTS", block)
+    x = _tsne_table(60, seed=15, duplicated=8).values
+    assert project.input_affinities(x, 10.0).tobytes() == _ref_input_affinities(
+        x, 10.0).tobytes()
+
+
+@pytest.mark.parametrize("first, tol, message", [
+    # 20 equal points keep a perplexity near 19 at any bandwidth
+    (0, 1e-4, "failed to bracket bandwidth for point 0"),
+    (7, 1e-4, "failed to bracket bandwidth for point 7"),
+    (0, 0.0, "failed to bracket bandwidth for point 0"),
+    (7, 0.0, "did not reach perplexity tolerance for point 0"),
+])
+def test_affinity_errors_name_the_first_failing_point(first, tol, message):
+    x = _clustered(60, 20, first)
+    with pytest.raises(DataError, match=message):
+        _ref_input_affinities(x, 5.0, tol)
+    with pytest.raises(DataError, match=message):
+        project.input_affinities(x, 5.0, tol)
+
+
+# --- reference svm_rbf: SMO over Q with fresh masks and temporaries per step -
+
+def _ref_rbf_kernel(a, b, gamma):
+    d2 = (
+        np.sum(a * a, axis=1)[:, None]
+        + np.sum(b * b, axis=1)[None, :]
+        - 2.0 * (a @ b.T)
+    )
+    return np.exp(-gamma * np.maximum(d2, 0.0))
+
+
+def _ref_index_sets(alpha, y_pm, c):
+    up = ((alpha < c - 1e-12) & (y_pm > 0)) | ((alpha > 1e-12) & (y_pm < 0))
+    low = ((alpha < c - 1e-12) & (y_pm < 0)) | ((alpha > 1e-12) & (y_pm > 0))
+    return up, low
+
+
+def _ref_svm_fit(x, y, params):
+    """(alphas, bias, final violation, steps taken)."""
+    c, tol = params["C"], params["tol"]
+    gamma = 1.0 / x.shape[1] if params["gamma"] is None else params["gamma"]
+    y_pm = np.where(y == 1, 1.0, -1.0)
+    n = len(y_pm)
+    k = _ref_rbf_kernel(x, x, gamma)
+    q = np.outer(y_pm, y_pm) * k
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    steps = 0
+    for _ in range(params["max_iter"]):
+        yg = -y_pm * grad
+        up, low = _ref_index_sets(alpha, y_pm, c)
+        if not up.any() or not low.any():
+            break
+        i = int(np.flatnonzero(up)[np.argmax(yg[up])])
+        j = int(np.flatnonzero(low)[np.argmin(yg[low])])
+        if yg[i] - yg[j] <= tol:
+            break
+        quad = max(k[i, i] + k[j, j] - 2.0 * k[i, j], 1e-12)
+        step = (yg[i] - yg[j]) / quad
+        if y_pm[i] > 0:
+            step = min(step, c - alpha[i])
+        else:
+            step = min(step, alpha[i])
+        if y_pm[j] > 0:
+            step = min(step, alpha[j])
+        else:
+            step = min(step, c - alpha[j])
+        alpha[i] += y_pm[i] * step
+        alpha[j] -= y_pm[j] * step
+        grad += q[:, i] * y_pm[i] * step - q[:, j] * y_pm[j] * step
+        steps += 1
+    yg = -y_pm * grad
+    up, low = _ref_index_sets(alpha, y_pm, c)
+    if up.any() and low.any():
+        m_up, m_low = float(np.max(yg[up])), float(np.min(yg[low]))
+        violation, bias = m_up - m_low, 0.5 * (m_up + m_low)
+    else:
+        violation = 0.0
+        bias = float(np.mean(y_pm - (alpha * y_pm) @ k)) if alpha.any() else 0.0
+    return alpha, bias, violation, steps
+
+
+SVM_DATA = {
+    "continuous": lambda: _xy(60, 12, seed=1),
+    "rounded": lambda: _xy(80, 5, seed=2, decimals=0),
+    "duplicated_rows": _duplicated_rows,
+    "constant_columns": _constant_columns,
+}
+
+# C, gamma, tol, max_iter; 1e-3 puts every alpha at the box, below 1e-12 no
+# coordinate can move; tol 0 runs to the max_iter cap
+SVM_PARAMS = [
+    {"C": 1.0, "gamma": None, "tol": 1e-3, "max_iter": 20000},
+    {"C": 10.0, "gamma": 0.5, "tol": 1e-3, "max_iter": 20000},
+    {"C": 1e-3, "gamma": 0.1, "tol": 1e-3, "max_iter": 20000},
+    {"C": 1e-13, "gamma": None, "tol": 1e-3, "max_iter": 20000},
+    {"C": 100.0, "gamma": 2.0, "tol": 0.0, "max_iter": 150},
+]
+
+
+@pytest.mark.parametrize("params", SVM_PARAMS)
+@pytest.mark.parametrize("data", sorted(SVM_DATA))
+def test_svm_matches_allocating_smo(data, params):
+    x, y = SVM_DATA[data]()
+    state = svm.fit(x, y, dict(params), seed=0)
+    alpha, bias, violation, steps = _ref_svm_fit(x, y, params)
+    assert state.alphas.tobytes() == alpha.tobytes()
+    assert np.float64(state.bias).tobytes() == np.float64(bias).tobytes()
+    assert state.final_violation == violation
+    assert state.iterations == steps
+    assert state.converged == (violation <= params["tol"])
+    sv = alpha > 1e-12
+    assert state.support_x.tobytes() == x[sv].tobytes()
+    assert state.dual_coef.tobytes() == (alpha * np.where(y == 1, 1.0, -1.0))[sv].tobytes()
+
+
+def test_svm_box_fixture_puts_every_alpha_at_a_bound():
+    x, y = SVM_DATA["continuous"]()
+    alphas = svm.fit(x, y, dict(SVM_PARAMS[2]), seed=0).alphas
+    assert np.isin(alphas, (0.0, 1e-3)).all() and (alphas == 1e-3).any()
+
+
+def test_svm_default_fit_converges_in_the_reference_steps():
+    x, y = _xy(90, 30, seed=8)
+    params = models.read_params("svm_rbf", {})
+    state = svm.fit(x, y, params, seed=0)
+    assert state.converged is True
+    assert state.iterations == _ref_svm_fit(x, y, params)[3] > 0
+
+
+@pytest.mark.parametrize("block", [1 << 16, 7, 100])
+def test_rbf_kernel_matches_fresh_temporaries(monkeypatch, block):
+    monkeypatch.setattr(svm, "_BLOCK_ELEMENTS", block)
+    x = np.random.default_rng(12).normal(0, 2, (35, 20))
+    x = np.vstack([x, x[:4]])
+    k = svm.rbf_kernel(x, x, 0.05)
+    assert k.tobytes() == _ref_rbf_kernel(x, x, 0.05).tobytes()
+    assert (k == k.T).all()
+    z = np.random.default_rng(13).normal(0, 2, (9, 20))
+    assert svm.rbf_kernel(z, x, 0.05).tobytes() == _ref_rbf_kernel(z, x, 0.05).tobytes()
+
+
+# --- reference MLP: SGD computing the loss and fresh arrays at every step ---
+
+def _ref_forward(weights, biases, x):
+    acts = [x]
+    h = x
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = h @ w + b
+        h = z if i == len(weights) - 1 else np.tanh(z)
+        acts.append(h)
+    return acts
+
+
+def _ref_loss_and_output_grad(out, y, task):
+    n = len(y)
+    if task == "classify":
+        y_pm = 2.0 * y - 1.0
+        margins = y_pm * out
+        loss = float(np.mean(np.logaddexp(0.0, -margins)))
+        sig = 1.0 / (1.0 + np.exp(np.clip(margins, -500, 500)))
+        dout = -(y_pm * sig) / n
+    else:
+        resid = y - out
+        loss = float(np.mean(resid ** 2))
+        dout = -2.0 * resid / n
+    return loss, dout
+
+
+def _ref_backward(weights, acts, dout):
+    gw = [None] * len(weights)
+    gb = [None] * len(weights)
+    delta = dout[:, None]
+    for i in range(len(weights) - 1, -1, -1):
+        gw[i] = acts[i].T @ delta
+        gb[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ weights[i].T) * (1.0 - acts[i] ** 2)
+    return gw, gb
+
+
+def _ref_loss_and_gradients(weights, biases, x, y, task):
+    acts = _ref_forward(weights, biases, x)
+    loss, dout = _ref_loss_and_output_grad(acts[-1][:, 0], y, task)
+    return (loss, *_ref_backward(weights, acts, dout))
+
+
+def _ref_mlp_fit(x, y, params, seed, task):
+    lr, batch_size = params["learning_rate"], params["batch_size"]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    weights, biases = mlp._init_params(x.shape[1], params["width"],
+                                       params["n_hidden_layers"], rng)
+    yf = y.astype(np.float64)
+    n = len(y)
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    for _ in range(params["epochs"]):
+        order = shuffle_rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            _, gw, gb = _ref_loss_and_gradients(weights, biases, x[idx], yf[idx], task)
+            for w, b, dw, db in zip(weights, biases, gw, gb):
+                w -= lr * dw
+                b -= lr * db
+    return weights, biases
+
+
+# n_hidden_layers, width, epochs, learning_rate, batch_size; 45 rows leave a
+# final batch of 13 at batch_size 32, and of 1 at 4
+MLP_PARAMS = [
+    {"n_hidden_layers": 2, "width": 16, "epochs": 20, "learning_rate": 0.01,
+     "batch_size": 32},
+    {"n_hidden_layers": 0, "width": 8, "epochs": 20, "learning_rate": 0.05,
+     "batch_size": 32},
+    {"n_hidden_layers": 1, "width": 5, "epochs": 10, "learning_rate": 0.3,
+     "batch_size": 4},
+    {"n_hidden_layers": 3, "width": 32, "epochs": 5, "learning_rate": 0.01,
+     "batch_size": 45},
+]
+
+
+@pytest.mark.parametrize("params", MLP_PARAMS)
+@pytest.mark.parametrize("task", ["classify", "regress"])
+def test_mlp_matches_allocating_sgd(task, params):
+    x, y = _xy(45, 7, seed=14)
+    target = y if task == "classify" else 3.0 * y + x[:, 2]
+    state = mlp.fit(x, target, params, seed=4, task=task)
+    weights, biases = _ref_mlp_fit(x, target, params, 4, task)
+    assert len(state.weights) == params["n_hidden_layers"] + 1
+    for got, ref in zip(state.weights + state.biases, weights + biases):
+        assert got.tobytes() == ref.tobytes()
+    # the loss and gradients of the trained net, as the gradient checks read them
+    loss, gw, gb = mlp.loss_and_gradients(state, x, target.astype(np.float64))
+    ref_loss, ref_gw, ref_gb = _ref_loss_and_gradients(
+        weights, biases, x, target.astype(np.float64), task)
+    assert loss == ref_loss
+    for got, ref in zip(gw + gb, ref_gw + ref_gb):
+        assert got.tobytes() == ref.tobytes()
+    assert mlp.scores(state, x).tobytes() == _ref_forward(
+        weights, biases, x)[-1][:, 0].tobytes()
