@@ -14,7 +14,11 @@ can be checked to leave the model unchanged:
   steps taken and whether they converged, whose JSON is the model file's
   ``state``;
 - the rectangle_mlp fit with its default PARAMS (seed 0), whose JSON is the
-  model file's ``state``.
+  model file's ``state``;
+- a 10-fold cross-validation trial, as a search runs one, of rp_ensemble with
+  10 groups (otherwise its defaults, seed 0) and of rectangle_mlp with its
+  defaults (seed 0), whose JSON is the trial's fold rows (fold, AUC, test
+  size).
 
 The cohort is drawn in memory with omicsurv.synth (seed 0). The features are
 the log2 microarray table, labelled at a 60-month horizon as
@@ -28,7 +32,7 @@ import hashlib
 import json
 import time
 
-from omicsurv import dataio, models, normalize, survival, synth
+from omicsurv import dataio, evaluation, models, normalize, survival, synth
 
 
 def best_of_3(fn):
@@ -93,6 +97,17 @@ def main():
     seconds, model = best_of_3(lambda: models.fit(spec, x, y))
     print(f"rectangle_mlp    {seconds:8.3f} s  (default params)")
     print(f"model json sha256 {sha256_of(models.to_jsonable(model)['state'])}")
+
+    plan = evaluation.CvPlan(k_folds=10, seed=0)
+    for family, hyperparameters, note in (
+            ("rp_ensemble", {"b1_groups": 10}, "10 x 20 projections, dim 5"),
+            ("rectangle_mlp", {}, "default params")):
+        spec = models.ModelSpec(family, hyperparameters, seed=0)
+        seconds, report = best_of_3(
+            lambda: evaluation.cross_validate(spec, (x, y), plan))
+        print(f"{family:<16} {seconds:8.3f} s  (10-fold trial, {note})")
+        print(f"fold rows sha256 "
+              f"{sha256_of([[r.fold, r.auc, r.n_test] for r in report.rows])}")
 
 
 if __name__ == "__main__":

@@ -142,22 +142,31 @@ def stratified_kfold(labels, plan: CvPlan) -> list[np.ndarray]:
     return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
 
 
-def evaluate_fold(spec: models.ModelSpec, x: np.ndarray, y: np.ndarray,
-                  test_idx: np.ndarray, fold: int,
-                  data_descriptor: str = "data") -> EvalRow:
-    """Fit ``spec`` on every sample outside ``test_idx`` and score the AUC of
-    its predictions on ``test_idx``; ``x`` float64 and ``y`` int64 arrays."""
-    train_mask = np.ones(len(y), dtype=bool)
-    train_mask[test_idx] = False
-    model = models.fit(spec, x[train_mask], y[train_mask])
-    scores = models.predict_scores(model, x[test_idx])
-    return EvalRow(
-        model=spec.family,
-        data=data_descriptor,
-        fold=fold,
-        auc=auc(scores, y[test_idx]),
-        n_test=len(test_idx),
-    )
+def evaluate_folds(spec: models.ModelSpec, x: np.ndarray, y: np.ndarray,
+                   folds: list[np.ndarray], fold_ids,
+                   data_descriptor: str = "data") -> list[EvalRow]:
+    """For each fold f of ``fold_ids``, in order, fit ``spec`` on every sample
+    outside ``folds[f]`` and score the AUC of its predictions on ``folds[f]``;
+    ``x`` float64 and ``y`` int64 arrays.
+
+    The fits go through ``models.fit_folds``, which hands out each fold's
+    model, or raises its fit error, in fold order. Each fold is scored before
+    the next is asked for, so the error raised is that of the lowest failing
+    fold, in its fit or its scoring, whether or not the family fits its folds
+    together.
+    """
+    train_sets = []
+    for f in fold_ids:
+        train = np.ones(len(y), dtype=bool)
+        train[folds[f]] = False
+        train_sets.append(np.flatnonzero(train))
+    rows = []
+    for f, model in zip(fold_ids, models.fit_folds(spec, x, y, train_sets)):
+        test_idx = folds[f]
+        scores = models.predict_scores(model, x[test_idx])
+        rows.append(EvalRow(model=spec.family, data=data_descriptor, fold=f,
+                            auc=auc(scores, y[test_idx]), n_test=len(test_idx)))
+    return rows
 
 
 def cross_validate(spec: models.ModelSpec, data: tuple, plan: CvPlan,
@@ -167,12 +176,13 @@ def cross_validate(spec: models.ModelSpec, data: tuple, plan: CvPlan,
 
     ``data`` is an ``(x, y)`` pair. Any transductive preprocessing (t-SNE) is
     assumed already applied to the features. ``folds`` are the test indices
-    of each fold, ``stratified_kfold(y, plan)`` when not given.
+    of each fold, ``stratified_kfold(y, plan)`` when not given. It is
+    ``evaluate_folds`` over every fold.
     """
     x, y = data
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if folds is None:
         folds = stratified_kfold(y, plan)
-    return EvalReport([evaluate_fold(spec, x, y, test_idx, fold_idx, data_descriptor)
-                       for fold_idx, test_idx in enumerate(folds)])
+    return EvalReport(evaluate_folds(spec, x, y, folds, range(len(folds)),
+                                     data_descriptor))

@@ -20,6 +20,15 @@ per slice of a stack of B training tables (B, n, d) and returns each one's
 misclassification rate on the matching holdout slice, shape (B,), as one
 pass over the stack. ``holdout_errors`` below falls back to one ``fit`` and
 ``predict_labels`` per slice for a family without the hook.
+
+A module may also declare ``fit_folds(x, y, train_sets, params, seed,
+**options)``, which trains one state per row subset ``x[rows], y[rows]`` of
+one table, with the same bits as one ``fit`` per subset (``rp_ensemble``
+draws each group once for all subsets; the MLPs train equal-sized subsets as
+one stack). Its list stops at the lowest-numbered subset whose fit fails,
+which gets the exception it raised in place of a state. ``fit_folds`` below
+calls the hook when the family has one and otherwise fits one subset at a
+time; cross-validation trains its folds through it.
 """
 
 from __future__ import annotations
@@ -90,20 +99,20 @@ class TrainedModel:
     state: object
 
 
-def _validate_training_data(x: np.ndarray, y: np.ndarray, classifier: bool):
-    """Checks ``x`` of shape (n, d), or a stack (B, n, d) of such tables, and
-    for a classifier that ``y`` holds both labels 0 and 1 and no other."""
-    n = x.shape[-2]
+def _validate_training_data(n: int, finite: bool, y: np.ndarray, classifier: bool):
+    """Checks a training table of ``n`` rows, or a stack of such tables, whose
+    values are all finite if ``finite``, against its targets ``y``: for a
+    classifier, ``y`` must hold both labels 0 and 1 and no other."""
     if n != len(y):
         raise DataError(f"feature/target length mismatch: {n} vs {len(y)}")
     if n < 2:
         raise DataError("need at least 2 training samples")
-    if not np.all(np.isfinite(x)):
+    if not finite:
         raise DataError("non-finite training features")
     if not classifier:
         return
     labels = np.unique(y)
-    if not np.isin(labels, (0, 1)).all():
+    if not set(labels.tolist()) <= {0, 1}:
         raise DataError(f"classifier labels must be 0 or 1, got {labels[:10].tolist()}")
     if len(labels) < 2:
         raise DataError("single-class training set")
@@ -116,12 +125,62 @@ def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> TrainedModel:
     y = np.asarray(y)
     module, options = _TABLE[spec.family]
     params = read_params(spec.family, spec.hyperparameters)
-    _validate_training_data(x, y, classifier=options.get("task") != "regress")
+    _validate_training_data(x.shape[-2], np.all(np.isfinite(x)), y,
+                            classifier=options.get("task") != "regress")
     try:
         state = module.fit(x, y, params, spec.seed, **options)
     except ConfigError as exc:
         raise ConfigError(f"{spec.family}: {exc}") from None
     return TrainedModel(spec=spec, n_features=x.shape[1], state=state)
+
+
+def has_fit_folds(family: str) -> bool:
+    """Whether ``family`` trains the subsets of ``fit_folds`` in one call."""
+    return hasattr(_TABLE[family][0], "fit_folds")
+
+
+def fit_folds(spec: ModelSpec, x: np.ndarray, y: np.ndarray, train_sets):
+    """Yield ``fit(spec, x[rows], y[rows])`` for each ``rows`` of
+    ``train_sets`` in order, bit for bit; a subset whose fit fails raises its
+    error when its model is asked for.
+
+    Without a ``fit_folds`` hook each subset is fitted when its model is asked
+    for. With the hook every subset up to the first failing one is fitted at
+    the first model asked for; x's finiteness is checked once, and each
+    subset's targets separately. Either way a caller that scores each model
+    before asking for the next meets the errors in subset order.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y)
+    if len(x) != len(y):
+        raise DataError(f"feature/target length mismatch: {len(x)} vs {len(y)}")
+    module, options = _TABLE[spec.family]
+    if not hasattr(module, "fit_folds"):
+        for rows in train_sets:
+            yield fit(spec, x[rows], y[rows])
+        return
+    params = read_params(spec.family, spec.hyperparameters)
+    finite_rows = np.isfinite(x).all(axis=1)
+    checked, failure = [], None
+    for rows in train_sets:
+        try:  # no subset after the first failing one is fitted
+            _validate_training_data(len(rows), finite_rows[rows].all(), y[rows],
+                                    classifier=options.get("task") != "regress")
+        except DataError as exc:
+            failure = exc
+            break
+        checked.append(rows)
+    try:  # with no subset to fit, the family's own checks must not run first
+        states = (module.fit_folds(x, y, checked, params, spec.seed, **options)
+                  if checked else [])
+        for state in states:
+            if isinstance(state, Exception):
+                raise state
+            yield TrainedModel(spec=spec, n_features=x.shape[1], state=state)
+    except ConfigError as exc:
+        raise ConfigError(f"{spec.family}: {exc}") from None
+    if failure is not None:
+        raise failure
 
 
 def holdout_errors(spec: ModelSpec, z_tr: np.ndarray, y_tr: np.ndarray,
@@ -133,7 +192,8 @@ def holdout_errors(spec: ModelSpec, z_tr: np.ndarray, y_tr: np.ndarray,
         return np.array([np.mean(predict_labels(fit(spec, tr, y_tr), ho) != y_ho)
                          for tr, ho in zip(z_tr, z_ho)])
     params = read_params(spec.family, spec.hyperparameters)
-    _validate_training_data(z_tr, y_tr, classifier=True)
+    _validate_training_data(z_tr.shape[-2], np.all(np.isfinite(z_tr)), y_tr,
+                            classifier=True)
     return module.holdout_errors(z_tr, y_tr, z_ho, y_ho, params)
 
 

@@ -76,6 +76,9 @@ PARAMS = {"C": (float, 1.0), "gamma": (float, None), "tol": (float, 1e-3),
 def check_params(params: dict) -> None:
     if not params["C"] > 0:
         raise ConfigError(f"C must be > 0, got {params['C']}")
+    # no coordinate can leave 0 when C is within the SMO's 1e-12 box margin
+    if not params["C"] > 1e-12:
+        raise ConfigError(f"C must be > 1e-12, got {params['C']}")
     if params["gamma"] is not None and not params["gamma"] > 0:
         raise ConfigError(f"gamma must be > 0, got {params['gamma']}")
     if not params["tol"] >= 0:

@@ -12,6 +12,16 @@ batched QR, the data is projected by one stacked matmul, and
 (one pass for a family with a ``holdout_errors`` hook, such as gaussian_nb).
 Only one group's stack is held at a time.
 
+``fit_folds`` trains one ensemble per row subset of one table, as
+cross-validation does: the draws depend only on (seed, group, projection), so
+each group is drawn once for all subsets. Each subset then gets its own inner
+holdout split, group errors, selection, base-model fit and votes. It projects
+its own rows: BLAS may round a row's projection differently with the row count
+(matrix-vector products at projected_dim 1, small-matrix GEMM kernels), so a
+slice of one all-rows product would not give the bits of a separate fit. The
+selected slice, projected once, serves both the base-model fit and its vote.
+``train`` is the one-subset case.
+
 Feature importance sums, over the selected projections, each feature's
 squared projection weights scaled by its training variance (so constant and
 all-zero columns get exactly zero importance), normalized to sum to 1.
@@ -24,7 +34,7 @@ time, so their import cycle resolves in either order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,57 +110,110 @@ def _stratified_holdout(y: np.ndarray, fraction: float,
     return np.sort(np.array(train_idx)), np.sort(np.array(hold_idx))
 
 
+@dataclass
+class _Subset:
+    """One training subset's part of a joint fit: its rows of x, the rows its
+    groups are fitted and scored on, and what its groups have chosen."""
+    rows: np.ndarray
+    train: np.ndarray
+    hold: np.ndarray
+    errors: np.ndarray
+    selected: np.ndarray
+    votes: np.ndarray
+    projections: list = field(default_factory=list)
+    base_models: list = field(default_factory=list)
+
+
 def train(x: np.ndarray, y: np.ndarray, params: dict, seed: int) -> RpModel:
+    (model,) = fit_folds(x, y, [np.arange(len(y))], params, seed)
+    if isinstance(model, Exception):
+        raise model
+    return model
+
+
+def fit_folds(x: np.ndarray, y: np.ndarray, train_sets: list, params: dict,
+              seed: int) -> list:
+    """One ensemble per row subset ``x[rows], y[rows]`` of ``train_sets``, each
+    the bits of a separate ``train`` on that subset. A subset whose fit fails
+    drops out with every later one, and the list ends with the exception of
+    the lowest failing subset. An error that every subset would meet, such as
+    a failed draw, is raised."""
     b1, b2, dim = params["b1_groups"], params["b2_per_group"], params["projected_dim"]
     m = x.shape[1]
     if dim > m:
         raise ConfigError("projected_dim must not exceed the feature count")
-
-    split_rng = np.random.default_rng(np.random.SeedSequence([seed, 999]))
-    train_idx, hold_idx = _stratified_holdout(
-        y, params["selection_holdout_fraction"], split_rng
-    )
-    x_tr, y_tr = x[train_idx], y[train_idx]
-    x_ho, y_ho = x[hold_idx], y[hold_idx]
-
     base_spec = models.ModelSpec(
         family=params["base_family"],
         hyperparameters=params["base_hyperparameters"],
         seed=seed,
     )
 
-    errors = np.empty((b1, b2))
-    selected = np.empty(b1, dtype=np.int64)
-    projections: list[np.ndarray] = []
+    subsets: list[_Subset] = []
+    failure = None
+    for rows in train_sets:
+        split_rng = np.random.default_rng(np.random.SeedSequence([seed, 999]))
+        try:
+            train_idx, hold_idx = _stratified_holdout(
+                y[rows], params["selection_holdout_fraction"], split_rng)
+        except Exception as exc:  # noqa: BLE001 - returned in its place
+            failure = exc
+            break
+        subsets.append(_Subset(rows=rows, train=rows[train_idx], hold=rows[hold_idx],
+                               errors=np.empty((b1, b2)),
+                               selected=np.empty(b1, dtype=np.int64),
+                               votes=np.empty((b1, len(rows)), dtype=np.int64)))
+
     for g in range(b1):
+        if not subsets:
+            break
         stack = sample_projections(m, dim, [
             np.random.default_rng(np.random.SeedSequence([seed, g, b]))
             for b in range(b2)
         ])
-        errors[g] = models.holdout_errors(
-            base_spec,
-            np.matmul(x_tr, stack.transpose(0, 2, 1)), y_tr,
-            np.matmul(x_ho, stack.transpose(0, 2, 1)), y_ho,
-        )
-        selected[g] = np.argmin(errors[g])
-        # a copy in the drawn layout, so the group's stack is not kept alive
-        projections.append(np.copy(stack[selected[g]], order="K"))
+        for i, sub in enumerate(subsets):
+            try:
+                _fit_group(sub, g, stack, x, y, base_spec)
+            except Exception as exc:  # noqa: BLE001 - returned in its place
+                failure = exc
+                del subsets[i:]
+                break
+    fitted = [_ensemble(sub, x, y, params, seed) for sub in subsets]
+    return fitted if failure is None else fitted + [failure]
 
-    base_models = [
-        models.fit(base_spec, x @ proj.T, y) for proj in projections
-    ]
 
-    score = _vote_matrix(base_models, projections, x).mean(axis=0)
+def _fit_group(sub: _Subset, g: int, stack: np.ndarray, x, y, base_spec) -> None:
+    """Score group ``g``'s projections on the subset's holdout split, and fit
+    and vote the one with the lowest error (the first, on ties)."""
+    sub.errors[g] = models.holdout_errors(
+        base_spec,
+        np.matmul(x[sub.train], stack.transpose(0, 2, 1)), y[sub.train],
+        np.matmul(x[sub.hold], stack.transpose(0, 2, 1)), y[sub.hold],
+    )
+    sub.selected[g] = np.argmin(sub.errors[g])
+    # a copy in the drawn layout, so the group's stack is not kept alive
+    proj = np.copy(stack[sub.selected[g]], order="K")
+    z = x[sub.rows] @ proj.T
+    fitted = models.fit(base_spec, z, y[sub.rows])
+    sub.votes[g] = models.predict_labels(fitted, z)
+    sub.projections.append(proj)
+    sub.base_models.append(fitted)
+
+
+def _ensemble(sub: _Subset, x, y, params: dict, seed: int) -> RpModel:
+    """The subset's model: its vote threshold and feature importance."""
+    b1, y_sub = params["b1_groups"], y[sub.rows]
+    score = sub.votes.mean(axis=0)
     if params["vote_threshold_alpha"] is not None:
         alpha = params["vote_threshold_alpha"]
     else:
         grid = np.arange(b1 + 1) / b1
-        errs = [float(np.mean((score >= a).astype(np.int64) != y)) for a in grid]
+        errs = [float(np.mean((score >= a).astype(np.int64) != y_sub)) for a in grid]
         alpha = float(grid[int(np.argmin(errs))])
 
-    var = x.var(axis=0)
+    m = x.shape[1]
+    var = x[sub.rows].var(axis=0)
     raw = np.zeros(m)
-    for proj in projections:
+    for proj in sub.projections:
         raw += np.sum(proj ** 2, axis=0) * var
     total = raw.sum()
     importance = raw / total if total > 0 else np.full(m, 1.0 / m)
@@ -158,12 +221,12 @@ def train(x: np.ndarray, y: np.ndarray, params: dict, seed: int) -> RpModel:
     return RpModel(
         params=params,
         seed=seed,
-        projections=projections,
-        base_models=base_models,
+        projections=sub.projections,
+        base_models=sub.base_models,
         alpha=alpha,
         feature_importance=importance,
-        group_errors=errors,
-        selected_indices=selected,
+        group_errors=sub.errors,
+        selected_indices=sub.selected,
     )
 
 

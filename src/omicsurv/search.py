@@ -3,9 +3,13 @@
 Each trial's hyperparameters derive deterministically from (seed, trial
 index), and the cross-validation folds are split once per search, before any
 trial runs. With one worker the trials run in-process, one ``cross_validate``
-each. With more, a process pool runs one task per (trial, fold), and the
-parent reassembles each trial from its fold rows in fold order. The results
-are therefore bit-identical for any worker count or scheduling order.
+each. With more, a process pool runs the folds as tasks: for a family that
+fits its folds together (``models.has_fit_folds``) one task per trial, or, when
+the budget is below the worker count, as many runs of consecutive folds per
+trial as keep every worker busy; for any other family one task per (trial,
+fold). The parent reassembles each trial from its fold rows in fold order. A
+fold's rows and errors do not depend on the other folds of its task, so the
+results are bit-identical for any worker count or scheduling order.
 """
 
 from __future__ import annotations
@@ -197,11 +201,11 @@ def _init_worker(specs, x, y, folds) -> None:
     _task_inputs = (specs, x, y, folds)
 
 
-def _run_fold(trial: int, fold: int) -> tuple[evaluation.EvalRow, float]:
+def _run_folds(trial: int, fold_ids: list[int]) -> tuple[list[evaluation.EvalRow], float]:
     specs, x, y, folds = _task_inputs
     start = time.perf_counter()
-    row = evaluation.evaluate_fold(specs[trial], x, y, folds[fold], fold)
-    return row, time.perf_counter() - start
+    rows = evaluation.evaluate_folds(specs[trial], x, y, folds, fold_ids)
+    return rows, time.perf_counter() - start
 
 
 def random_search(space: SearchSpace, x, y, plan: evaluation.CvPlan,
@@ -236,21 +240,26 @@ def random_search(space: SearchSpace, x, y, plan: evaluation.CvPlan,
                 continue
             trials.append(_record(i, spec, rows, time.perf_counter() - start))
     else:
-        # One task per (trial, fold), so a budget-1 search keeps every worker
-        # busy too; never more workers than tasks.
+        # A family that fits its folds together gets one task per trial, or
+        # as many runs of folds per trial as keep every worker busy; any other
+        # one task per (trial, fold). Never more workers than tasks.
         k = len(folds)
-        with ProcessPoolExecutor(max_workers=min(worker_count, budget * k),
+        per_trial = ((worker_count + budget - 1) // budget
+                     if models.has_fit_folds(space.family) else k)
+        units = [chunk.tolist() for chunk in np.array_split(np.arange(k),
+                                                            min(per_trial, k))]
+        with ProcessPoolExecutor(max_workers=min(worker_count, budget * len(units)),
                                  initializer=_init_worker,
                                  initargs=(specs, x, y, folds)) as pool:
-            futures = [pool.submit(_run_fold, i, f)
-                       for i in range(budget) for f in range(k)]
+            futures = [[pool.submit(_run_folds, i, fold_ids) for fold_ids in units]
+                       for i in range(budget)]
             for i, spec in enumerate(specs):
                 try:  # in fold order: the lowest failing fold's error is raised
-                    done = [futures[i * k + f].result() for f in range(k)]
+                    done = [future.result() for future in futures[i]]
                 except Exception as exc:  # noqa: BLE001
                     failures.append((i, exc))
                     continue
-                trials.append(_record(i, spec, [row for row, _ in done],
+                trials.append(_record(i, spec, [row for rows, _ in done for row in rows],
                                       sum(elapsed for _, elapsed in done)))
 
     if not trials:

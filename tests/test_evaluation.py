@@ -210,6 +210,40 @@ class TestCrossValidate:
         assert report.rows[0].model == "rp_ensemble"
 
 
+    @pytest.mark.parametrize("family, hyperparameters", [
+        ("gaussian_nb", {}),
+        ("rp_ensemble", {"b1_groups": 3, "b2_per_group": 2, "projected_dim": 2}),
+        ("rectangle_mlp", {"epochs": 3, "width": 4}),
+    ])
+    def test_any_run_of_folds_gives_the_cross_validation_rows(self, family,
+                                                              hyperparameters):
+        x, y = separable_xy(n_per_class=20, n_features=6, gap=1.0)
+        spec = models.ModelSpec(family, hyperparameters, 3)
+        plan = evaluation.CvPlan(k_folds=5)
+        folds = evaluation.stratified_kfold(y, plan)
+        rows = evaluation.cross_validate(spec, (x, y), plan).rows
+        assert [row.fold for row in rows] == [0, 1, 2, 3, 4]
+        assert evaluation.evaluate_folds(spec, x, y, folds, [1, 2, 4]) == [
+            rows[1], rows[2], rows[4]]
+        assert [evaluation.evaluate_folds(spec, x, y, folds, [f])[0]
+                for f in range(5)] == rows
+
+    @pytest.mark.parametrize("family", ["gaussian_nb", "rectangle_mlp",
+                                        "mlp_regressor"])
+    def test_errors_come_in_fold_order(self, family):
+        # fold 0 scores the non-finite row and fails scoring; every other
+        # fold trains on it and fails fitting, one fold at a time or jointly
+        x, y = separable_xy(n_per_class=20, n_features=4)
+        plan = evaluation.CvPlan(k_folds=4)
+        folds = evaluation.stratified_kfold(y, plan)
+        x[folds[0][0], 1] = np.nan
+        spec = models.ModelSpec(family, {} if family == "gaussian_nb" else {"epochs": 2}, 0)
+        with pytest.raises(DataError, match="scores must be finite"):
+            evaluation.cross_validate(spec, (x, y), plan)
+        with pytest.raises(DataError, match="non-finite training features"):
+            evaluation.evaluate_folds(spec, x, y, folds, [1, 0])
+
+
 class TestEvalReport:
     def test_aggregates_and_csv(self, tmp_path):
         report = evaluation.EvalReport(rows=[

@@ -146,6 +146,8 @@ class TestValidation:
 @pytest.mark.parametrize("family, key, value, message", [
     ("svm_rbf", "C", -1.0, "C must be > 0, got -1.0"),
     ("svm_rbf", "C", 0.0, "C must be > 0, got 0.0"),
+    ("svm_rbf", "C", 1e-13, "C must be > 1e-12, got 1e-13"),
+    ("svm_rbf", "C", 1e-12, "C must be > 1e-12, got 1e-12"),
     ("svm_rbf", "gamma", -1.0, "gamma must be > 0, got -1.0"),
     ("svm_rbf", "tol", -1.0, "tol must be >= 0, got -1.0"),
     ("svm_rbf", "max_iter", 0, "max_iter must be >= 1, got 0"),

@@ -145,6 +145,28 @@ class TestRunExperiment:
         assert len(by_model["gaussian_nb"]) == 1   # global budget
         assert len(by_model["l1_logistic"]) == 2   # per-model budget
 
+    def test_joint_fold_families_bit_identical_at_any_worker_count(self, tmp_path):
+        # rp_ensemble and the MLPs fit a trial's folds together, in one task or
+        # in runs of folds that keep the workers busy (budget 1 at 4 workers
+        # gives 3 tasks of one fold each)
+        data = make_cohort(tmp_path)
+        models_section = [
+            {"family": "rp_ensemble", "budget": 2,
+             "params": {"b1_groups": 3, "b2_per_group": 2, "projected_dim": 2}},
+            {"family": "rectangle_mlp", "budget": 2,
+             "params": {"epochs": 3, "width": "cat:4,8"}},
+            {"family": "mlp_regressor", "params": {"epochs": 3, "width": 4}},
+        ]
+        outputs = set()
+        for workers in (1, 2, 4):
+            out = tmp_path / f"out{workers}"
+            path = write_config(tmp_path, data, models=models_section,
+                                workers=workers, output=str(out))
+            assert cli.main(["report", "--config", str(path)]) == 0
+            outputs.add(tuple((out / name).read_bytes()
+                              for name in ("report.csv", "trials.csv")))
+        assert len(outputs) == 1
+
     def test_failure_writes_manifest(self, tmp_path):
         data = make_cohort(tmp_path)
         path = write_config(tmp_path, data)
@@ -485,6 +507,7 @@ def test_forest_param_out_of_range_before_data_is_read(tmp_path, capsys, command
 @pytest.mark.parametrize("command, family, param, named", [
     ("train", "rectangle_mlp", "batch_size=0", "rectangle_mlp: batch_size must be >= 1, got 0"),
     ("cv", "svm_rbf", "C=0", "svm_rbf: C must be > 0, got 0.0"),
+    ("search", "svm_rbf", "C=loguniform:1e-13,1", "svm_rbf: C must be > 1e-12, got 1e-13"),
     ("cv", "l1_logistic", "lambda=-1", "l1_logistic: lambda must be >= 0, got -1.0"),
     ("search", "rectangle_mlp", "learning_rate=uniform:-1,1",
      "rectangle_mlp: learning_rate must be > 0, got -1.0"),

@@ -236,12 +236,16 @@ class TestRandomSearch:
             "trial 1: non-finite training features")
 
     def test_trial_fails_with_its_lowest_failing_fold(self, monkeypatch):
-        def evaluate_fold(spec, x, y, test_idx, fold):
-            if fold > 0:
-                raise ValueError(f"fold {fold} failed")
-            return evaluation.EvalRow(spec.family, "data", fold, 0.5, len(test_idx))
+        def evaluate_folds(spec, x, y, folds, fold_ids):
+            rows = []
+            for fold in fold_ids:
+                if fold > 0:
+                    raise ValueError(f"fold {fold} failed")
+                rows.append(evaluation.EvalRow(spec.family, "data", fold, 0.5,
+                                               len(folds[fold])))
+            return rows
 
-        monkeypatch.setattr(evaluation, "evaluate_fold", evaluate_fold)
+        monkeypatch.setattr(evaluation, "evaluate_folds", evaluate_folds)
         monkeypatch.setattr(search, "ProcessPoolExecutor", ReversePool)
         monkeypatch.setattr(search, "_task_inputs", ())
         x, y, plan = self.search_args()

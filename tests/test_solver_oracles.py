@@ -10,14 +10,16 @@ and scores each node's candidate features one at a time. The t-SNE KL trace,
 computed with one log per iteration, must match the masked per-entry formula
 within rounding. ``l1_logistic`` centers its columns and bounds the loss once
 per sweep, so its weights differ from those of the uncentered per-coordinate
-loop kept here; its objective must be no higher after as many sweeps."""
+loop kept here; its objective must be no higher after as many sweeps.
+``fit_folds`` of ``rp_ensemble`` and of the MLPs, which train the subsets of
+one table together, must match one reference fit per subset bit for bit."""
 
 import json
 
 import numpy as np
 import pytest
 
-from omicsurv import models, project, ranks, rpensemble
+from omicsurv import evaluation, models, project, ranks, rpensemble
 from omicsurv.dataio import FeatureMatrix
 from omicsurv.errors import DataError
 from omicsurv.models import forest, gaussian_nb, logistic, mlp, svm
@@ -972,3 +974,153 @@ def test_mlp_matches_allocating_sgd(task, params):
         assert got.tobytes() == ref.tobytes()
     assert mlp.scores(state, x).tobytes() == _ref_forward(
         weights, biases, x)[-1][:, 0].tobytes()
+
+
+# --- joint fits: fit_folds against one reference fit per training subset ----
+
+def _cv_train_sets(y, k, seed=0):
+    """The training rows of each fold of a stratified k-fold split."""
+    folds = evaluation.stratified_kfold(y, evaluation.CvPlan(k_folds=k, seed=seed))
+    return [np.setdiff1d(np.arange(len(y)), test) for test in folds]
+
+
+# (n, m, seed, k): 10 folds of 139 rows train on 124 to 126 rows, 3 of 80 on 53 or 54
+RP_FOLD_DATA = [(139, 301, 1, 10), (80, 7, 3, 3), (60, 12, 5, 5)]
+
+
+@pytest.mark.parametrize("n, m, seed, k", RP_FOLD_DATA)
+@pytest.mark.parametrize("dim", [1, 5])
+@pytest.mark.parametrize("base", [("gaussian_nb", {}),
+                                  ("l1_logistic", {"lambda": 0.05, "max_sweeps": 20})])
+def test_rp_fit_folds_matches_separate_fits(n, m, seed, k, dim, base):
+    # projected_dim 1 projects by matrix-vector products, whose rounding
+    # depends on a row's position, so a slice of one all-rows projection
+    # would not match here
+    family, hyperparameters = base
+    x, y = _xy(n, m, seed=seed, decimals=0 if seed == 5 else None)
+    spec = models.ModelSpec("rp_ensemble", {
+        "b1_groups": 3, "b2_per_group": 4, "projected_dim": dim,
+        "base_family": family, "base_hyperparameters": hyperparameters}, seed)
+    params = models.read_params("rp_ensemble", spec.hyperparameters)
+    train_sets = _cv_train_sets(y, k)
+    assert len({len(rows) for rows in train_sets}) >= 2
+    joint = list(models.fit_folds(spec, x, y, train_sets))
+    for rows, model in zip(train_sets, joint):
+        want = _ref_rp_train(x[rows], y[rows], params, seed)
+        assert json.dumps(rpensemble.to_jsonable(model.state)) == json.dumps(
+            rpensemble.to_jsonable(want))
+        assert model.state.group_errors.tobytes() == want.group_errors.tobytes()
+        assert model.state.selected_indices.tolist() == want.selected_indices.tolist()
+        assert (models.predict_scores(model, x).tobytes()
+                == rpensemble.predict_scores(want, x).tobytes())
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_rp_fit_folds_projects_each_subsets_own_rows(monkeypatch, dim):
+    # group errors are rates and can hide a rounding change in the projected
+    # stacks, so the stacks each subset is scored on are checked directly
+    x, y = _xy(139, 301, seed=1)
+    params = models.read_params("rp_ensemble", {
+        "b1_groups": 2, "b2_per_group": 4, "projected_dim": dim})
+    train_sets = _cv_train_sets(y, 10)
+    seen = []
+    monkeypatch.setattr(models, "holdout_errors", lambda spec, z_tr, y_tr, z_ho, y_ho: (
+        seen.append((z_tr, z_ho)) or np.zeros(len(z_tr))))
+    rpensemble.fit_folds(x, y, train_sets, params, 2)
+    for g in range(2):
+        stack = rpensemble.sample_projections(301, dim, [
+            np.random.default_rng(np.random.SeedSequence([2, g, b])) for b in range(4)])
+        for s, rows in enumerate(train_sets):
+            split_rng = np.random.default_rng(np.random.SeedSequence([2, 999]))
+            tr, ho = rpensemble._stratified_holdout(y[rows], 0.2, split_rng)
+            x_f = x[rows]
+            z_tr, z_ho = seen[g * len(train_sets) + s]
+            assert z_tr.tobytes() == np.matmul(x_f[tr], stack.transpose(0, 2, 1)).tobytes()
+            assert z_ho.tobytes() == np.matmul(x_f[ho], stack.transpose(0, 2, 1)).tobytes()
+
+
+# 45 rows in folds of 4, 3 and 2 rows train on 41, 42 and 43: final batches of
+# 1, 2 and 3 rows at batch_size 4
+MLP_TRAIN_SETS = [np.setdiff1d(np.arange(45), test) for test in (
+    [0, 5, 9, 30], [1, 2, 40], [3, 44], [4, 6, 7], [8, 10, 11, 12])]
+
+
+@pytest.mark.parametrize("n_hidden_layers", [0, 1, 2, 3])
+@pytest.mark.parametrize("batch_size", [4, 32])
+@pytest.mark.parametrize("task", ["classify", "regress"])
+def test_mlp_fit_folds_matches_separate_fits(task, batch_size, n_hidden_layers):
+    x, y = _xy(45, 7, seed=14)
+    target = y if task == "classify" else 3.0 * y + x[:, 2]
+    params = {"n_hidden_layers": n_hidden_layers, "width": 6, "epochs": 4,
+              "learning_rate": 0.05, "batch_size": batch_size}
+    family = {"classify": "rectangle_mlp", "regress": "mlp_regressor"}[task]
+    spec = models.ModelSpec(family, params, 4)
+    joint = list(models.fit_folds(spec, x, target, MLP_TRAIN_SETS))
+    for rows, model in zip(MLP_TRAIN_SETS, joint):
+        weights, biases = _ref_mlp_fit(x[rows], target[rows], params, 4, task)
+        state = model.state
+        assert len(state.weights) == n_hidden_layers + 1
+        for got, ref in zip(state.weights + state.biases, weights + biases):
+            assert got.tobytes() == ref.tobytes()
+        assert (models.predict_scores(model, x).tobytes()
+                == _ref_forward(weights, biases, x)[-1][:, 0].tobytes())
+
+
+def _first_failure(spec, x, y, train_sets):
+    """(number, error) of the lowest-numbered subset whose separate fit fails."""
+    for i, rows in enumerate(train_sets):
+        try:
+            models.fit(spec, x[rows], y[rows])
+        except Exception as exc:  # noqa: BLE001
+            return i, exc
+    raise AssertionError("no subset fails")
+
+
+def _assert_fails_at(spec, x, y, train_sets, number, message):
+    """``fit_folds`` hands out the models of the subsets before ``number``,
+    then raises that subset's error, as separate fits would."""
+    assert _first_failure(spec, x, y, train_sets)[0] == number
+    assert str(_first_failure(spec, x, y, train_sets)[1]) == message
+    fitted = models.fit_folds(spec, x, y, train_sets)
+    for _ in range(number):
+        next(fitted)
+    with pytest.raises(DataError, match=f"^{message}$"):
+        next(fitted)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing row
+def test_rp_fit_folds_raises_the_lowest_failing_subsets_error():
+    # Subset 1 trains on a row whose projections overflow, so a group fit
+    # fails; subset 2 fits; subset 3 holds one row of class 1, so its holdout
+    # split fails before any group is drawn; subset 4 holds no class 1 at all.
+    x, y = _xy(40, 6, seed=8)
+    x[3] = 1.7e308
+    everything_but_3 = np.setdiff1d(np.arange(40), [3])
+    one_of_class_1 = np.concatenate([np.flatnonzero(y == 0), np.flatnonzero(y == 1)[:1]])
+    train_sets = [everything_but_3, np.arange(40), everything_but_3[1:],
+                  one_of_class_1, np.flatnonzero(y == 0)]
+    spec = models.ModelSpec("rp_ensemble", {"b1_groups": 3, "b2_per_group": 2,
+                                            "projected_dim": 2}, 1)
+    _assert_fails_at(spec, x, y, train_sets, 1, "non-finite training features")
+    _assert_fails_at(spec, x, y, train_sets[2:], 1,
+                     "holdout split leaves a single-class training set")
+    # a separate fit checks the data before the family's own checks
+    too_wide = models.ModelSpec("rp_ensemble", {"projected_dim": 7}, 1)
+    _assert_fails_at(too_wide, x, y, train_sets[4:] + train_sets[:1], 0,
+                     "single-class training set")
+
+
+@pytest.mark.parametrize("family", ["rectangle_mlp", "mlp_regressor"])
+def test_mlp_fit_folds_raises_the_lowest_failing_subsets_error(family):
+    x, y = _xy(40, 6, seed=9)
+    x[5, 2] = np.nan
+    clean = np.setdiff1d(np.arange(40), [5])
+    single_class = np.flatnonzero(y == 0)[:-1]
+    spec = models.ModelSpec(family, {"epochs": 2, "width": 3}, 0)
+    _assert_fails_at(spec, x, y, [clean, np.arange(40), single_class, clean], 1,
+                     "non-finite training features")
+    # the regressor takes any targets, so only the non-finite row fails it
+    number, message = ((1, "single-class training set") if family == "rectangle_mlp"
+                       else (2, "non-finite training features"))
+    _assert_fails_at(spec, x, y, [clean, single_class, np.arange(40), clean], number,
+                     message)
