@@ -68,6 +68,12 @@ def check_family(family: str) -> None:
         raise ConfigError(f"unknown model family {family!r}; valid: {FAMILIES}")
 
 
+def is_classifier(family: str) -> bool:
+    """Whether ``family`` fits 0/1 labels and has a hard-label threshold;
+    the time regressor does neither."""
+    return _TABLE[family][1].get("task") != "regress"
+
+
 def read_params(family: str, hyperparameters: dict) -> dict:
     """The family's ``PARAMS`` defaults, overridden by ``hyperparameters``,
     typed and checked; an undeclared key, a wrong type or a value the family's
@@ -126,7 +132,7 @@ def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> TrainedModel:
     module, options = _TABLE[spec.family]
     params = read_params(spec.family, spec.hyperparameters)
     _validate_training_data(x.shape[-2], np.all(np.isfinite(x)), y,
-                            classifier=options.get("task") != "regress")
+                            classifier=is_classifier(spec.family))
     try:
         state = module.fit(x, y, params, spec.seed, **options)
     except ConfigError as exc:
@@ -165,7 +171,7 @@ def fit_folds(spec: ModelSpec, x: np.ndarray, y: np.ndarray, train_sets):
     for rows in train_sets:
         try:  # no subset after the first failing one is fitted
             _validate_training_data(len(rows), finite_rows[rows].all(), y[rows],
-                                    classifier=options.get("task") != "regress")
+                                    classifier=is_classifier(spec.family))
         except DataError as exc:
             failure = exc
             break

@@ -7,14 +7,18 @@ first 250 iterations, 0.8 after) and early exaggeration. Initial coordinates
 are drawn per point from a generator keyed by (seed, patient-id hash), so
 permuting the input rows permutes the embedding identically.
 
-The iteration loop allocates its n x n arrays (the kernel, Q and one scratch
-for the gram matrix, the gradient weights and the log) once and rewrites them
-in place with the same elementwise operations, in the same order, as fresh
-arrays would get. Its KL trace is sum_{p>0} p log p - <P, log max(Q, eps)>:
-the entropy term is computed once, and each iteration takes one log and one
-dot product over the full matrix, since P is zero wherever the masked form
-drops an entry. That equals KL(P||Q) to within rounding. ``kl_divergence``
-keeps the masked per-entry formula, which cancels less.
+Each iteration is one pass over row blocks of P (``_BLOCK_ELEMENTS // n``
+rows), and no n x n array but P is ever built. One GEMM of
+[y, 1, |y|^2 + 1] with [-2y, |y|^2, 1] gives a block's 1 + d^2; its log
+gives the block's share of sum P log(1 + d^2), and its reciprocal the
+Student-t kernel (diagonal zeroed) and the block's share of Z. Then
+(P * kernel) @ [y, 1] gives the attraction and kernel^2 @ [y, 1] the
+repulsion, so the gradient is 4 (f attraction - repulsion / Z) with the early
+exaggeration f scaling the attraction, and
+KL(P||Q) = sum P log P + sum P log(1 + d^2) + sum P log Z. The entropy term
+and sum P are computed once. ``kl_gradient`` and ``kl_divergence`` make the
+same pass, so the loop's last KL trace entry is ``kl_divergence`` of the
+returned coordinates.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from .dataio import ClinicalRecord, FeatureMatrix
 from .errors import ConfigError, DataError
 
 _EPS = 1e-12
-# elements of each temporary of the bandwidth search (512 KiB: a block stays
-# in cache through the dozen passes one evaluation makes over it)
+# elements of each row-block temporary of the bandwidth search and of the
+# t-SNE pass (512 KiB: a block stays in cache through the passes made over it)
 _BLOCK_ELEMENTS = 1 << 16
 _MOMENTUM_SWITCH_ITER = 250
 
@@ -69,13 +73,11 @@ class Embedding:
     kl_trace: np.ndarray    # KL divergence recorded at every iteration
 
 
-def _pairwise_sq_dists(x: np.ndarray, out: np.ndarray | None = None,
-                       scratch: np.ndarray | None = None) -> np.ndarray:
-    """Squared Euclidean distances, written into ``out`` (using ``scratch``
-    for the gram matrix) when the n x n buffers are given."""
+def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``x``."""
     sq = np.sum(x * x, axis=1)
-    d2 = np.add(sq[:, None], sq[None, :], out=out)
-    gram = np.matmul(x, x.T, out=scratch)
+    d2 = sq[:, None] + sq[None, :]
+    gram = x @ x.T
     gram *= 2.0
     d2 -= gram
     np.fill_diagonal(d2, 0.0)
@@ -172,43 +174,65 @@ def input_affinities(features: FeatureMatrix | np.ndarray,
     return sym
 
 
-def _q_matrix(coords: np.ndarray, num: np.ndarray | None = None,
-              q: np.ndarray | None = None,
-              scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Q and its unnormalized Student-t kernel; written into the n x n
-    buffers ``num``, ``q`` and ``scratch`` when given, fresh arrays if not."""
-    num = _pairwise_sq_dists(coords, out=num, scratch=scratch)
-    num += 1.0
-    np.divide(1.0, num, out=num)
-    np.fill_diagonal(num, 0.0)
-    q = np.divide(num, num.sum(), out=q)
-    return q, num
+def _row_blocks(n: int):
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
-def _kl(p_pos: np.ndarray, q_pos: np.ndarray) -> float:
-    """KL(P||Q) over the entries where P is positive."""
-    return float(np.sum(p_pos * np.log(p_pos / np.maximum(q_pos, _EPS))))
+def _kl_pass(p: np.ndarray, coords: np.ndarray,
+             exaggeration: float = 1.0) -> tuple[np.ndarray, float, float]:
+    """One pass over row blocks of P at ``coords``: the KL gradient with the
+    attraction scaled by ``exaggeration``, sum P log(1 + d^2), and Z."""
+    n, d = coords.shape
+    sq = np.sum(coords * coords, axis=1)
+    left = np.column_stack([coords, np.ones(n), sq + 1.0])
+    right = np.column_stack([-2.0 * coords, sq, np.ones(n)])
+    y1 = left[:, :d + 1]  # [y, 1]
+    blocks = _row_blocks(n)
+    kernel = np.empty((blocks[0].stop, n))
+    work = np.empty_like(kernel)
+    attraction = np.empty((n, d + 1))
+    repulsion = np.empty((n, d + 1))
+    p_log, z = 0.0, 0.0
+    for block in blocks:
+        rows = block.stop - block.start
+        t, w, pb = kernel[:rows], work[:rows], p[block]
+        np.matmul(left[block], right.T, out=t)
+        np.maximum(t, 1.0, out=t)  # 1 + d^2, which rounding may put below 1
+        np.log(t, out=w)
+        p_log += np.vdot(pb, w)
+        np.reciprocal(t, out=t)
+        t.reshape(-1)[block.start::n + 1] = 0.0  # the block's diagonal
+        z += t.sum()
+        np.multiply(pb, t, out=w)
+        np.matmul(w, y1, out=attraction[block])
+        np.multiply(t, t, out=t)
+        np.matmul(t, y1, out=repulsion[block])
+    attract = attraction[:, d:] * coords - attraction[:, :d]
+    repel = repulsion[:, d:] * coords - repulsion[:, :d]
+    return 4.0 * (exaggeration * attract - repel / z), float(p_log), float(z)
 
 
-def _gradient(p, q, num, coords: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
-    w = np.subtract(p, q, out=out)
-    w *= num
-    return 4.0 * (w.sum(axis=1)[:, None] * coords - w @ coords)
+def _entropy_and_mass(p: np.ndarray) -> tuple[float, float]:
+    """sum_{p>0} p log p and sum p, a row block at a time."""
+    entropy = 0.0
+    for block in _row_blocks(p.shape[0]):
+        pb = p[block]
+        entropy += np.vdot(pb, np.log(pb, out=np.zeros_like(pb), where=pb > 0))
+    return float(entropy), float(p.sum())
 
 
 def kl_divergence(p: np.ndarray, coords: np.ndarray) -> float:
-    q, _ = _q_matrix(coords)
-    mask = p > 0
-    return _kl(p[mask], q[mask])
+    entropy, mass = _entropy_and_mass(p)
+    _, p_log, z = _kl_pass(p, coords)
+    return float(entropy + p_log + mass * np.log(z))
 
 
 def kl_gradient(p: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Gradient of KL(P||Q) with the Student-t(1) low-dimensional kernel."""
     if p.shape[0] != coords.shape[0]:
         raise DataError("P and coords disagree on the number of points")
-    q, num = _q_matrix(coords)
-    return _gradient(p, q, num, coords)
+    return _kl_pass(p, coords)[0]
 
 
 def _init_coords(patient_ids: list[str], dims: int, seed: int) -> np.ndarray:
@@ -228,28 +252,24 @@ def tsne(features: FeatureMatrix, config: TsneConfig) -> Embedding:
     """Run exact t-SNE; the returned trace records KL(P||Q) per iteration
     against the un-exaggerated P."""
     p = input_affinities(features, config.perplexity)
-    p_exaggerated = (p * config.early_exaggeration_factor
-                     if config.early_exaggeration_iters else p)
-    p_pos = p[p > 0]
-    entropy_term = float(np.sum(p_pos * np.log(p_pos)))
+    entropy, mass = _entropy_and_mass(p)
     coords = _init_coords(features.patient_ids, config.output_dims, config.seed)
     velocity = np.zeros_like(coords)
     trace = np.empty(config.iterations)
-    n = p.shape[0]
-    num, q, scratch = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
-    # the Q of each iteration's KL trace entry is the next iteration's Q
-    _q_matrix(coords, num, q, scratch)
+
+    def exaggeration(it):
+        return (config.early_exaggeration_factor
+                if it < config.early_exaggeration_iters else 1.0)
+
+    # the pass that gives each iteration's KL trace entry gives the next
+    # iteration's gradient
+    grad, _, _ = _kl_pass(p, coords, exaggeration(0))
     for it in range(config.iterations):
-        p_eff = p_exaggerated if it < config.early_exaggeration_iters else p
-        grad = _gradient(p_eff, q, num, coords, out=scratch)
         momentum = 0.5 if it < _MOMENTUM_SWITCH_ITER else 0.8
         velocity = momentum * velocity - config.learning_rate * grad
         coords = coords + velocity
-        _q_matrix(coords, num, q, scratch)
-        # KL(P||Q) as sum_{p>0} p log p - <P, log max(Q, eps)>
-        np.maximum(q, _EPS, out=scratch)
-        np.log(scratch, out=scratch)
-        trace[it] = entropy_term - np.vdot(p, scratch)
+        grad, p_log, z = _kl_pass(p, coords, exaggeration(it + 1))
+        trace[it] = entropy + p_log + mass * np.log(z)
     return Embedding(patient_ids=list(features.patient_ids), coords=coords,
                      kl_trace=trace)
 

@@ -57,6 +57,9 @@ def check_params(params: dict) -> None:
     if params["base_family"] == "rp_ensemble":
         raise ConfigError("rp_ensemble cannot be its own base family")
     models.check_family(params["base_family"])
+    if not models.is_classifier(params["base_family"]):
+        raise ConfigError(f"base family {params['base_family']!r} has no "
+                          "hard-label threshold to vote with")
     models.read_params(params["base_family"], params["base_hyperparameters"])
     alpha = params["vote_threshold_alpha"]
     if alpha is not None and not 0.0 < alpha < 1.0:

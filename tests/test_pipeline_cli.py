@@ -469,6 +469,18 @@ def test_report_config_error_before_any_work(tmp_path, cohort, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_report_rp_ensemble_regressor_base_exits_before_reading_data(tmp_path, capsys):
+    """The data files do not exist: a base family with no hard-label
+    threshold is rejected (exit 2) before they are read (exit 3)."""
+    path = write_config(tmp_path, tmp_path / "missing", models=[
+        {"family": "rp_ensemble", "params": {"base_family": "mlp_regressor"}}])
+    assert cli.main(["report", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert ("rp_ensemble: base family 'mlp_regressor' has no hard-label threshold"
+            in err and "Traceback" not in err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_non_numeric_param_is_config_error(tmp_path, cohort, capsys):
     labels = tmp_path / "labels.csv"
     assert cli.main(["label", "--clinical", str(cohort / "clinical.csv"),

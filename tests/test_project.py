@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -168,6 +170,24 @@ class TestTsne:
         again = project.tsne(shuffled, config)
         np.testing.assert_allclose(again.coords, base.coords[perm],
                                    rtol=1e-7, atol=1e-10)
+
+    def test_iterations_hold_less_than_one_more_square_matrix(self):
+        """The loop keeps P and O(block * n): no exaggerated copy of P, no
+        n x n kernel or Q."""
+        n = 1000
+        features = fm(np.random.default_rng(4).normal(0, 1, (n, 12)))
+        config = project.TsneConfig(output_dims=3, iterations=2)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        affinities = peak(lambda: project.input_affinities(features, config.perplexity))
+        assert peak(lambda: project.tsne(features, config)) - affinities < n * n * 8
 
 
 @pytest.mark.parametrize("key, value, message", [

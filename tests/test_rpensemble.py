@@ -96,6 +96,8 @@ class TestConfigValidation:
             ({"base_family": "bogus"}, "unknown model family 'bogus'"),
             ({"base_hyperparameters": {"C": 1.0}},
              "gaussian_nb: unknown config key 'C'"),
+            ({"base_family": "mlp_regressor"},
+             "base family 'mlp_regressor' has no hard-label threshold"),
         ]:
             with pytest.raises(ConfigError, match=f"^rp_ensemble: .*{match}"):
                 models.read_params("rp_ensemble", params)
