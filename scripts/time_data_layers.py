@@ -13,19 +13,30 @@ is quantile-normalized onto it, as `omicsurv normalize --log2` does.
 t-SNE runs on the loaded log2 microarray table at perplexity 30: the
 affinities alone, then a fixed 50-iteration 3-D embedding. Its time per
 iteration is the best embedding time less the best affinities time, over 50.
-The embedding's iterates depend on the BLAS thread count, so compare its
-SHA-256 between runs with the same thread settings (e.g. OPENBLAS_NUM_THREADS=1).
+The load is also run once under tracemalloc, and its peak is printed beside
+its time.
+
+Before numpy loads, the script sets the BLAS/OpenMP thread variables that
+perfbench/run.py sets to 1, overriding any exported value: the embedding's
+iterates, and so its SHA-256, change with the thread count.
 
 Usage: python scripts/time_data_layers.py [--patients N] [--genes M]
 """
 
-import argparse
-import hashlib
-import tempfile
-import time
-from pathlib import Path
+import os
 
-from omicsurv import dataio, normalize, project, synth
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+import tracemalloc  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from omicsurv import dataio, normalize, project, synth  # noqa: E402
 
 TSNE_PERPLEXITY = 30.0
 TSNE_ITERATIONS = 50
@@ -58,7 +69,11 @@ def main():
         seconds, _ = best_of_3(lambda: dataio.save_expression(micro, path))
         print(f"save_expression  {seconds:8.3f} s  ({path.stat().st_size / 2**20:.1f} MiB)")
         seconds, loaded = best_of_3(lambda: dataio.load_expression(path))
-        print(f"load_expression  {seconds:8.3f} s")
+        tracemalloc.start()
+        dataio.load_expression(path)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        print(f"load_expression  {seconds:8.3f} s  (tracemalloc peak {peak / 2**20:.1f} MiB)")
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
     seconds, micro_log2 = best_of_3(lambda: normalize.log2_transform(loaded))
     print(f"log2_transform   {seconds:8.3f} s")

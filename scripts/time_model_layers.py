@@ -24,15 +24,25 @@ The cohort is drawn in memory with omicsurv.synth (seed 0). The features are
 the log2 microarray table, labelled at a 60-month horizon as
 `omicsurv report` labels them; censored patients without a label are dropped.
 
+Before numpy loads, the script sets the BLAS/OpenMP thread variables that
+perfbench/run.py sets to 1, overriding any exported value: the svm_rbf
+model's gram matrix, and so its SHA-256, changes with the thread count.
+
 Usage: python scripts/time_model_layers.py [--patients N] [--genes M]
 """
 
-import argparse
-import hashlib
-import json
-import time
+import os
 
-from omicsurv import dataio, evaluation, models, normalize, survival, synth
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import time  # noqa: E402
+
+from omicsurv import dataio, evaluation, models, normalize, survival, synth  # noqa: E402
 
 
 def best_of_3(fn):

@@ -14,8 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
+# every module that perfbench/tracing.py instruments is imported here; synth
+# only by the command that uses it
 from . import (dataio, evaluation, models, normalize, pipeline, project,
-               search, survival, synth)
+               search, survival)
 from .errors import ConfigError, DataError, OmicsurvError
 
 
@@ -30,6 +32,8 @@ def _parse_kv(pairs: list[str]) -> dict:
 
 
 def _cmd_synth(args) -> int:
+    from . import synth
+
     config = synth.SynthConfig(
         n_patients=args.n_patients,
         n_genes=args.n_genes,

@@ -9,11 +9,16 @@ and labels files ``patient_id,label`` with one 0/1 label per patient.
 Files are written as ``csv.writer`` writes them: CRLF line ends, a field
 quoted only when it holds ``,``, ``"`` or a line break, floats by ``repr``,
 so a load -> store -> load round trip is bit-identical. A matrix is written
-one joined line per row, and only an id that needs quotes goes through
-``csv.writer``. A matrix is read as one numeric block by numpy's C tokenizer;
-text that only the csv module reads right (quotes, a lone ``\r``) or that
-numpy rejects (``1_0``, an empty cell, a ragged row) goes through the
-per-cell path instead, which accepts exactly what ``float`` accepts. Both
+one joined line per row, converted to Python numbers a row at a time, and
+only an id that needs quotes goes through ``csv.writer``.
+
+A matrix is streamed in. A first binary pass counts its lines and looks for
+text that only the csv module reads right (a quote, a lone ``\r``, NUL or
+``\x1c``-``\x1f``). Then numpy's C tokenizer parses about 1 MiB of lines at a
+time into one preallocated array. A file that the first pass flags, or that
+numpy or the UTF-8 decoder rejects in any block (``1_0``, an empty cell, a
+ragged row), goes whole through the located per-cell path instead, which
+holds the text in memory and accepts exactly what ``float`` accepts. Both
 give the same bits, and every cell error names the file, line and column.
 """
 
@@ -241,44 +246,81 @@ def _parse_cells(rows, lines, path) -> np.ndarray:
     return out
 
 
+# Bytes of the lines that one block parse takes, about.
+_READ_BLOCK_BYTES = 1 << 20
+
 # Characters the block parse leaves to the csv module and float(): a quote,
 # NUL, and \x1c-\x1f, which numpy strips from a number as whitespace while
-# float() rejects them.
-_NOT_IN_A_BLOCK = '"\x00\x1c\x1d\x1e\x1f'
+# float() rejects them. A \r that does not end a line is left to them too.
+_NOT_IN_A_BLOCK = b'"\x00\x1c\x1d\x1e\x1f'
 
 
-def _parse_block(text: str) -> _Table | None:
-    """The table parsed by numpy's C tokenizer, or None if it cannot be."""
-    if (any(c in text for c in _NOT_IN_A_BLOCK)
-            or text.count("\r") != text.count("\r\n")):  # a lone \r breaks lines
+def _count_lines(fh) -> int | None:
+    """The number of lines of a binary file, or None if it holds a character
+    the block parse leaves to the csv module."""
+    newlines, last = 0, b""
+    while chunk := fh.read(_READ_BLOCK_BYTES):
+        if chunk.endswith(b"\r"):  # keep a \r\n in one chunk
+            chunk += fh.read(1)
+        if (any(c in chunk for c in _NOT_IN_A_BLOCK)
+                or chunk.count(b"\r") != chunk.count(b"\r\n")):
+            return None
+        newlines += chunk.count(b"\n")
+        last = chunk[-1:]
+    return newlines + (last not in (b"", b"\n"))
+
+
+def _parse_blocks(path) -> _Table | None:
+    """The table parsed by numpy's C tokenizer, about ``_READ_BLOCK_BYTES``
+    of lines at a time, into one array; None if it cannot be."""
+    with open(path, "rb") as fh:
+        line_count = _count_lines(fh)
+        if line_count is None or line_count < 2:
+            return None
+        fh.seek(0)
+        header, row_ids, lines, values = None, [], [], None
+        number = 0
+        while block := fh.readlines(_READ_BLOCK_BYTES):
+            rests = []
+            for raw in block:
+                number += 1
+                try:
+                    line = raw.rstrip(b"\r\n").decode("utf-8")
+                except UnicodeDecodeError:
+                    return None
+                if not line:
+                    continue
+                if header is None:
+                    header = line.split(",")
+                    values = np.empty((line_count - number, len(header) - 1))
+                    continue
+                row_id, _, rest = line.partition(",")
+                if not rest:  # loadtxt would skip the line, or warn of no data
+                    return None
+                row_ids.append(row_id)
+                rests.append(rest)
+                lines.append(number)
+            if not rests:
+                continue
+            try:
+                parsed = np.loadtxt(rests, delimiter=",", dtype=np.float64,
+                                    comments=None, ndmin=2)
+            except ValueError:
+                return None
+            if parsed.shape[1:] != values.shape[1:]:
+                return None
+            values[len(row_ids) - len(rests):len(row_ids)] = parsed
+    if not row_ids:
         return None
-    numbered = [(n, line) for n, line
-                in enumerate(text.replace("\r\n", "\n").split("\n"), 1) if line]
-    if len(numbered) < 2:
-        return None
-    row_ids, rests = [], []
-    for _, line in numbered[1:]:
-        row_id, _, rest = line.partition(",")
-        row_ids.append(row_id)
-        rests.append(rest)
-    if not all(rests):  # loadtxt would skip the line, or warn of no data
-        return None
-    try:
-        values = np.loadtxt(rests, delimiter=",", dtype=np.float64,
-                            comments=None, ndmin=2)
-    except ValueError:
-        return None
-    header = numbered[0][1].split(",")
-    if values.shape != (len(rests), len(header) - 1):
-        return None
-    return _Table(header[1:], row_ids, values, [n for n, _ in numbered[1:]])
+    if len(row_ids) < len(values):  # blank lines
+        values = values[:len(row_ids)]
+    return _Table(header[1:], row_ids, values, lines)
 
 
 def _read_matrix(path) -> _Table:
-    text = read_text(path)
-    table = _parse_block(text)
+    table = _parse_blocks(path)
     if table is None:
-        rows, lines = _read_delimited(text, path)
+        rows, lines = _read_delimited(read_text(path), path)
         table = _Table(rows[0][1:], [row[0] for row in rows[1:]],
                        _parse_cells(rows, lines, path), lines[1:])
     table.check_ids(path)
@@ -394,16 +436,18 @@ def load_labels(path) -> dict[str, int]:
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
-def _write_matrix(path, col_ids, row_ids, rows: list[list], fmt) -> None:
-    """Write the bytes csv.writer would, joining each row's cells at once."""
+def _write_matrix(path, col_ids, row_ids, values: np.ndarray, fmt) -> None:
+    """Write the bytes csv.writer would, joining each row's cells at once and
+    converting the array to Python numbers one row at a time."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["patient_id", *col_ids])
-        for row_id, row in zip(row_ids, rows):
+        for row_id, row in zip(row_ids, values):
+            cells = map(fmt, row.tolist())
             if _NEEDS_QUOTES.search(row_id):
-                writer.writerow([row_id, *map(fmt, row)])
+                writer.writerow([row_id, *cells])
             else:
-                fh.write(row_id + "," + ",".join(map(fmt, row)) + "\r\n")
+                fh.write(row_id + "," + ",".join(cells) + "\r\n")
 
 
 def save_expression(matrix: ExpressionMatrix | FeatureMatrix, path) -> None:
@@ -412,12 +456,12 @@ def save_expression(matrix: ExpressionMatrix | FeatureMatrix, path) -> None:
     else:
         col_ids = matrix.feature_names
     _write_matrix(path, col_ids, matrix.patient_ids,
-                  matrix.values.astype(np.float64, copy=False).tolist(), repr)
+                  matrix.values.astype(np.float64, copy=False), repr)
 
 
 def save_cna(matrix: CnaMatrix, path) -> None:
     _write_matrix(path, matrix.gene_ids, matrix.patient_ids,
-                  matrix.values.astype(np.int64, copy=False).tolist(), str)
+                  matrix.values.astype(np.int64, copy=False), str)
 
 
 def _cell(x):

@@ -15,6 +15,9 @@ also takes the ``task`` its ``_TABLE`` entry passes), ``scores(state, x)``,
 ``check_params(params)``, which rejects values that are well typed but out of
 range or do not fit together (``svm_rbf``'s ``C``, ``random_forest``'s tree
 count; ``rp_ensemble``'s base hyperparameters against its base family),
+``width_limit(params)``, the fewest feature columns it can fit with
+``params`` (``rp_ensemble``'s ``projected_dim``), which ``check_width`` below
+compares with a table's width,
 and ``holdout_errors(z_tr, y_tr, z_ho, y_ho, params)``, which fits one model
 per slice of a stack of B training tables (B, n, d) and returns each one's
 misclassification rate on the matching holdout slice, shape (B,), as one
@@ -86,6 +89,17 @@ def read_params(family: str, hyperparameters: dict) -> dict:
     except ConfigError as exc:
         raise ConfigError(f"{family}: {exc}") from None
     return params
+
+
+def check_width(family: str, hyperparameters: dict, width: int, table: str) -> None:
+    """A ConfigError naming ``family`` and ``table`` if the family cannot fit
+    ``width`` feature columns with ``hyperparameters``."""
+    module = _TABLE[family][0]
+    if hasattr(module, "width_limit"):
+        needed = module.width_limit(read_params(family, hyperparameters))
+        if width < needed:
+            raise ConfigError(f"{family} needs at least {needed} feature columns "
+                              f"with these parameters; {table} has {width}")
 
 
 @dataclass(frozen=True)

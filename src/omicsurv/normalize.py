@@ -21,11 +21,13 @@ def log2_transform(m: ExpressionMatrix) -> ExpressionMatrix:
     """Replace every value v by log2(v + 1) and mark the matrix as log2."""
     if m.scale != "linear":
         raise DataError("log2_transform expects a linear-scale matrix")
+    values = m.values + 1.0
+    np.log2(values, out=values)
     return ExpressionMatrix(
         platform_id=m.platform_id,
         patient_ids=m.patient_ids,
         gene_ids=m.gene_ids,
-        values=np.log2(m.values + 1.0),
+        values=values,
         scale="log2",
     )
 

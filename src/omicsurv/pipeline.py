@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import dataio, evaluation, normalize, project, search, survival
 from .errors import ConfigError, DataError, OmicsurvError
@@ -74,9 +73,14 @@ class ExperimentConfig:
             raise ConfigError("worker count must be >= 1")
         if any(d < 1 for d in self.projection_dims):
             raise ConfigError("projection dims must be >= 1")
+        for dim in self.projection_dims:
+            _check_width(self.models, _tsne_descriptor(dim, self.include_age),
+                         dim + int(self.include_age))
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
+    import yaml  # only the report command reads a config
+
     try:
         raw = yaml.safe_load(dataio.read_text(path))
     except FileNotFoundError:
@@ -159,6 +163,16 @@ def _config_fingerprint(config: ExperimentConfig) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _tsne_descriptor(dim: int, include_age: bool) -> str:
+    return f"RNA TSNE {dim}{' age' if include_age else ''}"
+
+
+def _check_width(spaces: list[search.SearchSpace], descriptor: str, width: int) -> None:
+    """A ConfigError if a model cannot fit the ``width`` columns of a variant."""
+    for space in spaces:
+        space.check_width(width, repr(descriptor))
+
+
 @dataclass
 class _Variant:
     descriptor: str
@@ -185,6 +199,9 @@ def _build_variants(config: ExperimentConfig, merged, clinical, cna) -> list[_Va
                                          include_age=config.include_age, cna=cna)
         variants.append(_Variant(descriptor=f"RNA+CNA raw{age_suffix}",
                                  features=combined))
+    # the t-SNE variants' widths were checked with the config
+    for variant in variants:
+        _check_width(config.models, variant.descriptor, variant.features.n_features)
     # t-SNE sees the raw variant's patients: with age, those with a clinical record
     expr_only = dataio.build_features(
         dataio.subset_patients(merged, raw.patient_ids), clinical)
@@ -192,7 +209,7 @@ def _build_variants(config: ExperimentConfig, merged, clinical, cna) -> list[_Va
     for dim in config.projection_dims:
         projected = project.project_with_age(
             expr_only, age_records, replace(config.tsne, output_dims=dim))
-        variants.append(_Variant(descriptor=f"RNA TSNE {dim}{age_suffix}",
+        variants.append(_Variant(descriptor=_tsne_descriptor(dim, config.include_age),
                                  features=projected))
     return variants
 

@@ -1,29 +1,34 @@
 """Exact O(N^2) t-SNE to arbitrary output dimension.
 
 Input affinities use per-point Gaussian bandwidths found by bisection on the
-precision until each conditional's perplexity matches the target. The
-embedding is optimized by plain gradient descent with momentum (0.5 for the
-first 250 iterations, 0.8 after) and early exaggeration. Initial coordinates
-are drawn per point from a generator keyed by (seed, patient-id hash), so
-permuting the input rows permutes the embedding identically.
+precision until each conditional's perplexity matches the target. One n x n
+buffer holds the distances, then the conditionals, then P. The embedding is
+optimized by plain gradient descent with momentum (0.5 for the first 250
+iterations, 0.8 after) and early exaggeration. Initial coordinates are drawn
+per point from a generator keyed by (seed, patient-id hash), so permuting
+the input rows permutes the embedding identically.
 
-Each iteration is one pass over row blocks of P (``_BLOCK_ELEMENTS // n``
-rows), and no n x n array but P is ever built. One GEMM of
-[y, 1, |y|^2 + 1] with [-2y, |y|^2, 1] gives a block's 1 + d^2; its log
-gives the block's share of sum P log(1 + d^2), and its reciprocal the
-Student-t kernel (diagonal zeroed) and the block's share of Z. Then
-(P * kernel) @ [y, 1] gives the attraction and kernel^2 @ [y, 1] the
-repulsion, so the gradient is 4 (f attraction - repulsion / Z) with the early
+Each iteration is one pass over the block pairs I <= J of P's upper triangle
+(blocks of about 128 rows, one block up to 191 points), which ``tsne`` packs
+once, in place, so that each pair's block of P is contiguous. No other n x n
+array is built. For each pair, one GEMM of [y, 1, |y|^2 + 1] with
+[-2y, |y|^2, 1] gives 1 + d^2; its log gives the pair's share of
+sum P log(1 + d^2), and its reciprocal the Student-t kernel (diagonal zeroed)
+and the pair's share of Z. Then (P * kernel) @ [y, 1] gives the attraction
+and kernel^2 @ [y, 1] the repulsion of rows I; an off-diagonal pair also
+gives rows J theirs through the transposed blocks, and it counts twice in
+both sums. The gradient is 4 (f attraction - repulsion / Z) with the early
 exaggeration f scaling the attraction, and
 KL(P||Q) = sum P log P + sum P log(1 + d^2) + sum P log Z. The entropy term
 and sum P are computed once. ``kl_gradient`` and ``kl_divergence`` make the
-same pass, so the loop's last KL trace entry is ``kl_divergence`` of the
-returned coordinates.
+same pass over a packed copy of P, so the loop's last KL trace entry is
+``kl_divergence`` of the returned coordinates.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,13 +78,22 @@ class Embedding:
     kl_trace: np.ndarray    # KL divergence recorded at every iteration
 
 
+def _row_blocks(n: int, rows: int | None = None) -> list[slice]:
+    """Consecutive blocks of ``rows`` rows, ``_BLOCK_ELEMENTS // n`` by default."""
+    rows = rows or max(1, _BLOCK_ELEMENTS // n)
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+
+
 def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of ``x``."""
+    """Squared Euclidean distances between the rows of ``x``, formed a row
+    block at a time over the Gram matrix, the one n x n array made."""
     sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :]
-    gram = x @ x.T
-    gram *= 2.0
-    d2 -= gram
+    d2 = x @ x.T
+    d2 *= 2.0
+    for block in _row_blocks(len(x)):
+        part = sq[block, None] + sq[None, :]
+        part -= d2[block]
+        d2[block] = part
     np.fill_diagonal(d2, 0.0)
     return np.maximum(d2, 0.0, out=d2)
 
@@ -98,24 +112,24 @@ def _conditional_rows(d2: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _bandwidth_search(d2: np.ndarray, perplexity: float, tol: float) -> np.ndarray:
-    """Conditional distributions at the target perplexity, one row per point
-    of the (n, n - 1) off-diagonal squared distances ``d2``.
+    """The precision at which each row of the (n, n - 1) off-diagonal squared
+    distances ``d2`` has the target perplexity: the last one evaluated.
 
     Every row's precision is bracketed and then bisected at once: each step
     evaluates the rows still searching, a block of rows at a time, and a row
     leaves once it is done. The errors name the first failing point, as a
     point-by-point search would."""
     n = len(d2)
-    cond = np.empty_like(d2)
     perp = np.empty(n)
+    last = np.empty(n)
     lo, hi = np.zeros(n), np.ones(n)
     block = max(1, _BLOCK_ELEMENTS // d2.shape[1])
 
     def evaluate(rows, beta):
+        last[rows] = beta
         for start in range(0, len(rows), block):
             part = rows[start:start + block]
-            cond[part], perp[part] = _conditional_rows(
-                d2[part], beta[start:start + block])
+            perp[part] = _conditional_rows(d2[part], beta[start:start + block])[1]
 
     # expand each bracket until it contains the target perplexity
     rows = np.arange(n)
@@ -147,13 +161,19 @@ def _bandwidth_search(d2: np.ndarray, perplexity: float, tol: float) -> np.ndarr
             f"bandwidth search did not reach perplexity tolerance for point "
             f"{unconverged[0]}"
         )
-    return cond
+    return last
 
 
 def input_affinities(features: FeatureMatrix | np.ndarray,
                      perplexity: float,
                      tol: float = 1e-4) -> np.ndarray:
-    """Symmetric t-SNE affinity matrix P (zero diagonal, sums to 1)."""
+    """Symmetric t-SNE affinity matrix P (zero diagonal, sums to 1).
+
+    One n x n buffer holds every stage. The distances are packed in place
+    into its first n (n - 1) elements, row-major without the diagonal: the
+    (n, n - 1) table the bandwidth search reads. The conditionals at the
+    searched precisions are written over it a row block at a time, unpacked
+    in place around a zero diagonal, and symmetrized a block pair at a time."""
     x = features.values if isinstance(features, FeatureMatrix) else np.asarray(features)
     n = x.shape[0]
     if n < 4:
@@ -163,54 +183,124 @@ def input_affinities(features: FeatureMatrix | np.ndarray,
             f"perplexity {perplexity} too large for {n} points "
             f"(must be < (N-1)/3)"
         )
-    off_diagonal = ~np.eye(n, dtype=bool)
-    cond = _bandwidth_search(_pairwise_sq_dists(x)[off_diagonal].reshape(n, n - 1),
-                             perplexity, tol)
-    p = np.zeros((n, n))
-    p[off_diagonal] = cond.ravel()
-    del cond
-    sym = p + p.T
-    sym /= 2.0 * n
-    return sym
+    p = _pairwise_sq_dists(x)
+    flat = p.reshape(-1)
+    off = flat[:n * (n - 1)].reshape(n, n - 1)
+    # packed row i starts i elements before full row i, so packing the rows
+    # first to last, and unpacking them last to first, overwrites only rows
+    # already moved
+    for i in range(n):
+        flat[i * (n - 1):(i + 1) * (n - 1)] = np.concatenate(
+            [flat[i * n:i * n + i], flat[i * n + i + 1:(i + 1) * n]])
+    beta = _bandwidth_search(off, perplexity, tol)
+    for block in _row_blocks(n):
+        off[block] = _conditional_rows(off[block], beta[block])[0]
+    for i in range(n - 1, -1, -1):
+        row = flat[i * (n - 1):(i + 1) * (n - 1)].copy()
+        flat[i * n:i * n + i] = row[:i]
+        flat[i * n + i] = 0.0
+        flat[i * n + i + 1:(i + 1) * n] = row[i:]
+    scale = 2.0 * n
+    blocks = _row_blocks(n)
+    for a, rows in enumerate(blocks):
+        for cols in blocks[a:]:
+            sym = p[rows, cols] + p[cols, rows].T
+            sym /= scale
+            p[rows, cols] = sym
+            p[cols, rows] = sym.T
+    return p
 
 
-def _row_blocks(n: int):
-    rows = max(1, _BLOCK_ELEMENTS // n)
-    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+def _pair_blocks(n: int) -> list[slice]:
+    """Row blocks of the t-SNE pass: n cut into round(n / r) blocks of about
+    r = sqrt(_BLOCK_ELEMENTS) / 2 = 128 rows, so that up to 191 points are
+    one block."""
+    count = max(1, round(n / (math.isqrt(_BLOCK_ELEMENTS) // 2)))
+    return _row_blocks(n, -(-n // count))
+
+
+def _pack_pairs(p: np.ndarray, blocks: list[slice],
+                out: np.ndarray | None = None) -> np.ndarray:
+    """The blocks P[I, J], I <= J, each C-contiguous and in row-major order of
+    (I, J), one after another in ``out``, a new array by default.
+
+    ``out`` may be P's own buffer, ``p.reshape(-1)``: block row I packs into
+    elements that only rows of blocks I and earlier held, and it is copied
+    out before it is written."""
+    n = p.shape[0]
+    if out is None:
+        out = np.empty(sum((rows.stop - rows.start) * (n - rows.start)
+                           for rows in blocks))
+    offset = 0
+    for a, rows in enumerate(blocks):
+        block_row = p[rows, rows.start:].copy()
+        for cols in blocks[a:]:
+            part = block_row[:, cols.start - rows.start:cols.stop - rows.start]
+            out[offset:offset + part.size].reshape(part.shape)[...] = part
+            offset += part.size
+    return out[:offset]
+
+
+def _kl_pass_packed(packed: np.ndarray, blocks: list[slice], coords: np.ndarray,
+                    exaggeration: float = 1.0) -> tuple[np.ndarray, float, float]:
+    """One pass over the block pairs I <= J of P, packed by ``_pack_pairs``,
+    at ``coords``: the KL gradient with the attraction scaled by
+    ``exaggeration``, sum P log(1 + d^2), and Z."""
+    n, d = coords.shape
+    left = np.empty((n, d + 2))  # [y, 1, |y|^2 + 1]
+    right = np.empty((n, d + 2))  # [-2y, |y|^2, 1]
+    left[:, :d] = coords
+    left[:, d] = 1.0
+    np.einsum("ij,ij->i", coords, coords, out=right[:, d])
+    np.add(right[:, d], 1.0, out=left[:, d + 1])
+    np.multiply(coords, -2.0, out=right[:, :d])
+    right[:, d + 1] = 1.0
+    y1 = left[:, :d + 1]
+    size = (blocks[0].stop - blocks[0].start) ** 2
+    products, ones = np.empty(2 * size), np.ones(size)
+    forces = np.zeros((2, n, d + 1))  # attraction, repulsion
+    p_log, z, offset = 0.0, 0.0, 0
+    for a, rows in enumerate(blocks):
+        for b in range(a, len(blocks)):
+            cols = blocks[b]
+            shape = (rows.stop - rows.start, cols.stop - cols.start)
+            count = shape[0] * shape[1]
+            pb = packed[offset:offset + count].reshape(shape)
+            offset += count
+            both = products[:2 * count].reshape(2 * shape[0], shape[1])
+            w, t = both[:shape[0]], both[shape[0]:]
+            # an off-diagonal pair also stands for its mirror (J, I)
+            twice = 1.0 if b == a else 2.0
+            np.matmul(left[rows], right[cols].T, out=t)
+            np.maximum(t, 1.0, out=t)  # 1 + d^2, which rounding may put below 1
+            np.log(t, out=w)
+            p_log += twice * np.vdot(pb, w)
+            np.reciprocal(t, out=t)
+            if b == a:
+                t.reshape(-1)[::shape[0] + 1] = 0.0
+            z += twice * np.vdot(t, ones[:count])
+            np.multiply(pb, t, out=w)
+            np.multiply(t, t, out=t)
+            forces[:, rows] += (both @ y1[cols]).reshape(2, shape[0], d + 1)
+            if b != a:
+                forces[0, cols] += w.T @ y1[rows]
+                forces[1, cols] += t.T @ y1[rows]
+    # row i of a force is sum_j f_ij (y_i - y_j): the last column of its
+    # product with [y, 1] times y_i, less its first d columns
+    forces[0] *= exaggeration
+    forces[1] /= -z
+    net = forces[0] + forces[1]
+    grad = net[:, d:] * coords
+    grad -= net[:, :d]
+    grad *= 4.0
+    return grad, float(p_log), float(z)
 
 
 def _kl_pass(p: np.ndarray, coords: np.ndarray,
              exaggeration: float = 1.0) -> tuple[np.ndarray, float, float]:
-    """One pass over row blocks of P at ``coords``: the KL gradient with the
-    attraction scaled by ``exaggeration``, sum P log(1 + d^2), and Z."""
-    n, d = coords.shape
-    sq = np.sum(coords * coords, axis=1)
-    left = np.column_stack([coords, np.ones(n), sq + 1.0])
-    right = np.column_stack([-2.0 * coords, sq, np.ones(n)])
-    y1 = left[:, :d + 1]  # [y, 1]
-    blocks = _row_blocks(n)
-    kernel = np.empty((blocks[0].stop, n))
-    work = np.empty_like(kernel)
-    attraction = np.empty((n, d + 1))
-    repulsion = np.empty((n, d + 1))
-    p_log, z = 0.0, 0.0
-    for block in blocks:
-        rows = block.stop - block.start
-        t, w, pb = kernel[:rows], work[:rows], p[block]
-        np.matmul(left[block], right.T, out=t)
-        np.maximum(t, 1.0, out=t)  # 1 + d^2, which rounding may put below 1
-        np.log(t, out=w)
-        p_log += np.vdot(pb, w)
-        np.reciprocal(t, out=t)
-        t.reshape(-1)[block.start::n + 1] = 0.0  # the block's diagonal
-        z += t.sum()
-        np.multiply(pb, t, out=w)
-        np.matmul(w, y1, out=attraction[block])
-        np.multiply(t, t, out=t)
-        np.matmul(t, y1, out=repulsion[block])
-    attract = attraction[:, d:] * coords - attraction[:, :d]
-    repel = repulsion[:, d:] * coords - repulsion[:, :d]
-    return 4.0 * (exaggeration * attract - repel / z), float(p_log), float(z)
+    """``_kl_pass_packed`` of a dense symmetric P."""
+    blocks = _pair_blocks(p.shape[0])
+    return _kl_pass_packed(_pack_pairs(p, blocks), blocks, coords, exaggeration)
 
 
 def _entropy_and_mass(p: np.ndarray) -> tuple[float, float]:
@@ -253,6 +343,8 @@ def tsne(features: FeatureMatrix, config: TsneConfig) -> Embedding:
     against the un-exaggerated P."""
     p = input_affinities(features, config.perplexity)
     entropy, mass = _entropy_and_mass(p)
+    blocks = _pair_blocks(p.shape[0])
+    p = _pack_pairs(p, blocks, out=p.reshape(-1))
     coords = _init_coords(features.patient_ids, config.output_dims, config.seed)
     velocity = np.zeros_like(coords)
     trace = np.empty(config.iterations)
@@ -263,12 +355,12 @@ def tsne(features: FeatureMatrix, config: TsneConfig) -> Embedding:
 
     # the pass that gives each iteration's KL trace entry gives the next
     # iteration's gradient
-    grad, _, _ = _kl_pass(p, coords, exaggeration(0))
+    grad, _, _ = _kl_pass_packed(p, blocks, coords, exaggeration(0))
     for it in range(config.iterations):
         momentum = 0.5 if it < _MOMENTUM_SWITCH_ITER else 0.8
         velocity = momentum * velocity - config.learning_rate * grad
         coords = coords + velocity
-        grad, p_log, z = _kl_pass(p, coords, exaggeration(it + 1))
+        grad, p_log, z = _kl_pass_packed(p, blocks, coords, exaggeration(it + 1))
         trace[it] = entropy + p_log + mass * np.log(z)
     return Embedding(patient_ids=list(features.patient_ids), coords=coords,
                      kl_trace=trace)

@@ -68,6 +68,12 @@ def check_params(params: dict) -> None:
         raise ConfigError("selection_holdout_fraction must lie in (0,1)")
 
 
+def width_limit(params: dict) -> int:
+    """The fewest feature columns a fit with ``params`` needs: one per
+    projected dimension."""
+    return params["projected_dim"]
+
+
 @dataclass
 class RpModel:
     params: dict

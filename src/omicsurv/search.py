@@ -15,7 +15,6 @@ results are bit-identical for any worker count or scheduling order.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,13 +147,24 @@ class SearchSpace:
         models.check_family(self.family)
         if self.budget < 1:
             raise ConfigError("search budget must be >= 1")
-        # each example is checked together with the first example of every
-        # other parameter
+        for params in self._example_params():
+            models.read_params(self.family, params)
+
+    def _example_params(self):
+        """The hyperparameters a space is checked by: the first example of
+        every parameter, then each other example together with the first
+        example of every other parameter."""
         examples = {name: _examples(value) for name, value in self.params.items()}
         first = {name: values[0] for name, values in examples.items()}
+        yield first
         for name, values in examples.items():
-            for example in values:
-                models.read_params(self.family, {**first, name: example})
+            for example in values[1:]:
+                yield {**first, name: example}
+
+    def check_width(self, width: int, table: str) -> None:
+        """A ConfigError if an example cannot fit ``width`` feature columns."""
+        for params in self._example_params():
+            models.check_width(self.family, params, width, table)
 
     def sample(self, seed: int, trial_index: int) -> models.ModelSpec:
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial_index]))
@@ -240,6 +250,8 @@ def random_search(space: SearchSpace, x, y, plan: evaluation.CvPlan,
                 continue
             trials.append(_record(i, spec, rows, time.perf_counter() - start))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         # A family that fits its folds together gets one task per trial, or
         # as many runs of folds per trial as keep every worker busy; any other
         # one task per (trial, fold). Never more workers than tasks.

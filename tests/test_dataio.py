@@ -563,19 +563,34 @@ ERROR_CASES = {
 }
 
 
+def check_read_case(path, text):
+    """Ids and values of ``text`` loaded match the per-cell oracle's bits."""
+    p = write_bytes(path, text)
+    col_ids, row_ids, values = ref_read(p)
+    m = dataio.load_features(p)
+    assert (m.feature_names, m.patient_ids) == (col_ids, row_ids)
+    assert same_bits(m.values, values)
+    e = dataio.load_expression(p, orientation="genes_as_rows", scale="log2")
+    assert (e.patient_ids, e.gene_ids) == (col_ids, row_ids)
+    assert same_bits(e.values, values.T.copy())
+
+
+def check_error_case(path, text, kind, where, tail):
+    """Loading ``text`` fails with the oracle's message, located."""
+    p = write_bytes(path, text)
+    with pytest.raises(DataError) as ref:
+        ref_read(p, kind)
+    load = dataio.load_cna if kind == "int" else dataio.load_features
+    with pytest.raises(DataError) as new:
+        load(p)
+    assert str(new.value) == str(ref.value).replace(
+        f"{p}: ", f"{p}: {where}", 1) + tail
+
+
 class TestBlockReaderOracle:
     @pytest.mark.parametrize("name", READ_CASES)
     def test_values_and_ids_match_per_cell_parse(self, tmp_path, name):
-        text, block = READ_CASES[name]
-        p = write_bytes(tmp_path / "m.csv", text)
-        assert (dataio._parse_block(text) is not None) == block
-        col_ids, row_ids, values = ref_read(p)
-        m = dataio.load_features(p)
-        assert (m.feature_names, m.patient_ids) == (col_ids, row_ids)
-        assert same_bits(m.values, values)
-        e = dataio.load_expression(p, orientation="genes_as_rows", scale="log2")
-        assert (e.patient_ids, e.gene_ids) == (col_ids, row_ids)
-        assert same_bits(e.values, values.T.copy())
+        check_read_case(tmp_path / "m.csv", READ_CASES[name][0])
 
     def test_cna_matches_per_cell_parse(self, tmp_path):
         p = write_bytes(tmp_path / "c.csv",
@@ -604,15 +619,50 @@ class TestBlockReaderOracle:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name", ERROR_CASES)
     def test_fallback_error_messages_unchanged(self, tmp_path, name):
-        text, kind, where, tail = ERROR_CASES[name]
-        p = write_bytes(tmp_path / "m.csv", text)
-        with pytest.raises(DataError) as ref:
-            ref_read(p, kind)
-        load = dataio.load_cna if kind == "int" else dataio.load_features
-        with pytest.raises(DataError) as new:
-            load(p)
-        assert str(new.value) == str(ref.value).replace(
-            f"{p}: ", f"{p}: {where}", 1) + tail
+        check_error_case(tmp_path / "m.csv", *ERROR_CASES[name])
+
+
+class TestOneLineBlocks:
+    """A block budget of one byte makes every line a block of its own."""
+
+    @pytest.fixture(autouse=True)
+    def one_line_blocks(self, monkeypatch):
+        monkeypatch.setattr(dataio, "_READ_BLOCK_BYTES", 1)
+
+    @pytest.mark.parametrize("name", READ_CASES)
+    def test_values_and_ids_match_per_cell_parse(self, tmp_path, name):
+        check_read_case(tmp_path / "m.csv", READ_CASES[name][0])
+
+    def test_per_cell_parse_runs_only_when_block_parse_rejects(self, tmp_path,
+                                                               monkeypatch):
+        calls = []
+        per_cell = dataio._parse_cells
+        monkeypatch.setattr(dataio, "_parse_cells",
+                            lambda *args: calls.append(args) or per_cell(*args))
+        for name, (text, block) in READ_CASES.items():
+            calls.clear()
+            dataio.load_features(write_bytes(tmp_path / f"{name}.csv", text))
+            assert len(calls) == (0 if block else 1), name
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ERROR_CASES)
+    def test_error_messages_unchanged(self, tmp_path, name):
+        check_error_case(tmp_path / "m.csv", *ERROR_CASES[name])
+
+    @pytest.mark.parametrize("last", ['"p3",5,6\r\n', "p3,5,6\r", "p3,5,6\rp4,7,8\r\n"],
+                             ids=["quote", "lone_cr_ending", "lone_cr_between_rows"])
+    def test_csv_only_text_on_the_last_line(self, tmp_path, last):
+        check_read_case(tmp_path / "m.csv",
+                        "patient_id,a,b\r\np1,1,2\r\np2,3,4\r\n" + last)
+
+    def test_non_utf8_byte_on_the_last_line(self, tmp_path):
+        head = "patient_id,a,b\r\np1,1,2\r\np\u00e9,3,4\r\n".encode("utf-8")
+        p = tmp_path / "m.csv"
+        p.write_bytes(head + b"p3,5,\xff6\r\n")
+        with pytest.raises(DataError) as info:
+            dataio.load_features(p)
+        assert str(info.value) == (f"{p}: not UTF-8 text (byte 0xff at offset "
+                                   f"{len(head) + 5})")
 
 
 IDS = ["p1", "", "p,1", 'p"2', "p\r\n3", "p\n4", " p5 ", "é\x1c", "'p6'"]

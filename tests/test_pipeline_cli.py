@@ -481,6 +481,42 @@ def test_report_rp_ensemble_regressor_base_exits_before_reading_data(tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
+def test_report_tsne_variant_too_narrow_exits_before_reading_data(tmp_path, capsys):
+    """A 3-D projection with age has 4 columns, fewer than rp_ensemble's
+    default projected_dim of 5: exit 2 before the missing data is read."""
+    data = write_config(tmp_path, tmp_path / "missing")
+    config = yaml.safe_load(data.read_text(encoding="utf-8"))
+    config["data"]["projection_dims"] = [3]
+    config["models"] = [{"family": "gaussian_nb"}, {"family": "rp_ensemble"}]
+    data.write_text(yaml.safe_dump(config), encoding="utf-8")
+    assert cli.main(["report", "--config", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: rp_ensemble needs at least 5 feature columns "
+                   "with these parameters; 'RNA TSNE 3 age' has 4\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_raw_variant_too_narrow_fails_before_any_search(tmp_path, monkeypatch):
+    data = make_cohort(tmp_path, n_patients=30, n_genes=3)
+    path = write_config(tmp_path, data, models=[
+        {"family": "rp_ensemble", "params": {"b1_groups": 2}}])
+    monkeypatch.setattr(pipeline.search, "random_search", None)  # never reached
+    with pytest.raises(ConfigError) as info:
+        pipeline.run_experiment(pipeline.load_config(path))
+    assert str(info.value) == (
+        "stage 'project' failed: rp_ensemble needs at least 5 feature columns "
+        "with these parameters; 'RNA raw age' has 4")
+
+
+def test_cli_import_leaves_unused_modules_unloaded():
+    code = ("import sys, omicsurv.cli; print(sorted({'yaml', 'concurrent.futures', "
+            "'multiprocessing', 'omicsurv.synth'} & set(sys.modules)))")
+    environ = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=environ, check=True)
+    assert result.stdout == "[]\n"
+
+
 def test_train_non_numeric_param_is_config_error(tmp_path, cohort, capsys):
     labels = tmp_path / "labels.csv"
     assert cli.main(["label", "--clinical", str(cohort / "clinical.csv"),

@@ -155,6 +155,21 @@ class TestSearchSpace:
             search.SearchSpace(family, params)
         assert str(info.value) == f"{family}: {message}"
 
+    def test_width_checked_against_every_example(self):
+        message = ("rp_ensemble needs at least {} feature columns with these "
+                   "parameters; 'table' has 4")
+        with pytest.raises(ConfigError) as info:
+            search.SearchSpace("rp_ensemble", {}).check_width(4, "'table'")
+        assert str(info.value) == message.format(5)
+        space = search.SearchSpace("rp_ensemble",
+                                   {"projected_dim": search.IntUniform(2, 6)})
+        space.check_width(6, "'table'")
+        with pytest.raises(ConfigError) as info:
+            space.check_width(4, "'table'")
+        assert str(info.value) == message.format(6)
+        # families without a width limit fit any width
+        search.SearchSpace("gaussian_nb", {}).check_width(1, "'table'")
+
     def test_categorical_coverage_default_seed(self):
         space = search.SearchSpace(
             family="random_forest",
@@ -215,7 +230,7 @@ class TestRandomSearch:
             sizes.append(kwargs["max_workers"])
             return InlinePool(**kwargs)
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
         monkeypatch.setattr(search, "_task_inputs", ())
         x, y, plan = self.search_args()  # 3 folds
         _, trials = search.random_search(search.SearchSpace("gaussian_nb", {}),
@@ -246,7 +261,7 @@ class TestRandomSearch:
             return rows
 
         monkeypatch.setattr(evaluation, "evaluate_folds", evaluate_folds)
-        monkeypatch.setattr(search, "ProcessPoolExecutor", ReversePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ReversePool)
         monkeypatch.setattr(search, "_task_inputs", ())
         x, y, plan = self.search_args()
         with pytest.raises(ConfigError,

@@ -688,31 +688,57 @@ def test_tsne_matches_allocating_loop(monkeypatch, n, dims, iterations, exaggera
 
 @pytest.mark.parametrize("dims, duplicated", [(2, 0), (15, 0), (2, 10), (15, 10)])
 def test_tsne_pass_does_not_depend_on_the_block_size(monkeypatch, dims, duplicated):
-    """At each of ten iterates, blocks of 1, 7, n - 1 and at least n rows
-    give one gradient, sum P log(1 + d^2) and Z. Whole runs are not compared:
-    GEMM rounding varies with a block's row count, and a 2-D embedding
-    amplifies that to about 1e-10 within ten iterations."""
+    """At each of ten iterates, block pairs of 1, 7, n - 1 (with a 1-row
+    block) and at least n rows give one gradient, sum P log(1 + d^2) and Z.
+    Whole runs are not compared: GEMM rounding varies with a block's row
+    count, and a 2-D embedding amplifies that to about 1e-10 within ten
+    iterations."""
     n = 40
     features = _tsne_table(n, seed=dims + duplicated, duplicated=duplicated)
-    kl_pass, passes = project._kl_pass, []
+    config = _tsne_config(n, dims, iterations=10, exaggerated=5)
+    kl_pass, passes = project._kl_pass_packed, []
 
-    def recording(p, coords, exaggeration=1.0):
-        passes.append((p, coords, exaggeration, kl_pass(p, coords, exaggeration)))
+    def recording(packed, blocks, coords, exaggeration=1.0):
+        passes.append((coords, exaggeration, kl_pass(packed, blocks, coords, exaggeration)))
         return passes[-1][-1]
 
-    monkeypatch.setattr(project, "_kl_pass", recording)
-    project.tsne(features, _tsne_config(n, dims, iterations=10, exaggerated=5))
+    monkeypatch.setattr(project, "_kl_pass_packed", recording)
+    project.tsne(features, config)
     assert len(passes) == 11
+    p = project.input_affinities(features, config.perplexity)
     for rows in (1, 7, n - 1, 3 * n):
-        monkeypatch.setattr(project, "_BLOCK_ELEMENTS", rows * n)
-        for p, coords, exaggeration, (grad, p_log, z) in passes:
-            got_grad, got_p_log, got_z = kl_pass(p, coords, exaggeration)
+        blocks = project._row_blocks(n, rows)
+        packed = project._pack_pairs(p, blocks)
+        for coords, exaggeration, (grad, p_log, z) in passes:
+            got_grad, got_p_log, got_z = kl_pass(packed, blocks, coords, exaggeration)
             _assert_close(got_grad, grad)
             # sum P log(1 + d^2) is about 1e-8 at the first iterates, where
             # 1 + d^2 keeps 8 of its digits, so it is compared as part of
             # the KL it enters
             np.testing.assert_allclose([got_p_log + np.log(got_z), got_z],
                                        [p_log + np.log(z), z], rtol=1e-12, atol=0)
+
+
+def test_pair_packing_holds_each_upper_block_once():
+    p = np.arange(49.0).reshape(7, 7)
+    blocks = project._row_blocks(7, 3)
+    want = np.concatenate([p[rows, cols].ravel() for a, rows in enumerate(blocks)
+                           for cols in blocks[a:]])
+    assert project._pack_pairs(p, blocks).tobytes() == want.tobytes()
+    in_place = p.copy()
+    assert project._pack_pairs(in_place, blocks,
+                               out=in_place.reshape(-1)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, blocks", [(40, 1), (150, 1), (191, 1), (192, 2),
+                                       (300, 2), (1000, 8), (3533, 28)])
+def test_pair_blocks_are_about_128_rows(n, blocks):
+    got = project._pair_blocks(n)
+    assert len(got) == blocks
+    assert got[0].start == 0 and got[-1].stop == n
+    sizes = [block.stop - block.start for block in got]
+    assert len(set(sizes[:-1])) <= 1 and sizes[-1] <= sizes[0]
+    assert blocks == 1 or 96 <= sizes[0] <= 192
 
 
 def test_pairwise_distances_match_reference():
