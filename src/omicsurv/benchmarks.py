@@ -35,10 +35,6 @@ class ComparisonResult:
     treatment: float
     baselines: dict[str, float]
 
-    @property
-    def margin(self) -> float:
-        return self.treatment - max(self.baselines.values())
-
 
 def _mean_cv_auc(spec, x, y, seed: int, k: int = 5) -> float:
     plan = evaluation.CvPlan(k_folds=k, seed=seed)
@@ -164,10 +160,6 @@ class RpBenchmarkResult:
     mean_single_error: float
     informative_importance: float
     background_importance: float
-
-    @property
-    def error_margin(self) -> float:
-        return self.mean_single_error - self.ensemble_error
 
     @property
     def importance_separated(self) -> bool:

@@ -159,12 +159,14 @@ def _cmd_cv(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    workers = pipeline.default_workers() if args.workers is None else args.workers
     space = search.SearchSpace(family=args.family,
                                params=search.parse_params(_parse_kv(args.param)),
                                budget=args.budget)
     x, y, _ = _load_xy(args.features, args.labels)
     plan = evaluation.CvPlan(k_folds=args.k, stratified=True, seed=args.seed)
-    workers = pipeline.default_workers() if args.workers is None else args.workers
     best, trials = search.random_search(space, x, y, plan, space.budget,
                                         args.seed, worker_count=workers)
     print(f"best trial {best.index}: mean AUC {best.mean_auc:.4f} "

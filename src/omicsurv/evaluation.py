@@ -1,8 +1,8 @@
-"""ROC/AUC computation and stratified cross-validation.
+"""AUC computation and stratified cross-validation.
 
 AUC is defined by pair counting (the Mann-Whitney statistic, with ties worth
-half a pair), computed via average ranks; trapezoidal integration of the ROC
-curve is the independent cross-check and must agree to 1e-12.
+half a pair), computed via average ranks; the tests cross-check it against
+trapezoidal integration of the ROC curve, which must agree to 1e-12.
 """
 
 from __future__ import annotations
@@ -13,14 +13,7 @@ import numpy as np
 
 from . import dataio, models
 from .errors import ConfigError, DataError
-from .ranks import average_ranks, tie_groups
-
-
-@dataclass(frozen=True)
-class RocCurve:
-    thresholds: np.ndarray  # descending, one per distinct score
-    fpr: np.ndarray         # starts at 0, ends at 1
-    tpr: np.ndarray
+from .ranks import average_ranks
 
 
 @dataclass(frozen=True)
@@ -96,29 +89,6 @@ def auc(scores, labels) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def roc_curve(scores, labels) -> RocCurve:
-    """One point per distinct threshold, endpoints (0,0) and (1,1) included."""
-    scores = _finite_scores(scores)
-    labels = np.asarray(labels, dtype=np.int64)
-    n_pos, n_neg = _class_counts(labels)
-    order = np.argsort(-scores, kind="stable")
-    s, y = scores[order], labels[order]
-    starts, ends = tie_groups(s)
-    tp = np.cumsum(y)[ends - 1]
-    fp = ends - tp
-    return RocCurve(thresholds=np.concatenate(([np.inf], s[starts])),
-                    fpr=np.concatenate(([0.0], fp / n_neg)),
-                    tpr=np.concatenate(([0.0], tp / n_pos)))
-
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-
-def roc_auc(curve: RocCurve) -> float:
-    """Trapezoidal area under the ROC curve."""
-    return float(_trapezoid(curve.tpr, curve.fpr))
-
-
 def stratified_kfold(labels, plan: CvPlan) -> list[np.ndarray]:
     """Disjoint index folds covering all samples; per-fold class counts are
     within 1 of proportional allocation. Deterministic given the seed."""
@@ -142,12 +112,18 @@ def stratified_kfold(labels, plan: CvPlan) -> list[np.ndarray]:
     return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
 
 
-def evaluate_folds(spec: models.ModelSpec, x: np.ndarray, y: np.ndarray,
-                   folds: list[np.ndarray], fold_ids,
-                   data_descriptor: str = "data") -> list[EvalRow]:
-    """For each fold f of ``fold_ids``, in order, fit ``spec`` on every sample
-    outside ``folds[f]`` and score the AUC of its predictions on ``folds[f]``;
-    ``x`` float64 and ``y`` int64 arrays.
+def cross_validate(spec: models.ModelSpec, data: tuple, plan: CvPlan,
+                   data_descriptor: str = "data",
+                   folds: list[np.ndarray] | None = None,
+                   fold_ids=None) -> EvalReport:
+    """For each fold f of ``fold_ids`` (a sequence, every fold when not
+    given), in order, fit ``spec`` on every sample outside ``folds[f]`` and
+    score the AUC of its predictions on ``folds[f]``; rows are named by the
+    spec's family.
+
+    ``data`` is an ``(x, y)`` pair. Any transductive preprocessing (t-SNE) is
+    assumed already applied to the features. ``folds`` are the test indices
+    of each fold, ``stratified_kfold(y, plan)`` when not given.
 
     The fits go through ``models.fit_folds``, which hands out each fold's
     model, or raises its fit error, in fold order. Each fold is scored before
@@ -155,34 +131,22 @@ def evaluate_folds(spec: models.ModelSpec, x: np.ndarray, y: np.ndarray,
     fold, in its fit or its scoring, whether or not the family fits its folds
     together.
     """
-    train_sets = []
-    for f in fold_ids:
-        train = np.ones(len(y), dtype=bool)
-        train[folds[f]] = False
-        train_sets.append(np.flatnonzero(train))
-    rows = []
-    for f, model in zip(fold_ids, models.fit_folds(spec, x, y, train_sets)):
-        test_idx = folds[f]
-        scores = models.predict_scores(model, x[test_idx])
-        rows.append(EvalRow(model=spec.family, data=data_descriptor, fold=f,
-                            auc=auc(scores, y[test_idx]), n_test=len(test_idx)))
-    return rows
-
-
-def cross_validate(spec: models.ModelSpec, data: tuple, plan: CvPlan,
-                   data_descriptor: str = "data",
-                   folds: list[np.ndarray] | None = None) -> EvalReport:
-    """Per-fold fit/score/AUC for a ModelSpec; rows are named by its family.
-
-    ``data`` is an ``(x, y)`` pair. Any transductive preprocessing (t-SNE) is
-    assumed already applied to the features. ``folds`` are the test indices
-    of each fold, ``stratified_kfold(y, plan)`` when not given. It is
-    ``evaluate_folds`` over every fold.
-    """
     x, y = data
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if folds is None:
         folds = stratified_kfold(y, plan)
-    return EvalReport(evaluate_folds(spec, x, y, folds, range(len(folds)),
-                                     data_descriptor))
+    if fold_ids is None:
+        fold_ids = range(len(folds))
+    train_sets = []
+    for f in fold_ids:
+        train = np.ones(len(y), dtype=bool)
+        train[folds[f]] = False
+        train_sets.append(np.flatnonzero(train))
+    report = EvalReport()
+    for f, model in zip(fold_ids, models.fit_folds(spec, x, y, train_sets)):
+        test_idx = folds[f]
+        scores = models.predict_scores(model, x[test_idx])
+        report.rows.append(EvalRow(model=spec.family, data=data_descriptor, fold=f,
+                                   auc=auc(scores, y[test_idx]), n_test=len(test_idx)))
+    return report

@@ -44,13 +44,6 @@ def _sigmoid(z):
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def objective(state: LogisticState, x: np.ndarray, y: np.ndarray) -> float:
-    z = x @ state.weights + state.intercept
-    margins = np.where(y == 1, z, -z)
-    loss = float(np.mean(np.logaddexp(0.0, -margins)))
-    return loss + state.lam * float(np.sum(np.abs(state.weights)))
-
-
 def _soft_threshold(v: float, thresh: float) -> float:
     if v > thresh:
         return v - thresh

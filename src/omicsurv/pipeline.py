@@ -31,10 +31,13 @@ def default_workers() -> int:
     """Worker count from the OMICSURV_WORKERS environment variable, else 1."""
     text = os.environ.get(WORKERS_ENV_VAR, "1")
     try:
-        return int(text)
+        workers = int(text)
     except ValueError:
         raise ConfigError(
             f"{WORKERS_ENV_VAR} must be an integer, got {text!r}") from None
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV_VAR} must be >= 1, got {workers}")
+    return workers
 
 
 @dataclass

@@ -2,18 +2,22 @@
 
 Each trial's hyperparameters derive deterministically from (seed, trial
 index), and the cross-validation folds are split once per search, before any
-trial runs. With one worker the trials run in-process, one ``cross_validate``
-each. With more, a process pool runs the folds as tasks: for a family that
-fits its folds together (``models.has_fit_folds``) one task per trial, or, when
-the budget is below the worker count, as many runs of consecutive folds per
-trial as keep every worker busy; for any other family one task per (trial,
-fold). The parent reassembles each trial from its fold rows in fold order. A
-fold's rows and errors do not depend on the other folds of its task, so the
-results are bit-identical for any worker count or scheduling order.
+trial runs. The folds run as tasks, one ``cross_validate`` each: for a family
+that fits its folds together (``models.has_fit_folds``) one task per trial,
+or, when the budget is below the worker count, as many runs of consecutive
+folds per trial as keep every worker busy; for any other family one task per
+(trial, fold). One loop assembles each trial from its tasks' rows in fold
+order. With one worker a task runs in-process when that loop asks for its
+result, so a failing trial stops at its first failing task; with more it is
+a process pool's future. A fold's rows and errors do not depend on the other
+folds of its task, so the results are bit-identical for any worker count or
+scheduling order.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -185,37 +189,47 @@ class TrialRecord:
     params: dict
     rows: list[evaluation.EvalRow]  # one per cross-validation fold, in fold order
     mean_auc: float
-    # Seconds spent fitting and scoring the trial's folds: its cross-validation
-    # when the search runs in-process, the sum of its fold tasks' times in a pool.
+    # Seconds spent fitting and scoring the trial's folds: the sum of its
+    # tasks' times, at any worker count.
     wall_time: float
 
 
-def _record(index: int, spec: models.ModelSpec, rows: list[evaluation.EvalRow],
-            wall_time: float) -> TrialRecord:
-    return TrialRecord(
-        index=index,
-        params=dict(spec.hyperparameters),
-        rows=rows,
-        mean_auc=float(np.mean([row.auc for row in rows])),
-        wall_time=wall_time,
-    )
-
-
-# (specs, x, y, folds) of the search a pool worker serves, set once per worker
-# by _init_worker so that the arrays are not sent with every task.
+# (specs, x, y, plan, folds) of the search whose tasks run in this process,
+# set by _init_worker once per pool worker, or for the length of an
+# in-process search, so that the arrays are not sent with every task.
 _task_inputs: tuple = ()
 
 
-def _init_worker(specs, x, y, folds) -> None:
+def _init_worker(*inputs) -> None:
     global _task_inputs
-    _task_inputs = (specs, x, y, folds)
+    _task_inputs = inputs
 
 
 def _run_folds(trial: int, fold_ids: list[int]) -> tuple[list[evaluation.EvalRow], float]:
-    specs, x, y, folds = _task_inputs
+    specs, x, y, plan, folds = _task_inputs
     start = time.perf_counter()
-    rows = evaluation.evaluate_folds(specs[trial], x, y, folds, fold_ids)
+    rows = evaluation.cross_validate(specs[trial], (x, y), plan, folds=folds,
+                                     fold_ids=fold_ids).rows
     return rows, time.perf_counter() - start
+
+
+@contextlib.contextmanager
+def _runner(workers: int, inputs: tuple):
+    """Yields ``submit(fn, *args)``, which returns a callable that gives
+    ``fn(*args)`` run with ``_task_inputs`` set to ``inputs``: at one worker
+    in this process when it is called, else in a pool of ``workers``."""
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=inputs) as pool:
+            yield lambda fn, *args: pool.submit(fn, *args).result
+        return
+    _init_worker(*inputs)
+    try:
+        yield functools.partial
+    finally:
+        _init_worker()
 
 
 def random_search(space: SearchSpace, x, y, plan: evaluation.CvPlan,
@@ -238,41 +252,31 @@ def random_search(space: SearchSpace, x, y, plan: evaluation.CvPlan,
     folds = evaluation.stratified_kfold(y, plan)
     specs = [space.sample(seed, i) for i in range(budget)]
 
+    # A family that fits its folds together gets one task per trial, or as
+    # many runs of folds per trial as keep every worker busy; any other one
+    # task per (trial, fold). Never more workers than tasks.
+    k = len(folds)
+    per_trial = ((worker_count + budget - 1) // budget
+                 if models.has_fit_folds(space.family) else k)
+    units = [chunk.tolist() for chunk in np.array_split(np.arange(k),
+                                                        min(per_trial, k))]
     failures: list[tuple[int, Exception]] = []
     trials: list[TrialRecord] = []
-    if worker_count == 1:
+    with _runner(min(worker_count, budget * len(units)),
+                 (specs, x, y, plan, folds)) as submit:
+        tasks = [[submit(_run_folds, i, fold_ids) for fold_ids in units]
+                 for i in range(budget)]
         for i, spec in enumerate(specs):
-            start = time.perf_counter()
-            try:
-                rows = evaluation.cross_validate(spec, (x, y), plan, folds=folds).rows
+            try:  # in fold order: the lowest failing fold's error is raised
+                done = [task() for task in tasks[i]]
             except Exception as exc:  # noqa: BLE001 - aggregated below
                 failures.append((i, exc))
                 continue
-            trials.append(_record(i, spec, rows, time.perf_counter() - start))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # A family that fits its folds together gets one task per trial, or
-        # as many runs of folds per trial as keep every worker busy; any other
-        # one task per (trial, fold). Never more workers than tasks.
-        k = len(folds)
-        per_trial = ((worker_count + budget - 1) // budget
-                     if models.has_fit_folds(space.family) else k)
-        units = [chunk.tolist() for chunk in np.array_split(np.arange(k),
-                                                            min(per_trial, k))]
-        with ProcessPoolExecutor(max_workers=min(worker_count, budget * len(units)),
-                                 initializer=_init_worker,
-                                 initargs=(specs, x, y, folds)) as pool:
-            futures = [[pool.submit(_run_folds, i, fold_ids) for fold_ids in units]
-                       for i in range(budget)]
-            for i, spec in enumerate(specs):
-                try:  # in fold order: the lowest failing fold's error is raised
-                    done = [future.result() for future in futures[i]]
-                except Exception as exc:  # noqa: BLE001
-                    failures.append((i, exc))
-                    continue
-                trials.append(_record(i, spec, [row for rows, _ in done for row in rows],
-                                      sum(elapsed for _, elapsed in done)))
+            rows = [row for task_rows, _ in done for row in task_rows]
+            trials.append(TrialRecord(
+                index=i, params=dict(spec.hyperparameters), rows=rows,
+                mean_auc=float(np.mean([row.auc for row in rows])),
+                wall_time=sum(elapsed for _, elapsed in done)))
 
     if not trials:
         details = "; ".join(f"trial {i}: {exc}" for i, exc in failures)

@@ -121,13 +121,3 @@ def kaplan_meier(records: list[ClinicalRecord],
         groups.setdefault(r.group_label, []).append(r)
     return [_km_single(rs, g) for g, rs in sorted(groups.items(),
                                                   key=lambda kv: (kv[0] is None, kv[0]))]
-
-
-def survival_at(curve: SurvivalCurve, t: float) -> float:
-    """Step-function lookup: probability at the largest event time <= t."""
-    if t < 0:
-        raise DataError("time must be non-negative")
-    idx = np.searchsorted(curve.event_times, t, side="right") - 1
-    if idx < 0:
-        return 1.0
-    return float(curve.survival_probabilities[idx])

@@ -10,6 +10,7 @@ from omicsurv import evaluation, models
 from omicsurv.errors import ConfigError, DataError
 
 from conftest import separable_xy
+from cross_checks import roc_auc, roc_curve
 
 
 def brute_force_auc(scores, labels):
@@ -45,14 +46,14 @@ class TestAuc:
             evaluation.auc([0.1], [1, 0])
 
     def test_non_binary_labels_rejected(self):
-        for check in (evaluation.auc, evaluation.roc_curve):
+        for check in (evaluation.auc, roc_curve):
             with pytest.raises(DataError, match="0 or 1"):
                 check([0.1, 0.2, 0.3], [0, 2, 0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_scores_rejected(self, bad):
         """A NaN would otherwise be ranked above every finite score."""
-        for check in (evaluation.auc, evaluation.roc_curve):
+        for check in (evaluation.auc, roc_curve):
             with pytest.raises(DataError, match="1 non-finite of 4"):
                 check([0.1, bad, 0.3, 0.2], [0, 1, 0, 1])
 
@@ -97,12 +98,12 @@ class TestAuc:
 
 class TestRocCurve:
     def test_perfect_passes_corner(self):
-        curve = evaluation.roc_curve([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0])
+        curve = roc_curve([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0])
         points = set(zip(curve.fpr.tolist(), curve.tpr.tolist()))
         assert (0.0, 1.0) in points
 
     def test_constant_scores_diagonal(self):
-        curve = evaluation.roc_curve([0.5] * 6, [1, 0, 1, 0, 1, 0])
+        curve = roc_curve([0.5] * 6, [1, 0, 1, 0, 1, 0])
         np.testing.assert_array_equal(curve.fpr, [0.0, 1.0])
         np.testing.assert_array_equal(curve.tpr, [0.0, 1.0])
         assert curve.thresholds[0] == math.inf
@@ -111,7 +112,7 @@ class TestRocCurve:
         scores = rng.normal(0, 1, 50)
         labels = rng.integers(0, 2, 50)
         labels[:2] = [0, 1]
-        curve = evaluation.roc_curve(scores, labels)
+        curve = roc_curve(scores, labels)
         assert curve.fpr[0] == 0.0 and curve.tpr[0] == 0.0
         assert curve.fpr[-1] == 1.0 and curve.tpr[-1] == 1.0
         assert (np.diff(curve.fpr) >= 0).all()
@@ -126,7 +127,7 @@ class TestRocCurve:
             scores = gen.integers(0, 8, n).astype(float)
             labels = gen.integers(0, 2, n)
             labels[:2] = [0, 1]
-            area = evaluation.roc_auc(evaluation.roc_curve(scores, labels))
+            area = roc_auc(roc_curve(scores, labels))
             assert abs(area - evaluation.auc(scores, labels)) < 1e-12
 
 
@@ -223,9 +224,11 @@ class TestCrossValidate:
         folds = evaluation.stratified_kfold(y, plan)
         rows = evaluation.cross_validate(spec, (x, y), plan).rows
         assert [row.fold for row in rows] == [0, 1, 2, 3, 4]
-        assert evaluation.evaluate_folds(spec, x, y, folds, [1, 2, 4]) == [
+        assert evaluation.cross_validate(spec, (x, y), plan, folds=folds,
+                                         fold_ids=[1, 2, 4]).rows == [
             rows[1], rows[2], rows[4]]
-        assert [evaluation.evaluate_folds(spec, x, y, folds, [f])[0]
+        assert [evaluation.cross_validate(spec, (x, y), plan, folds=folds,
+                                          fold_ids=[f]).rows[0]
                 for f in range(5)] == rows
 
     @pytest.mark.parametrize("family", ["gaussian_nb", "rectangle_mlp",
@@ -241,7 +244,7 @@ class TestCrossValidate:
         with pytest.raises(DataError, match="scores must be finite"):
             evaluation.cross_validate(spec, (x, y), plan)
         with pytest.raises(DataError, match="non-finite training features"):
-            evaluation.evaluate_folds(spec, x, y, folds, [1, 0])
+            evaluation.cross_validate(spec, (x, y), plan, folds=folds, fold_ids=[1, 0])
 
 
 class TestEvalReport:

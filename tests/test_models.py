@@ -12,6 +12,7 @@ from omicsurv.errors import ConfigError, DataError
 from omicsurv.models import logistic, mlp
 
 from conftest import separable_xy
+from cross_checks import logistic_objective
 from mlp_checks import epoch_losses, gradient_check
 
 
@@ -257,7 +258,7 @@ class TestL1Logistic:
             model = models.fit(
                 spec("l1_logistic", **{"lambda": 0.05}, max_sweeps=sweeps),
                 x, y)
-            objectives.append(logistic.objective(model.state, x, y))
+            objectives.append(logistic_objective(model.state, x, y))
         assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
 
     def test_full_regularization_constant_score(self):

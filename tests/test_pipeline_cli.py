@@ -372,6 +372,30 @@ class TestCli:
         monkeypatch.delenv(pipeline.WORKERS_ENV_VAR)
         assert pipeline.default_workers() == 1
 
+    @pytest.mark.parametrize("text", ["0", "-2"])
+    def test_workers_env_var_below_one_names_the_variable(self, monkeypatch, text):
+        monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, text)
+        with pytest.raises(ConfigError,
+                           match=f"^OMICSURV_WORKERS must be >= 1, got {text}$"):
+            pipeline.default_workers()
+
+    @pytest.mark.parametrize("flag, env, message", [
+        (["--workers", "0"], {}, "--workers must be >= 1, got 0"),
+        (["--workers", "0"], {pipeline.WORKERS_ENV_VAR: "2"},
+         "--workers must be >= 1, got 0"),
+        ([], {pipeline.WORKERS_ENV_VAR: "0"}, "OMICSURV_WORKERS must be >= 1, got 0"),
+    ])
+    def test_search_worker_count_error_names_its_source(self, tmp_path, monkeypatch,
+                                                        capsys, flag, env, message):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        # rejected before either input file is read
+        code = cli.main(["search", "--family", "gaussian_nb",
+                         "--features", str(tmp_path / "missing.csv"),
+                         "--labels", str(tmp_path / "missing_labels.csv"), *flag])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
 
 @pytest.mark.parametrize("label, env, code", [
     ("yes", {}, 3),                          # non-integer label

@@ -251,16 +251,16 @@ class TestRandomSearch:
             "trial 1: non-finite training features")
 
     def test_trial_fails_with_its_lowest_failing_fold(self, monkeypatch):
-        def evaluate_folds(spec, x, y, folds, fold_ids):
+        def cross_validate(spec, data, plan, folds, fold_ids):
             rows = []
             for fold in fold_ids:
                 if fold > 0:
                     raise ValueError(f"fold {fold} failed")
                 rows.append(evaluation.EvalRow(spec.family, "data", fold, 0.5,
                                                len(folds[fold])))
-            return rows
+            return evaluation.EvalReport(rows)
 
-        monkeypatch.setattr(evaluation, "evaluate_folds", evaluate_folds)
+        monkeypatch.setattr(evaluation, "cross_validate", cross_validate)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ReversePool)
         monkeypatch.setattr(search, "_task_inputs", ())
         x, y, plan = self.search_args()
@@ -268,6 +268,28 @@ class TestRandomSearch:
                            match=r"^all 1 search trials failed: trial 0: fold 1 failed$"):
             search.random_search(search.SearchSpace("gaussian_nb", {}),
                                  x, y, plan, 1, 0, worker_count=2)
+
+    def test_in_process_trial_stops_at_its_first_failing_fold(self, monkeypatch):
+        real = evaluation.cross_validate
+        calls = []
+
+        def cross_validate(spec, data, plan, folds, fold_ids):
+            calls.append((spec.seed, list(fold_ids)))
+            if len(calls) == 2:  # trial 0, fold 1
+                raise ValueError("fold 1 failed")
+            return real(spec, data, plan, folds=folds, fold_ids=fold_ids)
+
+        monkeypatch.setattr(evaluation, "cross_validate", cross_validate)
+        x, y, plan = self.search_args()  # 3 folds, one task per fold
+        space = search.SearchSpace("gaussian_nb", {})
+        assert not models.has_fit_folds(space.family)
+        _, trials = search.random_search(space, x, y, plan, 2, 0, worker_count=1)
+        seeds = [space.sample(0, i).seed for i in range(2)]
+        assert calls == [(seeds[0], [0]), (seeds[0], [1]),
+                         (seeds[1], [0]), (seeds[1], [1]), (seeds[1], [2])]
+        assert [t.index for t in trials] == [1]
+        assert [row.fold for row in trials[0].rows] == [0, 1, 2]
+        assert search._task_inputs == ()
 
     def test_all_failures_aggregated(self):
         x, y, plan = self.search_args()

