@@ -13,8 +13,8 @@ is quantile-normalized onto it, as `omicsurv normalize --log2` does.
 t-SNE runs on the loaded log2 microarray table at perplexity 30: the
 affinities alone, then a fixed 50-iteration 3-D embedding. Its time per
 iteration is the best embedding time less the best affinities time, over 50.
-The load is also run once under tracemalloc, and its peak is printed beside
-its time.
+The save and the load are also run once each under tracemalloc, and the
+peak is printed beside the time.
 
 Before numpy loads, the script sets the BLAS/OpenMP thread variables that
 perfbench/run.py sets to 1, overriding any exported value: the embedding's
@@ -51,6 +51,14 @@ def best_of_3(fn):
     return min(times), result
 
 
+def traced_peak(fn):
+    tracemalloc.start()
+    fn()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--patients", type=int, default=1000)
@@ -67,12 +75,11 @@ def main():
     with tempfile.TemporaryDirectory(prefix="omicsurv_io_") as tmp:
         path = Path(tmp) / "microarray.csv"
         seconds, _ = best_of_3(lambda: dataio.save_expression(micro, path))
-        print(f"save_expression  {seconds:8.3f} s  ({path.stat().st_size / 2**20:.1f} MiB)")
+        peak = traced_peak(lambda: dataio.save_expression(micro, path))
+        print(f"save_expression  {seconds:8.3f} s  ({path.stat().st_size / 2**20:.1f} MiB, "
+              f"tracemalloc peak {peak / 2**20:.2f} MiB)")
         seconds, loaded = best_of_3(lambda: dataio.load_expression(path))
-        tracemalloc.start()
-        dataio.load_expression(path)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        peak = traced_peak(lambda: dataio.load_expression(path))
         print(f"load_expression  {seconds:8.3f} s  (tracemalloc peak {peak / 2**20:.1f} MiB)")
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
     seconds, micro_log2 = best_of_3(lambda: normalize.log2_transform(loaded))

@@ -68,9 +68,8 @@ def _cmd_merge(args) -> int:
 
 def _cmd_normalize(args) -> int:
     scale = "linear" if args.log2 else "log2"
-    target = dataio.load_expression(args.target, platform_id="target", scale=scale)
-    reference = dataio.load_expression(args.reference, platform_id="reference",
-                                       scale=scale)
+    target = dataio.load_expression(args.target, scale=scale)
+    reference = dataio.load_expression(args.reference, scale=scale)
     if args.log2:
         target = normalize.log2_transform(target)
         reference = normalize.log2_transform(reference)
@@ -179,6 +178,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     overrides = _parse_kv(args.override)
     if args.seed is not None:
         overrides["seed"] = args.seed

@@ -7,10 +7,13 @@ Clinical files use the header ``patient_id,time_months,event,age,group``,
 and labels files ``patient_id,label`` with one 0/1 label per patient.
 
 Files are written as ``csv.writer`` writes them: CRLF line ends, a field
-quoted only when it holds ``,``, ``"`` or a line break, floats by ``repr``,
-so a load -> store -> load round trip is bit-identical. A matrix is written
-one joined line per row, converted to Python numbers a row at a time, and
-only an id that needs quotes goes through ``csv.writer``.
+quoted only when it holds ``,``, ``"`` or a line break, floats as ``repr``
+formats them, so a load -> store -> load round trip is bit-identical. A
+float matrix is formatted whole rows of about ``_WRITE_BLOCK_CELLS`` cells
+at a time by ``_floatrepr``, a vectorized shortest-round-trip kernel that
+gives ``repr``'s bytes with no Python call per cell; it is imported by the
+first matrix write. A CNA matrix's integers go through ``str``. Only the
+header and an id that needs quotes go through ``csv.writer``.
 
 A matrix is streamed in. A first binary pass counts its lines and looks for
 text that only the csv module reads right (a quote, a lone ``\r``, NUL or
@@ -435,19 +438,46 @@ def load_labels(path) -> dict[str, int]:
 # The characters for which csv.writer's minimal quoting quotes a field.
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
+# Cells that one block of a matrix write formats, about; a block holds whole
+# rows, at least one.
+_WRITE_BLOCK_CELLS = 1 << 14
 
-def _write_matrix(path, col_ids, row_ids, values: np.ndarray, fmt) -> None:
-    """Write the bytes csv.writer would, joining each row's cells at once and
-    converting the array to Python numbers one row at a time."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["patient_id", *col_ids])
-        for row_id, row in zip(row_ids, values):
-            cells = map(fmt, row.tolist())
-            if _NEEDS_QUOTES.search(row_id):
-                writer.writerow([row_id, *cells])
-            else:
-                fh.write(row_id + "," + ",".join(cells) + "\r\n")
+
+def _csv_line(cells) -> str:
+    """One row as csv.writer writes it: minimal quoting, CRLF line end."""
+    out = io.StringIO()
+    csv.writer(out).writerow(cells)
+    return out.getvalue()
+
+
+def _id_field(row_id: str) -> bytes:
+    """A row's id as csv.writer writes it."""
+    if _NEEDS_QUOTES.search(row_id):
+        return _csv_line([row_id]).removesuffix("\r\n").encode("utf-8")
+    return row_id.encode("utf-8")
+
+
+def _float_cells(block: np.ndarray) -> list[bytes]:
+    from . import _floatrepr
+
+    return _floatrepr.format_rows(np.ascontiguousarray(block))
+
+
+def _int_cells(block: np.ndarray) -> list[bytes]:
+    return ["".join("," + str(x) for x in row).encode("ascii") for row in block.tolist()]
+
+
+def _write_matrix(path, col_ids, row_ids, values: np.ndarray, format_cells) -> None:
+    """Write the bytes csv.writer would. The header and the ids go through
+    its quoting; ``format_cells`` gives, for each row of a block of about
+    ``_WRITE_BLOCK_CELLS`` cells, the row's cells, each after a comma."""
+    step = max(1, _WRITE_BLOCK_CELLS // values.shape[1])
+    with open(path, "wb") as fh:
+        fh.write(_csv_line(["patient_id", *col_ids]).encode("utf-8"))
+        for start in range(0, len(row_ids), step):
+            cells = format_cells(values[start:start + step])
+            fh.write(b"".join(piece for row_id, row in zip(row_ids[start:start + step], cells)
+                              for piece in (_id_field(row_id), row, b"\r\n")))
 
 
 def save_expression(matrix: ExpressionMatrix | FeatureMatrix, path) -> None:
@@ -456,12 +486,12 @@ def save_expression(matrix: ExpressionMatrix | FeatureMatrix, path) -> None:
     else:
         col_ids = matrix.feature_names
     _write_matrix(path, col_ids, matrix.patient_ids,
-                  matrix.values.astype(np.float64, copy=False), repr)
+                  matrix.values.astype(np.float64, copy=False), _float_cells)
 
 
 def save_cna(matrix: CnaMatrix, path) -> None:
     _write_matrix(path, matrix.gene_ids, matrix.patient_ids,
-                  matrix.values.astype(np.int64, copy=False), str)
+                  matrix.values.astype(np.int64, copy=False), _int_cells)
 
 
 def _cell(x):

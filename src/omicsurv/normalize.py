@@ -51,14 +51,16 @@ def fsqn(target: ExpressionMatrix, reference: ExpressionMatrix) -> ExpressionMat
     first) and matching scales. Within each gene the output preserves the
     target's ordering and stays inside the reference's value range.
     """
-    if set(target.gene_ids) != set(reference.gene_ids):
-        raise DataError("fsqn requires identical gene-id sets")
+    differ = set(target.gene_ids) ^ set(reference.gene_ids)
+    if differ:
+        raise DataError(f"fsqn requires identical gene-id sets: {target.platform_id} "
+                        f"and {reference.platform_id} differ in {sorted(differ)[:5]}")
     if target.scale != reference.scale:
         raise DataError(
             f"scale mismatch: target {target.scale}, reference {reference.scale}"
         )
     if reference.n_patients < 2:
-        raise DataError("reference needs at least 2 patients")
+        raise DataError(f"reference {reference.platform_id} needs at least 2 patients")
 
     ref_cols = positions(reference.gene_ids, target.gene_ids, "genes")
     out = np.empty_like(target.values)

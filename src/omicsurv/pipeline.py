@@ -122,6 +122,8 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         "cv": (dict, {}), "search": (dict, {}), "output": (str, "out"),
         "seed": (int, 0), "workers": (int, None)})
     seed = top["seed"]
+    if top["workers"] is not None and top["workers"] < 1:
+        raise ConfigError(f"workers must be >= 1, got {top['workers']}")
     data = read_section(top["data"], "data", {
         "sources": (list[dict], []), "clinical": (str, ""),
         "reference": (int, 0), "log2": (bool, True), "cna": (str, None),

@@ -712,3 +712,26 @@ class TestRowJoinWriterOracle:
         assert (again.feature_names, again.patient_ids) == (genes, pids)
         assert same_bits(again.values, values)
         assert same_bits(again.values, ref_read(tmp / "new.csv")[2])
+
+
+class TestWriteBlocks:
+    """A matrix is written a block of rows at a time: a budget of 1 or 7
+    cells, one row or the whole table gives the bytes csv.writer writes."""
+
+    @pytest.mark.parametrize("width", [1, 3, 5])
+    @pytest.mark.parametrize("budget", ["1", "7", "row", "table"])
+    def test_bytes_match_csv_writer(self, tmp_path, monkeypatch, width, budget):
+        gen = np.random.default_rng(width)
+        rows = 6
+        values = gen.normal(size=(rows, width)) * 10.0 ** gen.integers(-8, 20, (rows, width))
+        ids = ["p0", "p,1", "p2", 'p"3', "p4", "é5"]
+        genes = [f"g{j}" for j in range(width)]
+        cna = gen.integers(-2, 3, (rows, width))
+        cells = {"1": 1, "7": 7, "row": width, "table": rows * width}[budget]
+        monkeypatch.setattr(dataio, "_WRITE_BLOCK_CELLS", cells)
+        dataio.save_expression(dataio.FeatureMatrix(ids, genes, values), tmp_path / "new.csv")
+        ref_write(tmp_path / "ref.csv", genes, ids, values, ref_float)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        dataio.save_cna(dataio.CnaMatrix(ids, genes, cna), tmp_path / "new_cna.csv")
+        ref_write(tmp_path / "ref_cna.csv", genes, ids, cna, ref_int)
+        assert (tmp_path / "new_cna.csv").read_bytes() == (tmp_path / "ref_cna.csv").read_bytes()

@@ -4,6 +4,7 @@ line end or the quoting fails here.
 """
 
 import ast
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -175,3 +176,44 @@ def test_only_dataio_imports_csv():
             if "csv" in modules:
                 importers.add(path.relative_to(root).as_posix())
     assert importers == {"dataio.py"}
+
+
+@pytest.fixture(scope="module")
+def matrix_outputs(tmp_path_factory):
+    """{file name: SHA-256} of the matrices that synth, merge, normalize and
+    project write for the cohort of ``outputs``."""
+    d = tmp_path_factory.mktemp("matrices")
+
+    def run(*argv):
+        assert cli.main([str(a) for a in argv]) == 0, argv
+
+    run("synth", "--n-patients", 12, "--n-genes", 4, "--n-informative", 2,
+        "--censoring", 0.2, "--seed", 0, "--out-dir", d / "data")
+    run("merge", d / "data/microarray.csv", d / "data/rnaseq.csv",
+        "--output", d / "merged.csv")
+    run("normalize", "--target", d / "data/rnaseq.csv",
+        "--reference", d / "data/microarray.csv", "--log2",
+        "--output", d / "normalized.csv")
+    run("project", "--features", d / "normalized.csv", "--dims", 2,
+        "--iterations", 20, "--perplexity", 3, "--output", d / "projected.csv")
+    return {name: hashlib.sha256((d / name).read_bytes()).hexdigest()
+            for name in MATRIX_SHA256}
+
+
+MATRIX_SHA256 = {
+    "data/microarray.csv":
+        "70b5cc7edab5089c5150a108169b60a3f3c826143d35503574911f2f6d5c34fc",
+    "data/rnaseq.csv":
+        "7f10b85dc1ccb7942f5fb67f880194c8c6739abfe94cee40e93711e855e8038a",
+    "merged.csv":
+        "70b5cc7edab5089c5150a108169b60a3f3c826143d35503574911f2f6d5c34fc",
+    "normalized.csv":
+        "96ce9695e3703092ff4d037d2f18e758ccea688bf7091ffda51ddecf24ef00b5",
+    "projected.csv":
+        "ffb05185d1edb098e9ffb2c4339d9d327d3c4befc8dc8e4103aca4889167ae7e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_SHA256))
+def test_cli_matrix_bytes(matrix_outputs, name):
+    assert matrix_outputs[name] == MATRIX_SHA256[name]

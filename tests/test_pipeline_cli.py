@@ -396,6 +396,19 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("flag, config, message", [
+        (["--workers", "0"], {}, "--workers must be >= 1, got 0"),
+        (["--override", "workers=0"], {}, "workers must be >= 1, got 0"),
+        ([], {"workers": 0}, "workers must be >= 1, got 0"),
+    ], ids=["flag", "override", "config_key"])
+    def test_report_worker_count_error_names_its_source(self, tmp_path, capsys,
+                                                        flag, config, message):
+        # the data files do not exist: rejected before any of them is read
+        path = write_config(tmp_path, tmp_path / "missing", **config)
+        assert cli.main(["report", "--config", str(path), *flag]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize("label, env, code", [
     ("yes", {}, 3),                          # non-integer label
@@ -534,7 +547,8 @@ def test_report_raw_variant_too_narrow_fails_before_any_search(tmp_path, monkeyp
 
 def test_cli_import_leaves_unused_modules_unloaded():
     code = ("import sys, omicsurv.cli; print(sorted({'yaml', 'concurrent.futures', "
-            "'multiprocessing', 'omicsurv.synth'} & set(sys.modules)))")
+            "'multiprocessing', 'omicsurv.synth', 'omicsurv._floatrepr'} "
+            "& set(sys.modules)))")
     environ = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, env=environ, check=True)
