@@ -8,10 +8,11 @@ whole block in ``np.uint64`` arithmetic, in two steps.
 1. **Digits.** Schubfach (R. Giulietti, *The Schubfach way to render
    doubles*, 2020) finds the shortest decimal that reads back to the same
    double, the nearer one when there are two, ties to an even digit, as
-   ``repr`` does. The 126-bit powers of ten ``g`` are built from Python ints
-   on first use, and each 64x64-bit product is formed from 32-bit halves.
-   Java keeps at least two digits (``4.9E-324``) where Python keeps one
-   (``5e-324``), so the one-digit-shorter candidate is tried for every value.
+   ``repr`` does. Each 126-bit power of ten ``g`` is built from Python ints
+   the first time a block holds its binary exponent, and each 64x64-bit
+   product is formed from 32-bit halves. Java keeps at least two digits
+   (``4.9E-324``) where Python keeps one (``5e-324``), so the one-digit-
+   shorter candidate is tried for every value.
 2. **Text.** ``repr`` writes fixed notation when the decimal exponent E is in
    [-4, 16), with ``.0`` on an integral value, and ``d.ddde±XX`` otherwise.
    Each cell gets a 32-byte slot. Bytes 6 to 22 hold the 17 digits, left
@@ -31,7 +32,6 @@ import numpy as np
 _U = np.uint64
 _LOW32 = _U(2**32 - 1)
 _LOW63 = _U(2**63 - 1)
-_K_MIN, _K_MAX = -324, 292  # range of the decimal scale k of a double
 _E_MIN, _E_MAX = -324, 308  # range of the decimal exponent of its first digit
 _POW10 = np.array([10**j for j in range(1, 18)], dtype=np.uint64)
 _ALIGN = np.array([10**(17 - n) for n in range(18)], dtype=np.uint64)
@@ -44,28 +44,18 @@ def _flog2pow10(k):
 
 
 class _Tables:
-    """Lookup tables, built once on first use."""
+    """Lookup tables, built on first use; ``g`` fills in as exponents are met."""
 
     def __init__(self):
         # by biased exponent + 2048 * asym, where asym marks a power of two
         # above the least normal exponent, whose interval is narrower below:
-        # k and h of Schubfach, and g = floor(10**-k / 2**r) + 1, which lies
-        # in [2**125, 2**126), split at bit 63
+        # k and h of Schubfach, and g (see ``g``) once an exponent is met
         index = np.arange(4096)
         q = np.maximum(index % 2048, 1) - 1075
         self.k = (q * 661971961083 - (index >= 2048) * 274743187321) >> 41
         self.h = (q + _flog2pow10(-self.k) + 2).astype(np.uint64)
-        pow10 = [1]
-        for _ in range(max(-_K_MIN, _K_MAX)):
-            pow10.append(pow10[-1] * 10)
-        g1, g0 = [], []
-        for k in range(_K_MIN, _K_MAX + 1):
-            r = _flog2pow10(-k) - 125
-            g = (pow10[max(-k, 0)] << max(-r, 0)) // (pow10[max(k, 0)] << max(r, 0)) + 1
-            g1.append(g >> 63)
-            g0.append(g & (2**63 - 1))
-        self.g1 = np.array(g1, dtype=np.uint64).take(self.k - _K_MIN)
-        self.g0 = np.array(g0, dtype=np.uint64).take(self.k - _K_MIN)
+        self.g1, self.g0 = np.zeros(4096, np.uint64), np.zeros(4096, np.uint64)
+        self.met = np.zeros(4096, bool)
 
         # quad[v]: the four ASCII digits of v < 10**4, the first in the low
         # byte, with its trailing zeros as zero bytes; quad[10**4 + v]: all four
@@ -100,13 +90,31 @@ class _Tables:
         layout = np.stack([np.broadcast_to(x, mark.shape) for x in (low * 0xFF, mark)])
         layout = layout.astype(np.uint8).view("<u8").astype(np.uint64)
         self.layout = layout.reshape(2, -1, 3).transpose(0, 2, 1).reshape(6, -1).copy()
-        exponent = np.arange(_E_MIN, _E_MAX + 1)
-        self.offset = np.where((exponent >= -4) & (exponent < 16), exponent + 5, 0) * 4
 
-        # exponent[E - E_MIN]: the text after the digits in scientific notation
-        self.exponent = np.array(
-            [0 if -4 <= e < 16 else int.from_bytes(b"e%+03d" % e, "little")
-             for e in range(_E_MIN, _E_MAX + 1)], dtype=np.uint64)
+        # by E - E_MIN: offset, E's rows of the layout table, and exponent,
+        # the text after the digits in scientific notation ("e", the sign and
+        # two or three digits of E; 0 in fixed notation)
+        e = np.arange(_E_MIN, _E_MAX + 1)
+        fixed = (e >= -4) & (e < 16)
+        self.offset = np.where(fixed, e + 5, 0) * 4
+        a = np.abs(e)
+        sign = np.where(e < 0, ord("-"), ord("+"))
+        two = (a // 10 % 10 + 0x30) | (a % 10 + 0x30) << 8
+        digits = np.where(a >= 100, (a // 100 + 0x30) | two << 8, two)
+        self.exponent = np.where(fixed, 0, ord("e") | sign << 8 | digits << 16).astype(np.uint64)
+
+    def g(self, index):
+        """g1 and g0 at each exponent index, where g = floor(10**-k / 2**r) + 1
+        lies in [2**125, 2**126) and g = g1 * 2**63 + g0; an index met for
+        the first time gets its g from Python ints."""
+        new = np.flatnonzero((np.bincount(index, minlength=4096) > 0) & ~self.met)
+        for i in new.tolist():
+            k = int(self.k[i])
+            r = _flog2pow10(-k) - 125
+            g = (10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1
+            self.g1[i], self.g0[i] = g >> 63, g & (2**63 - 1)
+        self.met[new] = True
+        return self.g1.take(index), self.g0.take(index)
 
 
 @functools.cache
@@ -140,7 +148,8 @@ def _shortest(t: _Tables, bits):
     c = fraction | (np.minimum(exp_bits, _U(1)) << _U(52))
     asym = ((fraction == 0) & (exp_bits > 1)).astype(np.uint64)
     index = (exp_bits | (asym << _U(11))).view(np.int64)
-    k, h, g1, g0 = (x.take(index) for x in (t.k, t.h, t.g1, t.g0))
+    k, h = t.k.take(index), t.h.take(index)
+    g1, g0 = t.g(index)
     g = (g1, g1 >> _U(32), g1 & _LOW32, g0 >> _U(32), g0 & _LOW32)
 
     # 4 * v / 10**k and the ends of the interval that reads back to v
@@ -214,5 +223,8 @@ def format_rows(block: np.ndarray) -> list[bytes]:
     chars = slots.astype("<u8", copy=False).view(np.uint8).reshape(rows, -1)
     kept = chars != 0
     text = chars[kept].tobytes()
-    ends = np.cumsum([np.count_nonzero(row) for row in kept]).tolist()
+    # a row's length is its count of kept bytes, summed 8 at a time in the
+    # top byte of a word
+    lengths = ((kept.view(np.uint64) * _U(0x0101010101010101)) >> _U(56)).sum(axis=1)
+    ends = np.cumsum(lengths).tolist()
     return [text[a:b] for a, b in zip([0, *ends], ends)]
