@@ -8,17 +8,37 @@ failure.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-# every module that perfbench/tracing.py instruments is imported here; synth
-# only by the command that uses it
-from . import (dataio, evaluation, models, normalize, pipeline, project,
-               search, survival)
 from .errors import ConfigError, DataError, OmicsurvError
+
+
+def _lazy(name: str):
+    """The submodule ``name`` of this package, in ``sys.modules`` at once and
+    executed on its first attribute access."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Every module that perfbench/tracing.py instruments is registered here, so
+# that the tracer finds it and rebinds its functions, but a command runs only
+# the modules it uses; synth is imported by the command that uses it.
+(dataio, evaluation, models, normalize, pipeline, project, rpensemble, search,
+ survival) = map(_lazy, ("dataio", "evaluation", "models", "normalize", "pipeline",
+                         "project", "rpensemble", "search", "survival"))
 
 
 def _parse_kv(pairs: list[str]) -> dict:
@@ -243,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("train", help="train one model")
-    p.add_argument("--family", required=True, choices=models.FAMILIES)
+    p.add_argument("--family", required=True)
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
@@ -253,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("cv", help="cross-validate one model")
-    p.add_argument("--family", required=True, choices=models.FAMILIES)
+    p.add_argument("--family", required=True)
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
@@ -263,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cv)
 
     p = sub.add_parser("search", help="seeded random hyperparameter search")
-    p.add_argument("--family", required=True, choices=models.FAMILIES)
+    p.add_argument("--family", required=True)
     p.add_argument("--param", action="append", metavar="KEY=SPEC",
                    help="fixed value or distribution, e.g. C=loguniform:0.01,100")
     p.add_argument("--features", required=True)

@@ -15,7 +15,8 @@ gives ``repr``'s bytes with no Python call per cell; it is imported by the
 first matrix write. A CNA matrix's integers go through ``str``. Only the
 header and an id that needs quotes go through ``csv.writer``.
 
-A matrix is streamed in. A first binary pass counts its lines and looks for
+A matrix file is streamed in; one that cannot seek, such as a pipe, is read
+into memory first. A first binary pass counts its lines and looks for
 text that only the csv module reads right (a quote, a lone ``\r``, NUL or
 ``\x1c``-``\x1f``). Then numpy's C tokenizer parses about 1 MiB of lines at a
 time into one preallocated array. A file that the first pass flags, or that
@@ -209,14 +210,20 @@ class _Table(NamedTuple):
                            f"{what}, got {float(self.values[i, j])!r}")
 
 
-def read_text(path) -> str:
-    """The whole file as text; a file that is not UTF-8 is a DataError."""
+def _utf8(data: bytes, path) -> str:
+    """``data``, read from ``path``, as text; bytes that are not UTF-8 are a
+    DataError."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return fh.read()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} "
                         f"at offset {exc.start})") from None
+
+
+def read_text(path) -> str:
+    """The whole file as text; a file that is not UTF-8 is a DataError."""
+    with open(path, "rb") as fh:
+        return _utf8(fh.read(), path)
 
 
 def _read_delimited(text: str, path) -> tuple[list[list[str]], list[int]]:
@@ -273,46 +280,46 @@ def _count_lines(fh) -> int | None:
     return newlines + (last not in (b"", b"\n"))
 
 
-def _parse_blocks(path) -> _Table | None:
-    """The table parsed by numpy's C tokenizer, about ``_READ_BLOCK_BYTES``
-    of lines at a time, into one array; None if it cannot be."""
-    with open(path, "rb") as fh:
-        line_count = _count_lines(fh)
-        if line_count is None or line_count < 2:
-            return None
-        fh.seek(0)
-        header, row_ids, lines, values = None, [], [], None
-        number = 0
-        while block := fh.readlines(_READ_BLOCK_BYTES):
-            rests = []
-            for raw in block:
-                number += 1
-                try:
-                    line = raw.rstrip(b"\r\n").decode("utf-8")
-                except UnicodeDecodeError:
-                    return None
-                if not line:
-                    continue
-                if header is None:
-                    header = line.split(",")
-                    values = np.empty((line_count - number, len(header) - 1))
-                    continue
-                row_id, _, rest = line.partition(",")
-                if not rest:  # loadtxt would skip the line, or warn of no data
-                    return None
-                row_ids.append(row_id)
-                rests.append(rest)
-                lines.append(number)
-            if not rests:
-                continue
+def _parse_blocks(fh) -> _Table | None:
+    """The table in the seekable binary file ``fh``, parsed by numpy's C
+    tokenizer, about ``_READ_BLOCK_BYTES`` of lines at a time, into one
+    array; None if it cannot be."""
+    line_count = _count_lines(fh)
+    if line_count is None or line_count < 2:
+        return None
+    fh.seek(0)
+    header, row_ids, lines, values = None, [], [], None
+    number = 0
+    while block := fh.readlines(_READ_BLOCK_BYTES):
+        rests = []
+        for raw in block:
+            number += 1
             try:
-                parsed = np.loadtxt(rests, delimiter=",", dtype=np.float64,
-                                    comments=None, ndmin=2)
-            except ValueError:
+                line = raw.rstrip(b"\r\n").decode("utf-8")
+            except UnicodeDecodeError:
                 return None
-            if parsed.shape[1:] != values.shape[1:]:
+            if not line:
+                continue
+            if header is None:
+                header = line.split(",")
+                values = np.empty((line_count - number, len(header) - 1))
+                continue
+            row_id, _, rest = line.partition(",")
+            if not rest:  # loadtxt would skip the line, or warn of no data
                 return None
-            values[len(row_ids) - len(rests):len(row_ids)] = parsed
+            row_ids.append(row_id)
+            rests.append(rest)
+            lines.append(number)
+        if not rests:
+            continue
+        try:
+            parsed = np.loadtxt(rests, delimiter=",", dtype=np.float64,
+                                comments=None, ndmin=2)
+        except ValueError:
+            return None
+        if parsed.shape[1:] != values.shape[1:]:
+            return None
+        values[len(row_ids) - len(rests):len(row_ids)] = parsed
     if not row_ids:
         return None
     if len(row_ids) < len(values):  # blank lines
@@ -321,11 +328,15 @@ def _parse_blocks(path) -> _Table | None:
 
 
 def _read_matrix(path) -> _Table:
-    table = _parse_blocks(path)
-    if table is None:
-        rows, lines = _read_delimited(read_text(path), path)
-        table = _Table(rows[0][1:], [row[0] for row in rows[1:]],
-                       _parse_cells(rows, lines, path), lines[1:])
+    with open(path, "rb") as fh:
+        # both parses read from the start, so a pipe is read into memory once
+        source = fh if fh.seekable() else io.BytesIO(fh.read())
+        table = _parse_blocks(source)
+        if table is None:
+            source.seek(0)
+            rows, lines = _read_delimited(_utf8(source.read(), path), path)
+            table = _Table(rows[0][1:], [row[0] for row in rows[1:]],
+                           _parse_cells(rows, lines, path), lines[1:])
     table.check_ids(path)
     return table
 

@@ -211,9 +211,12 @@ def _build_variants(config: ExperimentConfig, merged, clinical, cna) -> list[_Va
     expr_only = dataio.build_features(
         dataio.subset_patients(merged, raw.patient_ids), clinical)
     age_records = clinical if config.include_age else None
+    # one P serves every output dimension
+    affinities = (project.packed_affinities(expr_only, config.tsne.perplexity)
+                  if config.projection_dims else None)
     for dim in config.projection_dims:
         projected = project.project_with_age(
-            expr_only, age_records, replace(config.tsne, output_dims=dim))
+            expr_only, age_records, replace(config.tsne, output_dims=dim), affinities)
         variants.append(_Variant(descriptor=_tsne_descriptor(dim, config.include_age),
                                  features=projected))
     return variants

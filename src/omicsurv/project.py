@@ -9,19 +9,24 @@ per point from a generator keyed by (seed, patient-id hash), so permuting
 the input rows permutes the embedding identically.
 
 Each iteration is one pass over the block pairs I <= J of P's upper triangle
-(blocks of about 128 rows, one block up to 191 points), which ``tsne`` packs
-once, in place, so that each pair's block of P is contiguous. No other n x n
-array is built. For each pair, one GEMM of [y, 1, |y|^2 + 1] with
-[-2y, |y|^2, 1] gives 1 + d^2; its log gives the pair's share of
-sum P log(1 + d^2), and its reciprocal the Student-t kernel (diagonal zeroed)
-and the pair's share of Z. Then (P * kernel) @ [y, 1] gives the attraction
-and kernel^2 @ [y, 1] the repulsion of rows I; an off-diagonal pair also
-gives rows J theirs through the transposed blocks, and it counts twice in
-both sums. The gradient is 4 (f attraction - repulsion / Z) with the early
-exaggeration f scaling the attraction, and
-KL(P||Q) = sum P log P + sum P log(1 + d^2) + sum P log Z. The entropy term
-and sum P are computed once. ``kl_gradient`` and ``kl_divergence`` make the
-same pass over a packed copy of P, so the loop's last KL trace entry is
+(blocks of about 128 rows, one block up to 191 points), which
+``packed_affinities`` packs once, in place, so that each pair's block of P is
+contiguous. No other n x n array is built. For each pair, one GEMM of
+[y, 1, |y|^2 + 1] with [-2y, |y|^2, 1] gives 1 + d^2; its reciprocal gives the
+Student-t kernel (diagonal zeroed) and the pair's share of Z. Then
+(P * kernel) @ [y, 1] gives the attraction and kernel^2 @ [y, 1] the
+repulsion of rows I; an off-diagonal pair also gives rows J theirs through
+the transposed blocks, and it counts twice in both sums. The gradient is
+4 (f attraction - repulsion / Z) with the early exaggeration f scaling the
+attraction.
+
+KL(P||Q) = sum P log P + sum P log(1 + d^2) + sum P log Z. Only the middle
+term needs a logarithm per point pair, so a pass takes it only when asked:
+``tsne`` records the KL after every ``_KL_EVERY``-th iteration and after the
+last, as scikit-learn's t-SNE does. The entropy term and sum P depend on P
+alone and are computed once per P, which several runs at different output
+dimensions may share. ``kl_gradient`` and ``kl_divergence`` make the same
+pass over a packed copy of P, so the last KL trace entry is
 ``kl_divergence`` of the returned coordinates.
 """
 
@@ -41,6 +46,8 @@ _EPS = 1e-12
 # t-SNE pass (512 KiB: a block stays in cache through the passes made over it)
 _BLOCK_ELEMENTS = 1 << 16
 _MOMENTUM_SWITCH_ITER = 250
+# KL(P||Q) is recorded after every _KL_EVERY-th iteration and after the last
+_KL_EVERY = 50
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,9 @@ class TsneConfig:
 class Embedding:
     patient_ids: list[str]
     coords: np.ndarray      # (N, output_dims)
-    kl_trace: np.ndarray    # KL divergence recorded at every iteration
+    # KL(P||Q) after iterations _KL_EVERY, 2 _KL_EVERY, ... and after the
+    # last: ceil(iterations / _KL_EVERY) entries
+    kl_trace: np.ndarray
 
 
 def _row_blocks(n: int, rows: int | None = None) -> list[slice]:
@@ -242,10 +251,11 @@ def _pack_pairs(p: np.ndarray, blocks: list[slice],
 
 
 def _kl_pass_packed(packed: np.ndarray, blocks: list[slice], coords: np.ndarray,
-                    exaggeration: float = 1.0) -> tuple[np.ndarray, float, float]:
+                    exaggeration: float = 1.0, *,
+                    with_kl: bool = True) -> tuple[np.ndarray, float, float]:
     """One pass over the block pairs I <= J of P, packed by ``_pack_pairs``,
     at ``coords``: the KL gradient with the attraction scaled by
-    ``exaggeration``, sum P log(1 + d^2), and Z."""
+    ``exaggeration``, sum P log(1 + d^2) (NaN unless ``with_kl``), and Z."""
     n, d = coords.shape
     left = np.empty((n, d + 2))  # [y, 1, |y|^2 + 1]
     right = np.empty((n, d + 2))  # [-2y, |y|^2, 1]
@@ -259,7 +269,8 @@ def _kl_pass_packed(packed: np.ndarray, blocks: list[slice], coords: np.ndarray,
     size = (blocks[0].stop - blocks[0].start) ** 2
     products, ones = np.empty(2 * size), np.ones(size)
     forces = np.zeros((2, n, d + 1))  # attraction, repulsion
-    p_log, z, offset = 0.0, 0.0, 0
+    p_log = 0.0 if with_kl else math.nan
+    z, offset = 0.0, 0
     for a, rows in enumerate(blocks):
         for b in range(a, len(blocks)):
             cols = blocks[b]
@@ -273,8 +284,9 @@ def _kl_pass_packed(packed: np.ndarray, blocks: list[slice], coords: np.ndarray,
             twice = 1.0 if b == a else 2.0
             np.matmul(left[rows], right[cols].T, out=t)
             np.maximum(t, 1.0, out=t)  # 1 + d^2, which rounding may put below 1
-            np.log(t, out=w)
-            p_log += twice * np.vdot(pb, w)
+            if with_kl:
+                np.log(t, out=w)
+                p_log += twice * np.vdot(pb, w)
             np.reciprocal(t, out=t)
             if b == a:
                 t.reshape(-1)[::shape[0] + 1] = 0.0
@@ -296,11 +308,12 @@ def _kl_pass_packed(packed: np.ndarray, blocks: list[slice], coords: np.ndarray,
     return grad, float(p_log), float(z)
 
 
-def _kl_pass(p: np.ndarray, coords: np.ndarray,
-             exaggeration: float = 1.0) -> tuple[np.ndarray, float, float]:
+def _kl_pass(p: np.ndarray, coords: np.ndarray, exaggeration: float = 1.0, *,
+             with_kl: bool = True) -> tuple[np.ndarray, float, float]:
     """``_kl_pass_packed`` of a dense symmetric P."""
     blocks = _pair_blocks(p.shape[0])
-    return _kl_pass_packed(_pack_pairs(p, blocks), blocks, coords, exaggeration)
+    return _kl_pass_packed(_pack_pairs(p, blocks), blocks, coords, exaggeration,
+                           with_kl=with_kl)
 
 
 def _entropy_and_mass(p: np.ndarray) -> tuple[float, float]:
@@ -322,7 +335,7 @@ def kl_gradient(p: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Gradient of KL(P||Q) with the Student-t(1) low-dimensional kernel."""
     if p.shape[0] != coords.shape[0]:
         raise DataError("P and coords disagree on the number of points")
-    return _kl_pass(p, coords)[0]
+    return _kl_pass(p, coords, with_kl=False)[0]
 
 
 def _init_coords(patient_ids: list[str], dims: int, seed: int) -> np.ndarray:
@@ -338,39 +351,65 @@ def _init_coords(patient_ids: list[str], dims: int, seed: int) -> np.ndarray:
     return coords
 
 
-def tsne(features: FeatureMatrix, config: TsneConfig) -> Embedding:
-    """Run exact t-SNE; the returned trace records KL(P||Q) per iteration
-    against the un-exaggerated P."""
-    p = input_affinities(features, config.perplexity)
+@dataclass(frozen=True)
+class Affinities:
+    """P of a table, packed for the t-SNE pass, and the KL terms that depend
+    on P alone. A t-SNE run reads it and leaves it as it is."""
+
+    packed: np.ndarray  # the block pairs I <= J of P, laid out by _pack_pairs
+    blocks: list[slice]
+    entropy: float  # sum P log P
+    mass: float  # sum P
+
+
+def packed_affinities(features: FeatureMatrix, perplexity: float) -> Affinities:
+    """``input_affinities`` of ``features``, packed in place."""
+    p = input_affinities(features, perplexity)
     entropy, mass = _entropy_and_mass(p)
     blocks = _pair_blocks(p.shape[0])
-    p = _pack_pairs(p, blocks, out=p.reshape(-1))
+    return Affinities(_pack_pairs(p, blocks, out=p.reshape(-1)), blocks, entropy, mass)
+
+
+def tsne(features: FeatureMatrix, config: TsneConfig,
+         affinities: Affinities | None = None) -> Embedding:
+    """Run exact t-SNE from ``affinities``, the ``packed_affinities`` of
+    ``features`` at ``config.perplexity``, computed here when not given. The
+    returned trace records KL(P||Q) against the un-exaggerated P after every
+    ``_KL_EVERY``-th iteration and after the last."""
+    if affinities is None:
+        affinities = packed_affinities(features, config.perplexity)
+    p, blocks = affinities.packed, affinities.blocks
+    entropy, mass = affinities.entropy, affinities.mass
     coords = _init_coords(features.patient_ids, config.output_dims, config.seed)
     velocity = np.zeros_like(coords)
-    trace = np.empty(config.iterations)
+    trace = np.empty(-(-config.iterations // _KL_EVERY))
 
     def exaggeration(it):
         return (config.early_exaggeration_factor
                 if it < config.early_exaggeration_iters else 1.0)
 
-    # the pass that gives each iteration's KL trace entry gives the next
-    # iteration's gradient
-    grad, _, _ = _kl_pass_packed(p, blocks, coords, exaggeration(0))
+    # the pass after iteration it gives iteration it + 1's gradient and,
+    # on a recorded iteration, its KL
+    grad = _kl_pass_packed(p, blocks, coords, exaggeration(0), with_kl=False)[0]
     for it in range(config.iterations):
         momentum = 0.5 if it < _MOMENTUM_SWITCH_ITER else 0.8
         velocity = momentum * velocity - config.learning_rate * grad
         coords = coords + velocity
-        grad, p_log, z = _kl_pass_packed(p, blocks, coords, exaggeration(it + 1))
-        trace[it] = entropy + p_log + mass * np.log(z)
+        record = (it + 1) % _KL_EVERY == 0 or it + 1 == config.iterations
+        grad, p_log, z = _kl_pass_packed(p, blocks, coords, exaggeration(it + 1),
+                                         with_kl=record)
+        if record:
+            trace[it // _KL_EVERY] = entropy + p_log + mass * np.log(z)
     return Embedding(patient_ids=list(features.patient_ids), coords=coords,
                      kl_trace=trace)
 
 
 def project_with_age(features: FeatureMatrix,
                      clinical: list[ClinicalRecord] | None,
-                     config: TsneConfig) -> FeatureMatrix:
-    """t-SNE the features into columns ``tsne_k``; with clinical records,
-    append the raw age column."""
+                     config: TsneConfig,
+                     affinities: Affinities | None = None) -> FeatureMatrix:
+    """t-SNE the features into columns ``tsne_k``, from ``affinities`` when
+    given (see ``tsne``); with clinical records, append the raw age column."""
     names = [f"tsne_{k}" for k in range(config.output_dims)]
     age_column = []
     if clinical is not None:
@@ -380,6 +419,6 @@ def project_with_age(features: FeatureMatrix,
             raise DataError(f"age missing for patient {missing[0]}")
         age_column = [np.array([[ages[pid]] for pid in features.patient_ids])]
         names.append("age")
-    values = np.hstack([tsne(features, config).coords, *age_column])
+    values = np.hstack([tsne(features, config, affinities).coords, *age_column])
     return FeatureMatrix(patient_ids=list(features.patient_ids),
                          feature_names=names, values=values)

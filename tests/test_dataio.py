@@ -1,4 +1,6 @@
 import csv
+import os
+import threading
 import time
 import warnings
 
@@ -735,3 +737,86 @@ class TestWriteBlocks:
         dataio.save_cna(dataio.CnaMatrix(ids, genes, cna), tmp_path / "new_cna.csv")
         ref_write(tmp_path / "ref_cna.csv", genes, ids, cna, ref_int)
         assert (tmp_path / "new_cna.csv").read_bytes() == (tmp_path / "ref_cna.csv").read_bytes()
+
+
+class TestPipes:
+    """A matrix read from a pipe, which cannot seek, gives what the file gives;
+    both parses read the piped bytes, which arrive once."""
+
+    @staticmethod
+    def fifo(path, data: bytes) -> threading.Thread:
+        """A FIFO at ``path`` that a thread fills with ``data`` once it is opened."""
+        os.mkfifo(path)
+
+        def feed():
+            with open(path, "wb") as fh:
+                fh.write(data)
+
+        thread = threading.Thread(target=feed, daemon=True)
+        thread.start()
+        return thread
+
+    @pytest.fixture
+    def cohort(self, tmp_path):
+        assert cli.main(["synth", "--n-patients", "12", "--n-genes", "4",
+                         "--n-informative", "2", "--censoring", "0.2", "--seed", "0",
+                         "--out-dir", str(tmp_path / "data")]) == 0
+        return tmp_path / "data"
+
+    def run_both(self, tmp_path, argv, flag, source):
+        """The bytes ``argv`` writes to ``--output`` with ``source`` given as
+        ``flag``: from the file, then from a FIFO."""
+
+        def run(path, written):
+            assert cli.main([*argv, flag, str(path), "--output", str(written)]) == 0
+            return written.read_bytes()
+
+        file = run(source, tmp_path / "file.csv")
+        pipe = tmp_path / f"{source.stem}.fifo"
+        feeder = self.fifo(pipe, source.read_bytes())
+        piped = run(pipe, tmp_path / "pipe.csv")
+        feeder.join(timeout=10)
+        assert not feeder.is_alive()
+        return file, piped
+
+    def test_normalize_reference_and_project_features(self, tmp_path, cohort):
+        file, pipe = self.run_both(
+            tmp_path, ["normalize", "--target", str(cohort / "rnaseq.csv"), "--log2"],
+            "--reference", cohort / "microarray.csv")
+        assert pipe == file
+        normalized = tmp_path / "normalized.csv"
+        normalized.write_bytes(file)
+        file, pipe = self.run_both(
+            tmp_path, ["project", "--dims", "2", "--iterations", "20",
+                       "--perplexity", "3"], "--features", normalized)
+        assert pipe == file
+
+    def test_every_read_case_matches_the_file(self, tmp_path):
+        """Block-parsed and csv-only texts alike."""
+        for name, (text, _) in READ_CASES.items():
+            want = dataio.load_features(write_bytes(tmp_path / f"{name}.csv", text))
+            pipe = tmp_path / f"{name}.fifo"
+            feeder = self.fifo(pipe, text.encode("utf-8"))
+            got = dataio.load_features(pipe)
+            feeder.join(timeout=10)
+            assert not feeder.is_alive()
+            assert (got.feature_names, got.patient_ids) == (want.feature_names,
+                                                            want.patient_ids), name
+            assert same_bits(got.values, want.values), name
+
+    @pytest.mark.parametrize("text, where", [
+        (b"patient_id,g1,g2\np1,1,2\np2,3,x\n",
+         "line 3, column 3: non-numeric cell at (1,1): 'x'"),
+        (b"patient_id,g\xe91,g2\np1,1,2\np2,3,4\n",
+         "not UTF-8 text (byte 0xe9 at offset 12)"),
+    ], ids=["cell", "not_utf8"])
+    def test_malformed_pipe_error_names_it(self, tmp_path, capsys, text, where):
+        good = write(tmp_path / "good.csv", "patient_id,g1,g2\np1,1,2\np2,3,4\n")
+        pipe = tmp_path / "bad.fifo"
+        feeder = self.fifo(pipe, text)
+        code = cli.main(["normalize", "--target", str(good), "--reference", str(pipe),
+                         "--log2", "--output", str(tmp_path / "o.csv")])
+        feeder.join(timeout=10)
+        assert not feeder.is_alive()
+        assert code == 3
+        assert capsys.readouterr().err == f"data error: {pipe}: {where}\n"

@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 import omicsurv
-from omicsurv import cli, dataio
+from omicsurv import cli, dataio, project
 from omicsurv.dataio import ClinicalRecord
 from omicsurv.errors import DataError
 
@@ -217,3 +217,35 @@ MATRIX_SHA256 = {
 @pytest.mark.parametrize("name", sorted(MATRIX_SHA256))
 def test_cli_matrix_bytes(matrix_outputs, name):
     assert matrix_outputs[name] == MATRIX_SHA256[name]
+
+
+def test_report_projects_every_dimension_from_one_p(tmp_path, monkeypatch):
+    """Two t-SNE dimensions share one P, and the report keeps the bytes it
+    had when each dimension computed its own."""
+    calls = []
+    affinities = project.input_affinities
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return affinities(*args, **kwargs)
+
+    monkeypatch.setattr(project, "input_affinities", counting)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synth", "--n-patients", "12", "--n-genes", "4",
+                     "--n-informative", "2", "--censoring", "0.2", "--seed", "0",
+                     "--out-dir", "data"]) == 0
+    config = {
+        "data": {"sources": [{"path": "data/microarray.csv", "name": "micro"},
+                             {"path": "data/rnaseq.csv", "name": "rna"}],
+                 "clinical": "data/clinical.csv", "projection_dims": [2, 3],
+                 "tsne": {"perplexity": 3, "iterations": 60}},
+        "models": [{"family": "gaussian_nb"}],
+        "cv": {"k_folds": 3}, "output": "out"}
+    Path("config.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
+    assert cli.main(["report", "--config", "config.yaml"]) == 0
+    assert len(calls) == 1
+    assert {name: hashlib.sha256(Path("out", name).read_bytes()).hexdigest()
+            for name in ("report.csv", "trials.csv")} == {
+        "report.csv": "a65c116bab489c70374aca1a7ed1ee4131ddb6652fe3b7a78fa1366989f42ec1",
+        "trials.csv": "481efad0d59b17c358feac7d4e3f90ce779682321dc6711277497524977affb9",
+    }

@@ -545,14 +545,37 @@ def test_report_raw_variant_too_narrow_fails_before_any_search(tmp_path, monkeyp
         "with these parameters; 'RNA raw age' has 4")
 
 
-def test_cli_import_leaves_unused_modules_unloaded():
-    code = ("import sys, omicsurv.cli; print(sorted({'yaml', 'concurrent.futures', "
-            "'multiprocessing', 'omicsurv.synth', 'omicsurv._floatrepr'} "
-            "& set(sys.modules)))")
+# After the import, then after `normalize` and `project` run in the same
+# process: no module that neither command uses has run. The CLI registers its
+# modules for loading on first use; such a module becomes a plain module when
+# it runs.
+UNUSED_MODULES = """
+import sys, types
+from omicsurv import cli
+def loaded(names):
+    return sorted(name for name in names if type(sys.modules.get(name)) is types.ModuleType)
+print(loaded({"yaml", "concurrent.futures", "multiprocessing", "omicsurv.synth",
+              "omicsurv._floatrepr", "omicsurv.dataio", "omicsurv.models",
+              "omicsurv.pipeline", "omicsurv.project", "omicsurv.rpensemble"}))
+data, out = sys.argv[1:]
+assert cli.main(["normalize", "--target", f"{data}/rnaseq.csv", "--reference",
+                 f"{data}/microarray.csv", "--log2", "--output", f"{out}/n.csv"]) == 0
+assert cli.main(["project", "--features", f"{out}/n.csv", "--dims", "2",
+                 "--iterations", "20", "--perplexity", "3", "--append-age",
+                 "--clinical", f"{data}/clinical.csv", "--output", f"{out}/p.csv"]) == 0
+print(loaded({"yaml", "omicsurv.typed", "omicsurv.rpensemble", "omicsurv.models",
+              "omicsurv.models.forest", "omicsurv.models.mlp", "omicsurv.pipeline",
+              "omicsurv.search", "omicsurv.evaluation", "omicsurv.survival"}))
+"""
+
+
+def test_cli_import_leaves_unused_modules_unloaded(tmp_path):
+    data = make_cohort(tmp_path, n_patients=12, n_genes=4)
     environ = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, env=environ, check=True)
-    assert result.stdout == "[]\n"
+    result = subprocess.run([sys.executable, "-c", UNUSED_MODULES, str(data),
+                             str(tmp_path)], capture_output=True, text=True,
+                            env=environ, check=True)
+    assert result.stdout == "[]\n[]\n"
 
 
 def test_train_non_numeric_param_is_config_error(tmp_path, cohort, capsys):
@@ -604,6 +627,8 @@ def test_forest_param_out_of_range_before_data_is_read(tmp_path, capsys, command
      "rp_ensemble: selection_holdout_fraction must lie in (0,1)"),
     ("search", "svm_rbf", "gamma=loguniform:1,0.5",
      "gamma: loguniform needs 0 < low < high, got 1.0,0.5"),
+    *[(command, "bogus", "C=1", f"unknown model family 'bogus'; valid: {models.FAMILIES}")
+      for command in ("train", "cv", "search")],
 ])
 def test_param_out_of_range_before_data_is_read(tmp_path, capsys, command, family,
                                                 param, named):

@@ -155,7 +155,8 @@ class TestTsne:
                                     early_exaggeration_iters=100, seed=1)
         emb = project.tsne(features, config)
         assert (emb.kl_trace >= 0).all()
-        assert emb.kl_trace[-1] <= emb.kl_trace[99]
+        # entry 1 is the KL after iteration 100
+        assert emb.kl_trace[-1] <= emb.kl_trace[1]
 
     def test_permutation_equivariance(self):
         # short run: permuting rows changes float summation order, and the

@@ -675,14 +675,16 @@ def test_tsne_matches_allocating_loop(monkeypatch, n, dims, iterations, exaggera
         # the case that passes the momentum switch passes it within the
         # compared iterations
         monkeypatch.setattr(project, "_MOMENTUM_SWITCH_ITER", 2)
+    # a run's last iteration is always recorded
     few = replace(config, iterations=min(iterations, 3))
-    np.testing.assert_allclose(project.tsne(features, few).kl_trace,
-                               _ref_tsne(features, few)[1], rtol=1e-12, atol=0)
+    ends = [project.tsne(features, replace(config, iterations=k)).kl_trace[-1]
+            for k in range(1, few.iterations + 1)]
+    np.testing.assert_allclose(ends, _ref_tsne(features, few)[1], rtol=1e-12, atol=0)
     monkeypatch.undo()
 
     got = project.tsne(features, config)
     assert got.coords.shape == (n, dims)
-    assert got.kl_trace.shape == (iterations,)
+    assert got.kl_trace.shape == (-(-iterations // project._KL_EVERY),)
     np.testing.assert_allclose(got.kl_trace[-1],
                                project.kl_divergence(p, got.coords),
                                rtol=1e-12, atol=0)
@@ -700,9 +702,13 @@ def test_tsne_pass_does_not_depend_on_the_block_size(monkeypatch, dims, duplicat
     config = _tsne_config(n, dims, iterations=10, exaggerated=5)
     kl_pass, passes = project._kl_pass_packed, []
 
-    def recording(packed, blocks, coords, exaggeration=1.0):
-        passes.append((coords, exaggeration, kl_pass(packed, blocks, coords, exaggeration)))
-        return passes[-1][-1]
+    def recording(packed, blocks, coords, exaggeration=1.0, *, with_kl=True):
+        result = kl_pass(packed, blocks, coords, exaggeration, with_kl=with_kl)
+        # each pass is replayed below with the KL term, which the loop takes
+        # only on recorded iterations
+        passes.append((coords, exaggeration,
+                       kl_pass(packed, blocks, coords, exaggeration)))
+        return result
 
     monkeypatch.setattr(project, "_kl_pass_packed", recording)
     project.tsne(features, config)
@@ -712,13 +718,41 @@ def test_tsne_pass_does_not_depend_on_the_block_size(monkeypatch, dims, duplicat
         blocks = project._row_blocks(n, rows)
         packed = project._pack_pairs(p, blocks)
         for coords, exaggeration, (grad, p_log, z) in passes:
-            got_grad, got_p_log, got_z = kl_pass(packed, blocks, coords, exaggeration)
+            got_grad, got_p_log, got_z = kl_pass(packed, blocks, coords, exaggeration,
+                                                 with_kl=True)
             _assert_close(got_grad, grad)
             # sum P log(1 + d^2) is about 1e-8 at the first iterates, where
             # 1 + d^2 keeps 8 of its digits, so it is compared as part of
             # the KL it enters
             np.testing.assert_allclose([got_p_log + np.log(got_z), got_z],
                                        [p_log + np.log(z), z], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("iterations, recorded", [(49, [49]), (50, [50]),
+                                                   (120, [50, 100, 120])])
+def test_kl_trace_records_every_50th_and_the_last_iteration(monkeypatch, iterations,
+                                                            recorded):
+    """Only the passes after the recorded iterations take the KL term, and
+    each entry is ``kl_divergence`` of the coordinates at its iteration."""
+    features = _tsne_table(40, seed=4)
+    config = _tsne_config(40, 2, iterations, exaggerated=20)
+    kl_pass, with_kl = project._kl_pass_packed, []
+
+    def counting(*args, **kwargs):
+        with_kl.append(kwargs.get("with_kl", True))
+        return kl_pass(*args, **kwargs)
+
+    monkeypatch.setattr(project, "_kl_pass_packed", counting)
+    got = project.tsne(features, config)
+    monkeypatch.undo()
+    # pass k follows iteration k; pass 0 gives the first gradient
+    assert len(with_kl) == iterations + 1
+    assert [k for k, on in enumerate(with_kl) if on] == recorded
+    p = project.input_affinities(features, config.perplexity)
+    want = [project.kl_divergence(
+                p, project.tsne(features, replace(config, iterations=k)).coords)
+            for k in recorded]
+    np.testing.assert_allclose(got.kl_trace, want, rtol=1e-12, atol=0)
 
 
 def test_pair_packing_holds_each_upper_block_once():
