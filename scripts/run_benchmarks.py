@@ -6,8 +6,7 @@ Usage: python scripts/run_benchmarks.py [--seeds N] [--quick]
 
 import argparse
 import time
-
-import numpy as np
+from statistics import fmean
 
 from omicsurv import benchmarks
 
@@ -27,8 +26,8 @@ def main():
     for r in results:
         print(f"  seed {r.seed}: combined {r.treatment:.3f}  "
               + "  ".join(f"{k} {v:.3f}" for k, v in r.baselines.items()))
-    combined = np.mean([r.treatment for r in results])
-    best_single = np.mean([max(r.baselines.values()) for r in results])
+    combined = fmean([r.treatment for r in results])
+    best_single = fmean([max(r.baselines.values()) for r in results])
     print(f"  mean: combined {combined:.3f} vs best single {best_single:.3f}"
           f" -> margin {combined - best_single:+.3f}  [{time.time()-start:.0f}s]")
 
@@ -38,8 +37,8 @@ def main():
     for r in results:
         print(f"  seed {r.seed}: t-SNE {r.treatment:.3f}  "
               f"raw {r.baselines['raw']:.3f}")
-    tsne = np.mean([r.treatment for r in results])
-    raw = np.mean([r.baselines["raw"] for r in results])
+    tsne = fmean([r.treatment for r in results])
+    raw = fmean([r.baselines["raw"] for r in results])
     print(f"  mean: t-SNE {tsne:.3f} vs raw {raw:.3f} "
           f"-> margin {tsne - raw:+.3f}  [{time.time()-start:.0f}s]")
 
@@ -52,8 +51,8 @@ def main():
               f"mean single err {r.mean_single_error:.3f}  "
               f"importance informative/background "
               f"{r.informative_importance / max(r.background_importance, 1e-12):.1f}x")
-    ens = np.mean([r.ensemble_error for r in results])
-    single = np.mean([r.mean_single_error for r in results])
+    ens = fmean([r.ensemble_error for r in results])
+    single = fmean([r.mean_single_error for r in results])
     print(f"  mean: ensemble {ens:.3f} vs single {single:.3f} "
           f"-> margin {single - ens:+.3f}  [{time.time()-start:.0f}s]")
 

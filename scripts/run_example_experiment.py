@@ -4,28 +4,18 @@ run the full pipeline end to end. It ends by printing its total wall time and
 the SHA-256 of report.csv and trials.csv, so one run checks both a speed-up and
 that the outputs stayed byte-identical.
 
-Before numpy loads, the script sets the BLAS/OpenMP thread variables that
-perfbench/run.py sets to 1, overriding any exported value: exact t-SNE's
-iterates, and so the hashes, change with the thread count.
-
 Usage: python scripts/run_example_experiment.py [--workdir DIR] [--seed N]
 """
 
-import os
+import argparse
+import hashlib
+import tempfile
+import time
+from pathlib import Path
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ[_var] = "1"
+import yaml
 
-import argparse  # noqa: E402
-import hashlib  # noqa: E402
-import tempfile  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-import yaml  # noqa: E402
-
-from omicsurv import cli, pipeline  # noqa: E402
+from omicsurv import cli, pipeline
 
 
 def main():

@@ -16,27 +16,17 @@ iteration is the best embedding time less the best affinities time, over 50.
 The save and the load are also run once each under tracemalloc, and the
 peak is printed beside the time.
 
-Before numpy loads, the script sets the BLAS/OpenMP thread variables that
-perfbench/run.py sets to 1, overriding any exported value: the embedding's
-iterates, and so its SHA-256, change with the thread count.
-
 Usage: python scripts/time_data_layers.py [--patients N] [--genes M]
 """
 
-import os
+import argparse
+import hashlib
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import hashlib  # noqa: E402
-import tempfile  # noqa: E402
-import time  # noqa: E402
-import tracemalloc  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-from omicsurv import dataio, normalize, project, synth  # noqa: E402
+from omicsurv import dataio, normalize, project, synth
 
 TSNE_PERPLEXITY = 30.0
 TSNE_ITERATIONS = 50

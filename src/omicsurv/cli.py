@@ -178,8 +178,6 @@ def _cmd_cv(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.workers is not None and args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     workers = pipeline.default_workers() if args.workers is None else args.workers
     space = search.SearchSpace(family=args.family,
                                params=search.parse_params(_parse_kv(args.param)),
@@ -198,8 +196,6 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.workers is not None and args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     overrides = _parse_kv(args.override)
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -211,6 +207,16 @@ def _cmd_report(args) -> int:
     result = pipeline.run_experiment(config)
     print(f"report written to {result['report_path']}")
     return 0
+
+
+def _check_counts(args) -> None:
+    """A ConfigError naming the flag if --seed is negative or --workers is
+    below 1, before the command reads any input."""
+    seed, workers = getattr(args, "seed", None), getattr(args, "workers", None)
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    if workers is not None and workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,6 +317,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -76,9 +76,23 @@ class ExperimentConfig:
             raise ConfigError("worker count must be >= 1")
         if any(d < 1 for d in self.projection_dims):
             raise ConfigError("projection dims must be >= 1")
+        _check_unique("labels.horizons", self.horizons)
+        _check_unique("data.projection_dims", self.projection_dims)
+        _check_unique("models", [space.family for space in self.models], "family ")
         for dim in self.projection_dims:
             _check_width(self.models, _tsne_descriptor(dim, self.include_age),
                          dim + int(self.include_age))
+
+
+def _check_unique(key: str, values: list, what: str = "") -> None:
+    """A ConfigError naming the first entry of ``key`` that repeats an earlier
+    one: each would run, and fill the report, twice."""
+    first = {}
+    for i, value in enumerate(values):
+        if value in first:
+            raise ConfigError(f"{key}[{i}]: {what}{value} is already listed "
+                              f"at {key}[{first[value]}]")
+        first[value] = i
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -122,6 +136,8 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         "cv": (dict, {}), "search": (dict, {}), "output": (str, "out"),
         "seed": (int, 0), "workers": (int, None)})
     seed = top["seed"]
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if top["workers"] is not None and top["workers"] < 1:
         raise ConfigError(f"workers must be >= 1, got {top['workers']}")
     data = read_section(top["data"], "data", {

@@ -5,6 +5,9 @@ line end or the quoting fails here.
 
 import ast
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -249,3 +252,39 @@ def test_report_projects_every_dimension_from_one_p(tmp_path, monkeypatch):
         "report.csv": "a65c116bab489c70374aca1a7ed1ee4131ddb6652fe3b7a78fa1366989f42ec1",
         "trials.csv": "481efad0d59b17c358feac7d4e3f90ce779682321dc6711277497524977affb9",
     }
+
+
+def _omicsurv(*argv, cwd, **env):
+    """Run the CLI in a fresh process with ``env`` exported on top of ours."""
+    environ = dict(os.environ, PYTHONPATH=str(Path(omicsurv.__file__).parents[1]),
+                   **env)
+    subprocess.run([sys.executable, "-m", "omicsurv.cli", *map(str, argv)],
+                   cwd=cwd, env=environ, check=True, capture_output=True)
+
+
+def test_project_bytes_do_not_depend_on_the_exported_thread_count(tmp_path):
+    """Exact t-SNE's iterates change with the BLAS thread count, so the package
+    pins one thread whatever is exported. The hash depends on the BLAS build,
+    so the two runs are compared with each other."""
+    _omicsurv("synth", "--n-patients", 120, "--n-genes", 100, "--seed", 0,
+              "--out-dir", "data", cwd=tmp_path)
+    written = []
+    for threads in ("2", "1"):
+        _omicsurv("project", "--features", "data/microarray.csv", "--dims", 3,
+                  "--perplexity", 10, "--iterations", 100,
+                  "--output", f"projected_{threads}.csv", cwd=tmp_path,
+                  OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        written.append((tmp_path / f"projected_{threads}.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_import_pins_one_thread_over_an_exported_count():
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+    environ = dict(os.environ, PYTHONPATH=str(Path(omicsurv.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="4")
+    result = subprocess.run(
+        [sys.executable, "-c",
+         f"import os, omicsurv; print([os.environ[name] for name in {names!r}])"],
+        env=environ, check=True, capture_output=True, text=True)
+    assert result.stdout == f"{['1'] * len(names)}\n"

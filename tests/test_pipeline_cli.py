@@ -489,6 +489,15 @@ def cohort(tmp_path_factory):
      "config error: data.tsne: early_exaggeration_iters must be >= 0, got -1\n"),
     ("data.tsne", {"learning_rate": float("nan")},
      "config error: data.tsne: learning_rate must be > 0, got nan\n"),
+    ("labels.horizons", [60, 30, 60.0],
+     "config error: labels.horizons[2]: 60.0 is already listed at labels.horizons[0]\n"),
+    ("data.projection_dims", [2, 2],
+     "config error: data.projection_dims[1]: 2 is already listed at "
+     "data.projection_dims[0]\n"),
+    ("models", [{"family": "l1_logistic", "params": {"lambda": 0.001}},
+                {"family": "l1_logistic", "params": {"lambda": 0.5}}],
+     "config error: models[1]: family l1_logistic is already listed at models[0]\n"),
+    ("seed", -2, "config error: seed must be >= 0, got -2\n"),
 ])
 def test_report_config_error_before_any_work(tmp_path, cohort, capsys,
                                              key, value, named):
@@ -503,6 +512,38 @@ def test_report_config_error_before_any_work(tmp_path, cohort, capsys,
     assert cli.main(["report", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out-dir", "{tmp}/out"],
+    ["project", "--features", "{tmp}/missing.csv", "--output", "{tmp}/out"],
+    *[[command, "--family", "random_forest", "--features", "{tmp}/missing.csv",
+       "--labels", "{tmp}/missing_labels.csv", out_flag, "{tmp}/out"]
+      for command, out_flag in (("train", "--model-out"), ("cv", "--output"),
+                                ("search", "--output"))],
+    ["report", "--config", "{tmp}/config.yaml"],
+], ids=["synth", "project", "train", "cv", "search", "report"])
+def test_negative_seed_flag_is_config_error_before_any_input_is_read(
+        tmp_path, capsys, argv):
+    """The input files do not exist: the flag is rejected (exit 2) first."""
+    write_config(tmp_path, tmp_path / "missing")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert cli.main([*argv, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: --seed must be >= 0, got -1\n"
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, config", [
+    (["--override", "seed=-1"], {}), ([], {"seed": -1})],
+    ids=["override", "config_key"])
+def test_report_negative_seed_key_is_config_error_before_any_data_is_read(
+        tmp_path, capsys, flag, config):
+    path = write_config(tmp_path, tmp_path / "missing", **config)
+    assert cli.main(["report", "--config", str(path), *flag]) == 2
+    assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
     assert not (tmp_path / "out").exists()
 
 
