@@ -118,13 +118,13 @@ def _cmd_km(args) -> int:
 def _cmd_project(args) -> int:
     if args.append_age and not args.clinical:
         raise ConfigError("--append-age requires --clinical")
-    features = dataio.load_features(args.features)
     config = project.TsneConfig(
         output_dims=args.dims,
         perplexity=args.perplexity,
         iterations=args.iterations,
         seed=args.seed,
     )
+    features = dataio.load_features(args.features)
     clinical = dataio.load_clinical(args.clinical) if args.append_age else None
     dataio.save_expression(project.project_with_age(features, clinical, config),
                            args.output)
@@ -209,14 +209,19 @@ def _cmd_report(args) -> int:
     return 0
 
 
+# The least value of each integer flag, by argparse dest.
+_MINIMUMS = {"seed": 0, "workers": 1, "k": 2, "budget": 1, "dims": 1,
+             "iterations": 1, "n_patients": 1, "n_genes": 1, "n_informative": 0}
+
+
 def _check_counts(args) -> None:
-    """A ConfigError naming the flag if --seed is negative or --workers is
-    below 1, before the command reads any input."""
-    seed, workers = getattr(args, "seed", None), getattr(args, "workers", None)
-    if seed is not None and seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
-    if workers is not None and workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {workers}")
+    """A ConfigError naming the first integer flag below its minimum, before
+    the command reads any input."""
+    for dest, least in _MINIMUMS.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < least:
+            flag = "--" + dest.replace("_", "-")
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:

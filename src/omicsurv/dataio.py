@@ -220,9 +220,19 @@ def _utf8(data: bytes, path) -> str:
                         f"at offset {exc.start})") from None
 
 
+def _open(path):
+    """``path`` opened for binary reading; a file that cannot be opened is a
+    DataError that names it."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror}") from exc
+
+
 def read_text(path) -> str:
-    """The whole file as text; a file that is not UTF-8 is a DataError."""
-    with open(path, "rb") as fh:
+    """The whole file as text; a file that cannot be opened or is not UTF-8
+    is a DataError."""
+    with _open(path) as fh:
         return _utf8(fh.read(), path)
 
 
@@ -328,7 +338,7 @@ def _parse_blocks(fh) -> _Table | None:
 
 
 def _read_matrix(path) -> _Table:
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         # both parses read from the start, so a pipe is read into memory once
         source = fh if fh.seekable() else io.BytesIO(fh.read())
         table = _parse_blocks(source)

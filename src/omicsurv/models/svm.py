@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
+from ..project import sq_distances
 
 
 @dataclass
@@ -41,23 +42,10 @@ class SvmState:
     converged: bool
 
 
-# elements of the temporary that adds the squared norms to the kernel (512 KiB)
-_BLOCK_ELEMENTS = 1 << 16
-
-
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma * max(|a_r|^2 + |b_c|^2 - 2 a_r.b_c, 0)), built in place in
-    the gram matrix: it is scaled by -2, then the squared norms are added a
-    block of rows at a time, which is s - 2g written as s + (-2g)."""
-    sq_a = np.sum(a * a, axis=1)
-    sq_b = np.sum(b * b, axis=1)[None, :]
-    out = np.matmul(a, b.T)
-    out *= -2.0
-    rows = max(1, _BLOCK_ELEMENTS // max(out.shape[1], 1))
-    for start in range(0, len(out), rows):
-        block = out[start:start + rows]
-        np.add(sq_a[start:start + rows, None] + sq_b, block, out=block)
-    np.maximum(out, 0.0, out=out)
+    """exp(-gamma * d2), with d2 the ``sq_distances`` of ``a`` and ``b``,
+    in d2's buffer."""
+    out = sq_distances(a, b)
     out *= -gamma
     return np.exp(out, out=out)
 

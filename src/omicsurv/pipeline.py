@@ -100,9 +100,9 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
     try:
         raw = yaml.safe_load(dataio.read_text(path))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except DataError as exc:  # read_text's not-UTF-8 error, located
+    except DataError as exc:  # read_text's errors name the file
+        if isinstance(exc.__cause__, FileNotFoundError):
+            raise ConfigError(f"config file not found: {path}") from None
         raise ConfigError(str(exc)) from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed config: {exc}") from None
@@ -223,9 +223,10 @@ def _build_variants(config: ExperimentConfig, merged, clinical, cna) -> list[_Va
     # the t-SNE variants' widths were checked with the config
     for variant in variants:
         _check_width(config.models, variant.descriptor, variant.features.n_features)
-    # t-SNE sees the raw variant's patients: with age, those with a clinical record
-    expr_only = dataio.build_features(
-        dataio.subset_patients(merged, raw.patient_ids), clinical)
+    # t-SNE sees the raw variant's expression columns, a view: with age, only
+    # the patients with a clinical record
+    expr_only = dataio.FeatureMatrix(raw.patient_ids, merged.gene_ids,
+                                     raw.values[:, :merged.n_genes])
     age_records = clinical if config.include_age else None
     # one P serves every output dimension
     affinities = (project.packed_affinities(expr_only, config.tsne.perplexity)

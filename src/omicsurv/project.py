@@ -42,8 +42,9 @@ from .dataio import ClinicalRecord, FeatureMatrix
 from .errors import ConfigError, DataError
 
 _EPS = 1e-12
-# elements of each row-block temporary of the bandwidth search and of the
-# t-SNE pass (512 KiB: a block stays in cache through the passes made over it)
+# elements of each row-block temporary of the squared distances, the
+# bandwidth search and the t-SNE pass (512 KiB: a block stays in cache
+# through the passes made over it)
 _BLOCK_ELEMENTS = 1 << 16
 _MOMENTUM_SWITCH_ITER = 250
 # KL(P||Q) is recorded after every _KL_EVERY-th iteration and after the last
@@ -93,18 +94,19 @@ def _row_blocks(n: int, rows: int | None = None) -> list[slice]:
     return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
-def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of ``x``, formed a row
-    block at a time over the Gram matrix, the one n x n array made."""
-    sq = np.sum(x * x, axis=1)
-    d2 = x @ x.T
-    d2 *= 2.0
-    for block in _row_blocks(len(x)):
-        part = sq[block, None] + sq[None, :]
-        part -= d2[block]
-        d2[block] = part
-    np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0, out=d2)
+def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max(|a_r|^2 + |b_c|^2 - 2 a_r.b_c, 0), the squared Euclidean distances
+    between the rows of ``a`` and of ``b``, built in place in the Gram matrix:
+    it is scaled by -2, then the squared norms are added a block of rows at a
+    time, which is s - 2g written as s + (-2g)."""
+    sq_a = np.sum(a * a, axis=1)
+    sq_b = sq_a if b is a else np.sum(b * b, axis=1)
+    out = np.matmul(a, b.T)
+    out *= -2.0
+    for rows in _row_blocks(len(a), max(1, _BLOCK_ELEMENTS // max(len(b), 1))):
+        block = out[rows]
+        np.add(sq_a[rows, None] + sq_b, block, out=block)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _conditional_rows(d2: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +194,8 @@ def input_affinities(features: FeatureMatrix | np.ndarray,
             f"perplexity {perplexity} too large for {n} points "
             f"(must be < (N-1)/3)"
         )
-    p = _pairwise_sq_dists(x)
+    p = sq_distances(x, x)
+    np.fill_diagonal(p, 0.0)
     flat = p.reshape(-1)
     off = flat[:n * (n - 1)].reshape(n, n - 1)
     # packed row i starts i elements before full row i, so packing the rows

@@ -243,7 +243,16 @@ class TestCli:
                          "--iterations", "0", "--output", str(out)])
         assert code == 2
         assert capsys.readouterr().err == (
-            "config error: iterations must be >= 1, got 0\n")
+            "config error: --iterations must be >= 1, got 0\n")
+        assert not out.exists()
+
+    def test_project_nan_perplexity_before_features_are_read(self, tmp_path, capsys):
+        out = tmp_path / "proj.csv"
+        code = cli.main(["project", "--features", str(tmp_path / "missing.csv"),
+                         "--perplexity", "nan", "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: perplexity must be > 0, got nan\n")
         assert not out.exists()
 
     def test_project_nan_perplexity(self, tmp_path, capsys):
@@ -515,25 +524,91 @@ def test_report_config_error_before_any_work(tmp_path, cohort, capsys,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["synth", "--out-dir", "{tmp}/out"],
-    ["project", "--features", "{tmp}/missing.csv", "--output", "{tmp}/out"],
-    *[[command, "--family", "random_forest", "--features", "{tmp}/missing.csv",
-       "--labels", "{tmp}/missing_labels.csv", out_flag, "{tmp}/out"]
-      for command, out_flag in (("train", "--model-out"), ("cv", "--output"),
-                                ("search", "--output"))],
-    ["report", "--config", "{tmp}/config.yaml"],
-], ids=["synth", "project", "train", "cv", "search", "report"])
+FLAG_ARGV = {
+    "synth": ["synth", "--out-dir", "{tmp}/out"],
+    "project": ["project", "--features", "{tmp}/missing.csv", "--output", "{tmp}/out"],
+    **{command: [command, "--family", "random_forest", "--features", "{tmp}/missing.csv",
+                 "--labels", "{tmp}/missing_labels.csv", out_flag, "{tmp}/out"]
+       for command, out_flag in (("train", "--model-out"), ("cv", "--output"),
+                                 ("search", "--output"))},
+    "report": ["report", "--config", "{tmp}/config.yaml"],
+}
+
+# (command, flag, bad value, least value); the --seed cases are named by
+# their command alone
+FLAG_CASES = [
+    *[(command, "--seed", -1, 0) for command in FLAG_ARGV],
+    ("synth", "--n-patients", 0, 1), ("synth", "--n-genes", 0, 1),
+    ("synth", "--n-informative", -1, 0),
+    ("project", "--dims", 0, 1), ("project", "--iterations", 0, 1),
+    ("cv", "--k", 1, 2), ("search", "--k", 1, 2), ("search", "--budget", 0, 1),
+    ("search", "--workers", 0, 1), ("report", "--workers", 0, 1),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, least", FLAG_CASES, ids=[
+    command if flag == "--seed" else f"{command}{flag}"
+    for command, flag, _, _ in FLAG_CASES])
 def test_negative_seed_flag_is_config_error_before_any_input_is_read(
-        tmp_path, capsys, argv):
-    """The input files do not exist: the flag is rejected (exit 2) first."""
+        tmp_path, capsys, command, flag, value, least):
+    """The input files do not exist: an integer flag below its minimum is
+    rejected (exit 2) first, by name."""
     write_config(tmp_path, tmp_path / "missing")
-    argv = [arg.format(tmp=tmp_path) for arg in argv]
-    assert cli.main([*argv, "--seed", "-1"]) == 2
+    argv = [arg.format(tmp=tmp_path) for arg in FLAG_ARGV[command]]
+    assert cli.main([*argv, flag, str(value)]) == 2
     err = capsys.readouterr().err
-    assert err == "config error: --seed must be >= 0, got -1\n"
-    assert "Traceback" not in err
+    assert err == f"config error: {flag} must be >= {least}, got {value}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["merge", "{tmp}/missing.csv", "{data}/rnaseq.csv"], "missing.csv"),
+    (["normalize", "--target", "{data}/rnaseq.csv", "--reference",
+      "{tmp}/missing.csv"], "missing.csv"),
+    (["label", "--clinical", "{tmp}/missing.csv", "--t", "60"], "missing.csv"),
+    (["km", "--clinical", "{tmp}/missing.csv"], "missing.csv"),
+    (["project", "--features", "{tmp}/missing.csv"], "missing.csv"),
+    (["train", "--family", "gaussian_nb", "--features", "{tmp}/missing.csv",
+      "--labels", "{tmp}/labels.csv"], "missing.csv"),
+    (["cv", "--family", "gaussian_nb", "--features", "{data}/microarray.csv",
+      "--labels", "{tmp}/missing.csv"], "missing.csv"),
+    (["search", "--family", "gaussian_nb", "--features", "{data}/microarray.csv",
+      "--labels", "{tmp}/missing.csv"], "missing.csv"),
+    (["km", "--clinical", "{tmp}"], ""),  # a directory
+], ids=["merge", "normalize", "label", "km", "project", "train", "cv", "search",
+        "km_directory"])
+def test_unreadable_input_is_data_error_naming_the_file(tmp_path, cohort, capsys,
+                                                        argv, path):
+    (tmp_path / "labels.csv").write_text("patient_id,label\nP0001,1\n",
+                                         encoding="utf-8")
+    argv = [arg.format(tmp=tmp_path, data=cohort) for arg in argv]
+    out = tmp_path / "out.csv"
+    out_flag = "--model-out" if argv[0] == "train" else "--output"
+    assert cli.main([*argv, out_flag, str(out)]) == 3
+    err = capsys.readouterr().err
+    reason = "Is a directory" if path == "" else "No such file or directory"
+    assert err == f"data error: {tmp_path / path}: {reason}\n"
+    assert not out.exists()
+
+
+def test_report_missing_source_is_data_error_naming_the_file(tmp_path, cohort, capsys):
+    path = write_config(tmp_path, cohort)
+    config = yaml.safe_load(path.read_text(encoding="utf-8"))
+    missing = tmp_path / "missing.csv"
+    config["data"]["sources"][1]["path"] = str(missing)
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    assert cli.main(["report", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"data error: stage 'load' failed: {missing}: "
+                   "No such file or directory\n")
+    manifest = json.loads((tmp_path / "out" / "MANIFEST.json").read_text())
+    assert manifest["complete"] is False and str(missing) in manifest["error"]
+
+
+def test_report_missing_config_is_config_error_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "missing.yaml"
+    assert cli.main(["report", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: config file not found: {path}\n"
 
 
 @pytest.mark.parametrize("flag, config", [
@@ -837,9 +912,11 @@ class TestProjectionVariantNames(object):
         names = {r.data for r in result["report"].rows}
         assert names == {"RNA raw age t=60", "RNA TSNE 2 age t=60"}
 
-    def test_tsne_variant_keeps_raw_patients_when_age_is_requested(self, tmp_path):
+    def test_tsne_variant_keeps_raw_patients_when_age_is_requested(self, tmp_path,
+                                                                   monkeypatch):
         """A patient without a clinical record leaves the raw variant and
-        therefore the t-SNE variant too, instead of failing the projection."""
+        therefore the t-SNE variant too, instead of failing the projection.
+        The t-SNE input is a view of the raw variant's expression columns."""
         data = make_cohort(tmp_path, n_patients=40, n_genes=8)
         clinical = dataio.load_clinical(data / "clinical.csv")
         dataio.save_clinical(clinical[1:], data / "clinical.csv")
@@ -858,6 +935,14 @@ class TestProjectionVariantNames(object):
         config = pipeline.load_config(path)
         merged = normalize.log2_transform(dataio.load_expression(
             data / "microarray.csv", platform_id="micro"))
+        inputs = []
+        packed_affinities = pipeline.project.packed_affinities
+        monkeypatch.setattr(pipeline.project, "packed_affinities",
+                            lambda features, perplexity: inputs.append(features)
+                            or packed_affinities(features, perplexity))
         raw, projected = pipeline._build_variants(config, merged, clinical[1:], None)
         assert clinical[0].patient_id not in raw.features.patient_ids
         assert projected.features.patient_ids == raw.features.patient_ids
+        [tsne_input] = inputs
+        assert np.shares_memory(tsne_input.values, raw.features.values)
+        assert tsne_input.values.tobytes() == raw.features.values[:, :-1].tobytes()

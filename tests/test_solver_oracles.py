@@ -780,7 +780,9 @@ def test_pair_blocks_are_about_128_rows(n, blocks):
 def test_pairwise_distances_match_reference():
     x = np.random.default_rng(9).normal(0, 3, (30, 200))
     x = np.vstack([x, x[:5]])
-    assert project._pairwise_sq_dists(x).tobytes() == _ref_pairwise_sq_dists(x).tobytes()
+    d2 = project.sq_distances(x, x)
+    np.fill_diagonal(d2, 0.0)
+    assert d2.tobytes() == _ref_pairwise_sq_dists(x).tobytes()
 
 
 def test_kl_gradient_and_divergence_match_reference():
@@ -990,7 +992,7 @@ def test_svm_default_fit_converges_in_the_reference_steps():
 
 @pytest.mark.parametrize("block", [1 << 16, 7, 100])
 def test_rbf_kernel_matches_fresh_temporaries(monkeypatch, block):
-    monkeypatch.setattr(svm, "_BLOCK_ELEMENTS", block)
+    monkeypatch.setattr(project, "_BLOCK_ELEMENTS", block)
     x = np.random.default_rng(12).normal(0, 2, (35, 20))
     x = np.vstack([x, x[:4]])
     k = svm.rbf_kernel(x, x, 0.05)
