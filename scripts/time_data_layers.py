@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Time the data layers on one synthetic cohort: best-of-3 wall times of
 save_expression, load_expression, log2_transform, fsqn and the t-SNE
-affinities, the time per t-SNE iteration, and the SHA-256 of the written file
-and of the embedding, so a speed-up can be checked to leave the bytes
-unchanged.
+affinities, the time per t-SNE iteration, and the SHA-256 of the written file,
+of the FSQN output table and of the embedding, so a speed-up can be checked to
+leave the bytes unchanged.
 
 The cohort is drawn in memory with omicsurv.synth (seed 0). The microarray
 table, whose values need all 17 digits, is saved to a temporary directory and
@@ -13,7 +13,7 @@ is quantile-normalized onto it, as `omicsurv normalize --log2` does.
 t-SNE runs on the loaded log2 microarray table at perplexity 30: the
 affinities alone, then a fixed 50-iteration 3-D embedding. Its time per
 iteration is the best embedding time less the best affinities time, over 50.
-The save and the load are also run once each under tracemalloc, and the
+The save, the load and fsqn are also run once each under tracemalloc, and the
 peak is printed beside the time.
 
 Usage: python scripts/time_data_layers.py [--patients N] [--genes M]
@@ -74,8 +74,10 @@ def main():
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
     seconds, micro_log2 = best_of_3(lambda: normalize.log2_transform(loaded))
     print(f"log2_transform   {seconds:8.3f} s")
-    seconds, _ = best_of_3(lambda: normalize.fsqn(rna_log2, micro_log2))
-    print(f"fsqn             {seconds:8.3f} s")
+    seconds, normalized = best_of_3(lambda: normalize.fsqn(rna_log2, micro_log2))
+    peak = traced_peak(lambda: normalize.fsqn(rna_log2, micro_log2))
+    print(f"fsqn             {seconds:8.3f} s  (tracemalloc peak {peak / 2**20:.1f} MiB, "
+          f"output {normalized.values.nbytes / 2**20:.1f} MiB)")
     features = dataio.FeatureMatrix(patient_ids=micro_log2.patient_ids,
                                     feature_names=micro_log2.gene_ids,
                                     values=micro_log2.values)
@@ -87,6 +89,7 @@ def main():
     per_iter_ms = 1e3 * (seconds - affinity_s) / TSNE_ITERATIONS
     print(f"tsne iteration   {per_iter_ms:8.3f} ms  ({TSNE_ITERATIONS} iterations, 3-D)")
     print(f"microarray.csv sha256 {digest}")
+    print(f"fsqn values sha256 {hashlib.sha256(normalized.values.tobytes()).hexdigest()}")
     print(f"tsne coords sha256 {hashlib.sha256(embedding.coords.tobytes()).hexdigest()}")
 
 

@@ -618,6 +618,10 @@ def subset_patients(matrix: ExpressionMatrix, patient_ids: list[str]) -> Express
     return replace(matrix, patient_ids=list(patient_ids), values=matrix.values[rows])
 
 
+# cells of each block of rows that build_features copies into its result
+_COPY_BLOCK_CELLS = 1 << 16
+
+
 def build_features(expr: ExpressionMatrix, clinical: list[ClinicalRecord],
                    include_age: bool = False,
                    cna: CnaMatrix | None = None) -> FeatureMatrix:
@@ -641,15 +645,23 @@ def build_features(expr: ExpressionMatrix, clinical: list[ClinicalRecord],
     if not keep:
         raise DataError("no patients shared across the provided inputs")
 
-    blocks = [expr.values[positions(expr.patient_ids, keep, "patients")]]
     names = list(expr.gene_ids)
+    sources = [(expr.values, positions(expr.patient_ids, keep, "patients"))]
     if cna is not None:
-        rows = positions(cna.patient_ids, keep, "patients")
-        blocks.append(cna.values[rows].astype(np.float64))
+        sources.append((cna.values, positions(cna.patient_ids, keep, "patients")))
         names += [f"cna:{g}" for g in cna.gene_ids]
     if include_age:
-        ages = np.array([[by_id[p].age_years] for p in keep])
-        blocks.append(ages)
         names.append("age")
-    return FeatureMatrix(patient_ids=keep, feature_names=names,
-                         values=np.hstack(blocks))
+    # one (patients x features) array; each table's rows are taken into their
+    # columns a block of rows at a time, the CNA rows cast to reals
+    values = np.empty((len(keep), len(names)))
+    step = max(1, _COPY_BLOCK_CELLS // max(len(names), 1))
+    col = 0
+    for table, rows in sources:
+        cols = slice(col, col + table.shape[1])
+        for start in range(0, len(keep), step):
+            values[start:start + step, cols] = table[rows[start:start + step]]
+        col = cols.stop
+    if include_age:
+        values[:, -1] = [by_id[p].age_years for p in keep]
+    return FeatureMatrix(patient_ids=keep, feature_names=names, values=values)

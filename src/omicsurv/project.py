@@ -94,13 +94,23 @@ def _row_blocks(n: int, rows: int | None = None) -> list[slice]:
     return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """The squared Euclidean norm of each row of ``a``, summed a block of rows
+    at a time; each row is reduced on its own, as np.sum(a * a, axis=1) does."""
+    out = np.empty(len(a))
+    for rows in _row_blocks(len(a), max(1, _BLOCK_ELEMENTS // max(a.shape[1], 1))):
+        block = a[rows]
+        np.sum(block * block, axis=1, out=out[rows])
+    return out
+
+
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """max(|a_r|^2 + |b_c|^2 - 2 a_r.b_c, 0), the squared Euclidean distances
     between the rows of ``a`` and of ``b``, built in place in the Gram matrix:
     it is scaled by -2, then the squared norms are added a block of rows at a
     time, which is s - 2g written as s + (-2g)."""
-    sq_a = np.sum(a * a, axis=1)
-    sq_b = sq_a if b is a else np.sum(b * b, axis=1)
+    sq_a = _sq_norms(a)
+    sq_b = sq_a if b is a else _sq_norms(b)
     out = np.matmul(a, b.T)
     out *= -2.0
     for rows in _row_blocks(len(a), max(1, _BLOCK_ELEMENTS // max(len(b), 1))):

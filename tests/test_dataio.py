@@ -2,6 +2,7 @@ import csv
 import os
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -450,6 +451,29 @@ class TestBuildFeatures:
         f = dataio.build_features(e, [], cna=cna)
         assert f.feature_names == ["g1", "cna:g1"]
         np.testing.assert_array_equal(f.values, [[1.0, -1.0]])
+
+    def test_one_array_same_bytes(self, rng):
+        n, genes = 600, 2000
+        e = expr(rng.random((n, genes)), genes=[f"g{j}" for j in range(genes)])
+        cna = dataio.CnaMatrix([f"p{i}" for i in range(n)][::-1], ["c1", "c2"],
+                               rng.integers(-2, 3, (n, 2)))
+        clinical = [record(f"p{i}", age=float(20 + i % 50)) for i in range(0, n, 2)]
+        keep = [f"p{i}" for i in range(0, n, 2)]
+        rows = dataio.positions(e.patient_ids, keep, "patients")
+        cna_rows = dataio.positions(cna.patient_ids, keep, "patients")
+        want = np.hstack([e.values[rows], cna.values[cna_rows].astype(np.float64),
+                          np.array([[r.age_years] for r in clinical])])
+        tracemalloc.start()
+        try:
+            f = dataio.build_features(e, clinical, include_age=True, cna=cna)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.patient_ids == keep
+        assert f.values.tobytes() == want.tobytes()
+        # the result, FeatureMatrix's finiteness mask (a byte a cell) and one
+        # block of rows, not a second copy of the result
+        assert peak < f.values.nbytes + f.values.size + 2 * 8 * dataio._COPY_BLOCK_CELLS
 
     def test_missing_age_raises(self):
         e = expr([[1.0]], ["p1"], ["g1"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,62 @@ class TestFsqn:
         np.testing.assert_allclose(a.values, b.values)
 
 
+def _fsqn_tables(kind, n_genes):
+    """(target, reference) pairs on which fsqn must equal quantile_map."""
+    gen = np.random.default_rng(n_genes)
+    genes = [f"g{j}" for j in range(n_genes)]
+    ref_values = gen.normal(5, 2, (23, n_genes))
+    if kind == "ties":
+        target = gen.poisson(2, (31, n_genes)).astype(float)
+    elif kind == "constant":
+        target = gen.normal(0, 1, (19, n_genes))
+        target[:, n_genes // 2] = 4.0
+        ref_values[:, 0] = -1.0
+    elif kind == "one_patient":
+        target = gen.normal(0, 1, (1, n_genes))
+    elif kind == "more_rows":
+        target = gen.normal(0, 1, (57, n_genes))
+    else:
+        target = gen.gamma(2, 2, (23, n_genes))
+    ref_genes = genes[::-1] if kind == "reordered" else genes
+    reference = expr(ref_values, genes=ref_genes, platform="ref", scale="log2")
+    return expr(target, genes=genes, platform="tgt", scale="log2"), reference
+
+
+class TestFsqnBlocks:
+    """fsqn ranks, sorts and maps a block of genes at a time; every gene's
+    bits are quantile_map's, whatever the block width."""
+
+    @pytest.mark.parametrize("kind", ["ties", "constant", "one_patient",
+                                      "more_rows", "reordered"])
+    @pytest.mark.parametrize("per_row", [1, 3, 64])
+    def test_matches_quantile_map_bit_for_bit(self, monkeypatch, kind, per_row):
+        for n_genes in (per_row - 1, per_row, per_row + 1, 2 * per_row + 1):
+            if n_genes < 1:
+                continue
+            target, reference = _fsqn_tables(kind, n_genes)
+            rows = max(target.n_patients, reference.n_patients)
+            monkeypatch.setattr(normalize, "_BLOCK_CELLS", per_row * rows)
+            out = normalize.fsqn(target, reference).values
+            ref_cols = dataio.positions(reference.gene_ids, target.gene_ids, "genes")
+            for j, col in enumerate(ref_cols):
+                want = normalize.quantile_map(target.values[:, j],
+                                              reference.values[:, col])
+                assert (out[:, j].view(np.uint64) == want.view(np.uint64)).all()
+
+    def test_peak_memory_is_blocked(self):
+        gen = np.random.default_rng(3)
+        target = expr(gen.normal(0, 1, (400, 1500)), platform="tgt", scale="log2")
+        reference = expr(gen.normal(0, 1, (400, 1500)), platform="ref", scale="log2")
+        tracemalloc.start()
+        try:
+            out = normalize.fsqn(target, reference)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.values.nbytes + 8 * 2**20
+
+
 class TestIntegrate:
     def test_single_source_identical_to_reference(self, rng):
         ref = expr(rng.random((5, 3)), platform="ref")
@@ -123,6 +181,22 @@ class TestIntegrate:
         assert out.patient_ids == ["r1", "r2", "a1", "a2"]
         # a's g2 (1, 3) maps onto the reference's (7, 10), its g1 (2, 4) onto (5, 8)
         np.testing.assert_array_equal(out.values, [[7, 5], [10, 8], [7, 5], [10, 8]])
+
+    def test_ordered_reference_is_not_copied(self, rng, monkeypatch):
+        ref = expr(rng.random((5, 3)), platform="ref")
+        other = expr(rng.random((4, 3)), platform="other",
+                     patients=[f"q{i}" for i in range(4)])
+        seen = []
+        fsqn = normalize.fsqn
+
+        def spy(target, reference):
+            seen.append(reference)
+            return fsqn(target, reference)
+
+        monkeypatch.setattr(normalize, "fsqn", spy)
+        out = normalize.integrate([ref, other], 0)
+        assert np.shares_memory(seen[0].values, ref.values)
+        np.testing.assert_array_equal(out.values[:5], ref.values)
 
     def test_two_platform_ks(self):
         config = synth.SynthConfig(n_patients=600, n_genes=20,

@@ -172,6 +172,17 @@ class TestTsne:
         np.testing.assert_allclose(again.coords, base.coords[perm],
                                    rtol=1e-7, atol=1e-10)
 
+    def test_sq_distances_sum_norms_by_row_block(self):
+        """No a * a over the whole table: the distances and block temporaries."""
+        a = np.random.default_rng(5).normal(0, 1, (300, 2000))
+        tracemalloc.start()
+        try:
+            d2 = project.sq_distances(a, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d2.nbytes + 4 * 8 * project._BLOCK_ELEMENTS
+
     def test_iterations_hold_less_than_one_more_square_matrix(self):
         """The loop keeps P and O(block * n): no exaggerated copy of P, no
         n x n kernel or Q."""

@@ -15,7 +15,7 @@ SCRIPTS = Path(__file__).parents[1] / "scripts"
 
 
 @pytest.mark.parametrize("script, argv, hashes", [
-    ("time_data_layers.py", ["--patients", "120", "--genes", "40"], 2),
+    ("time_data_layers.py", ["--patients", "120", "--genes", "40"], 3),
     ("time_model_layers.py", ["--patients", "80", "--genes", "30"], 7),
 ])
 def test_layer_script_prints_its_hashes(script, argv, hashes):

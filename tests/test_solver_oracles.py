@@ -383,6 +383,43 @@ def test_dense_ranks_match_unique_inverse(decimals):
     assert got.dtype == np.int32 and (got == want).all()
 
 
+def _stable_average_ranks(x):
+    """The per-element definition: a stable sort, then each tie group's
+    average position."""
+    order = np.argsort(x, kind="stable")
+    ranks_out = np.empty(len(x))
+    for start, end in zip(*ranks.tie_groups(x[order])):
+        ranks_out[order[start:end]] = 0.5 * (start + end - 1)
+    return ranks_out
+
+
+@pytest.mark.parametrize("decimals", [None, 1, 0])
+def test_sorted_average_ranks_match_each_row(decimals):
+    rows, _ = _xy(7, 40, seed=10, decimals=decimals)
+    rows[3] = 1.5
+    rows[4, ::2] = -0.0
+    rows[4, 1::2] = 0.0
+    rows[5, 7] = np.nan
+    order, sorted_ranks = ranks.sorted_average_ranks(rows)
+    for row, row_order, row_ranks in zip(rows, order, sorted_ranks):
+        assert np.array_equal(row[row_order], np.sort(row), equal_nan=True)
+        want = _stable_average_ranks(row)
+        assert want[row_order].tobytes() == row_ranks.tobytes()
+        assert ranks.average_ranks(row).tobytes() == want.tobytes()
+    assert ranks.average_ranks(np.array([])).shape == (0,)
+
+
+def test_auc_on_tied_scores_matches_stable_ranks():
+    gen = np.random.default_rng(11)
+    scores = gen.integers(0, 4, 200).astype(float)
+    labels = gen.integers(0, 2, 200)
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    rank_sum = float((_stable_average_ranks(scores) + 1.0)[labels == 1].sum())
+    want = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    assert evaluation.auc(scores, labels) == want
+
+
 def test_forest_rejects_rounding_gain():
     x, y = _zero_gain()
     params = models.read_params("random_forest", {"n_trees": 1, "bootstrap": False})
