@@ -8,22 +8,27 @@ and labels files ``patient_id,label`` with one 0/1 label per patient.
 
 Files are written as ``csv.writer`` writes them: CRLF line ends, a field
 quoted only when it holds ``,``, ``"`` or a line break, floats as ``repr``
-formats them, so a load -> store -> load round trip is bit-identical. A
-float matrix is formatted whole rows of about ``_WRITE_BLOCK_CELLS`` cells
-at a time by ``_floatrepr``, a vectorized shortest-round-trip kernel that
-gives ``repr``'s bytes with no Python call per cell; it is imported by the
-first matrix write. A CNA matrix's integers go through ``str``. Only the
-header and an id that needs quotes go through ``csv.writer``.
+formats them, so a load -> store -> load round trip is bit-identical. The
+numbers of a matrix file go through orjson both ways. A write formats whole
+rows of about ``_WRITE_BLOCK_CELLS`` cells with one ``orjson.dumps`` (Ryu's
+shortest round-trip digits, the digits ``repr`` picks); its layout is
+``repr``'s for a value of magnitude in [1e-4, 1e16) and for zero, and every
+other cell is formatted again by ``repr``. A CNA matrix's integers are
+written the same way. Only the header and an id that needs quotes go
+through ``csv.writer``.
 
 A matrix file is streamed in; one that cannot seek, such as a pipe, is read
-into memory first. A first binary pass counts its lines and looks for
-text that only the csv module reads right (a quote, a lone ``\r``, NUL or
-``\x1c``-``\x1f``). Then numpy's C tokenizer parses about 1 MiB of lines at a
-time into one preallocated array. A file that the first pass flags, or that
-numpy or the UTF-8 decoder rejects in any block (``1_0``, an empty cell, a
-ragged row), goes whole through the located per-cell path instead, which
-holds the text in memory and accepts exactly what ``float`` accepts. Both
-give the same bits, and every cell error names the file, line and column.
+into memory first. A first binary pass counts its lines and looks for text
+that only the csv module reads right (a quote, NUL or a lone ``\r``). Then
+about ``_READ_BLOCK_BYTES`` of lines at a time have their cells counted and
+joined, and one ``orjson.loads`` (a correctly rounded parser) reads their
+numbers into one preallocated array. A file that the first pass flags, or
+that holds in any block a line that is not UTF-8, a ragged row, or a cell
+that JSON reads differently from ``float`` or not at all (``-0``, ``+1``,
+``.5``, ``1_0``, ``nan``, ``1e400``, an empty cell), goes whole through the
+located per-cell path instead, which holds the text in memory and accepts
+exactly what ``float`` accepts. Both give the same bits, and every cell
+error names the file, line and column.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
+import orjson
 
 from .errors import DataError
 
@@ -61,9 +67,9 @@ class ExpressionMatrix:
         _check_matrix_ids(self.patient_ids, self.gene_ids, self.values)
         if self.scale not in ("linear", "log2"):
             raise DataError(f"unknown scale {self.scale!r}")
-        if not np.all(np.isfinite(self.values)):
+        if _first_bad(self.values, _not_finite):
             raise DataError("expression values must be finite")
-        if self.scale == "linear" and np.any(self.values < 0):
+        if self.scale == "linear" and _first_bad(self.values, _negative):
             raise DataError("linear-scale expression values must be >= 0")
 
     @property
@@ -85,9 +91,9 @@ class CnaMatrix:
 
     def __post_init__(self):
         _check_matrix_ids(self.patient_ids, self.gene_ids, self.values)
-        bad = ~np.isin(self.values, CNA_CATEGORIES)
-        if bad.any():
-            r, c = np.argwhere(bad)[0]
+        bad = _first_bad(self.values, _not_gistic)
+        if bad:
+            r, c = bad
             raise DataError(
                 f"CNA value {self.values[r, c]} at ({r},{c}) is not one of "
                 f"the GISTIC categories {list(CNA_CATEGORIES)}"
@@ -132,7 +138,7 @@ class FeatureMatrix:
 
     def __post_init__(self):
         _check_matrix_ids(self.patient_ids, self.feature_names, self.values)
-        if not np.all(np.isfinite(self.values)):
+        if _first_bad(self.values, _not_finite):
             raise DataError("feature values must be finite")
 
     @property
@@ -152,6 +158,36 @@ class MergeReport:
     intersection_gene_count: int = 0
     # patient_id -> platform_id of the source whose values won
     resolutions: dict[str, str] = field(default_factory=dict)
+
+
+# Cells of each block of rows that a value check scans, about.
+_CHECK_BLOCK_CELLS = 1 << 16
+
+
+def _not_finite(block: np.ndarray) -> np.ndarray:
+    return ~np.isfinite(block)
+
+
+def _negative(block: np.ndarray) -> np.ndarray:
+    return block < 0
+
+
+def _not_gistic(block: np.ndarray) -> np.ndarray:
+    return ~np.isin(block, CNA_CATEGORIES)
+
+
+def _first_bad(values: np.ndarray, bad) -> tuple[int, int] | None:
+    """The (row, column) of the first cell of the 2-D ``values``, in row-major
+    order, where the mask ``bad`` gives for its block of rows is true; None if
+    there is none. ``bad`` sees about ``_CHECK_BLOCK_CELLS`` cells at a time,
+    so no mask of the whole table is made."""
+    step = max(1, _CHECK_BLOCK_CELLS // max(values.shape[1], 1))
+    for start in range(0, len(values), step):
+        mask = bad(values[start:start + step])
+        if mask.any():
+            i, j = divmod(int(np.argmax(mask)), mask.shape[1])
+            return start + i, j
+    return None
 
 
 def _duplicates(ids) -> list[str]:
@@ -202,10 +238,12 @@ class _Table(NamedTuple):
             raise _located(path, self.lines[k], 1,
                            f"duplicate row ids: {_duplicates(self.row_ids)}")
 
-    def reject(self, path, bad: np.ndarray, what: str) -> None:
-        """Raise at the first ``bad`` cell in file order."""
-        if bad.any():
-            i, j = divmod(int(np.argmax(bad)), bad.shape[1])
+    def reject(self, path, bad, what: str) -> None:
+        """Raise at the first cell in file order where the mask ``bad`` gives
+        for a block of rows is true."""
+        first = _first_bad(self.values, bad)
+        if first:
+            i, j = first
             raise _located(path, self.lines[i], j + 2,
                            f"{what}, got {float(self.values[i, j])!r}")
 
@@ -266,24 +304,29 @@ def _parse_cells(rows, lines, path) -> np.ndarray:
     return out
 
 
-# Bytes of the lines that one block parse takes, about.
-_READ_BLOCK_BYTES = 1 << 20
+# Bytes of the lines that one block parse takes, about: the Python numbers
+# that orjson makes of a block stay small next to the array.
+_READ_BLOCK_BYTES = 1 << 17
 
-# Characters the block parse leaves to the csv module and float(): a quote,
-# NUL, and \x1c-\x1f, which numpy strips from a number as whitespace while
-# float() rejects them. A \r that does not end a line is left to them too.
-_NOT_IN_A_BLOCK = b'"\x00\x1c\x1d\x1e\x1f'
+# A \r that does not end a line, which the block parse leaves to the csv
+# module, as it does a quote and NUL.
+_LONE_CR = re.compile(rb"\r(?!\n)")
+
+# The bytes of a block's cells that JSON and float() can both read; a -0 that
+# is neither an exponent nor followed by a fraction or an exponent, which
+# JSON reads as the integer 0 where float() reads -0.0.
+_NUMBER_BYTES = b"0123456789.eE+-, \t"
+_INTEGER_MINUS_ZERO = re.compile(rb"-0(?<![eE]-0)(?![.eE])")
 
 
 def _count_lines(fh) -> int | None:
-    """The number of lines of a binary file, or None if it holds a character
-    the block parse leaves to the csv module."""
+    """The number of lines of a binary file, or None if it holds text the
+    block parse leaves to the csv module."""
     newlines, last = 0, b""
     while chunk := fh.read(_READ_BLOCK_BYTES):
         if chunk.endswith(b"\r"):  # keep a \r\n in one chunk
             chunk += fh.read(1)
-        if (any(c in chunk for c in _NOT_IN_A_BLOCK)
-                or chunk.count(b"\r") != chunk.count(b"\r\n")):
+        if b'"' in chunk or b"\x00" in chunk or _LONE_CR.search(chunk):
             return None
         newlines += chunk.count(b"\n")
         last = chunk[-1:]
@@ -291,9 +334,9 @@ def _count_lines(fh) -> int | None:
 
 
 def _parse_blocks(fh) -> _Table | None:
-    """The table in the seekable binary file ``fh``, parsed by numpy's C
-    tokenizer, about ``_READ_BLOCK_BYTES`` of lines at a time, into one
-    array; None if it cannot be."""
+    """The table in the seekable binary file ``fh``, read about
+    ``_READ_BLOCK_BYTES`` of lines at a time into one array, each block's
+    numbers by one ``orjson.loads``; None if it cannot be."""
     line_count = _count_lines(fh)
     if line_count is None or line_count < 2:
         return None
@@ -304,37 +347,41 @@ def _parse_blocks(fh) -> _Table | None:
         rests = []
         for raw in block:
             number += 1
-            try:
-                line = raw.rstrip(b"\r\n").decode("utf-8")
-            except UnicodeDecodeError:
-                return None
+            line = raw.rstrip(b"\r\n")
             if not line:
                 continue
             if header is None:
-                header = line.split(",")
-                values = np.empty((line_count - number, len(header) - 1))
+                header = line
+                width = header.count(b",")
+                values = np.empty((line_count - number, width))
                 continue
-            row_id, _, rest = line.partition(",")
-            if not rest:  # loadtxt would skip the line, or warn of no data
+            row_id, _, rest = line.partition(b",")
+            if rest.count(b",") != width - 1:  # a ragged row
                 return None
             row_ids.append(row_id)
             rests.append(rest)
             lines.append(number)
         if not rests:
             continue
+        cells = b",".join(rests)
+        if cells.translate(None, _NUMBER_BYTES) or _INTEGER_MINUS_ZERO.search(cells):
+            return None
         try:
-            parsed = np.loadtxt(rests, delimiter=",", dtype=np.float64,
-                                comments=None, ndmin=2)
-        except ValueError:
+            parsed = orjson.loads(b"[" + cells + b"]")
+        except orjson.JSONDecodeError:
             return None
-        if parsed.shape[1:] != values.shape[1:]:
+        if len(parsed) != len(rests) * width:  # one row, no cell or a blank one
             return None
-        values[len(row_ids) - len(rests):len(row_ids)] = parsed
+        values[len(row_ids) - len(rests):len(row_ids)].reshape(-1)[:] = parsed
     if not row_ids:
         return None
     if len(row_ids) < len(values):  # blank lines
         values = values[:len(row_ids)]
-    return _Table(header[1:], row_ids, values, lines)
+    try:
+        return _Table(header.decode("utf-8").split(",")[1:],
+                      [row_id.decode("utf-8") for row_id in row_ids], values, lines)
+    except UnicodeDecodeError:
+        return None
 
 
 def _read_matrix(path) -> _Table:
@@ -363,9 +410,9 @@ def load_expression(path, orientation: str = "patients_as_rows",
         raise DataError(f"unknown orientation {orientation!r}")
     table = _read_matrix(path)
     values = table.values
-    table.reject(path, ~np.isfinite(values), "expression values must be finite")
+    table.reject(path, _not_finite, "expression values must be finite")
     if scale == "linear":
-        table.reject(path, values < 0, "linear-scale expression values must be >= 0")
+        table.reject(path, _negative, "linear-scale expression values must be >= 0")
     if orientation == "genes_as_rows":
         patient_ids, gene_ids = table.col_ids, table.row_ids
         values = values.T.copy()
@@ -384,8 +431,8 @@ def load_cna(path) -> CnaMatrix:
     """Load a CNA CSV of GISTIC categories (same layout as expression)."""
     table = _read_matrix(path)
     values = table.values
-    table.reject(path, values != np.round(values), "non-integer CNA cell")
-    table.reject(path, ~np.isin(values, CNA_CATEGORIES),
+    table.reject(path, lambda block: block != np.round(block), "non-integer CNA cell")
+    table.reject(path, _not_gistic,
                  f"CNA value is not one of the GISTIC categories {list(CNA_CATEGORIES)}")
     return CnaMatrix(patient_ids=table.row_ids, gene_ids=table.col_ids,
                      values=values.astype(np.int64))
@@ -478,27 +525,39 @@ def _id_field(row_id: str) -> bytes:
     return row_id.encode("utf-8")
 
 
-def _float_cells(block: np.ndarray) -> list[bytes]:
-    from . import _floatrepr
+def _row_cells(block: np.ndarray) -> list[bytes]:
+    """For each row of a float64 or int64 block, its cells joined by commas,
+    each as ``repr`` writes it: one ``orjson.dumps`` of the block, split into
+    rows. Outside [1e-4, 1e16), where orjson's layout differs from ``repr``'s
+    (``1e16``/``1e+16``, ``0.00001``/``1e-05``), a nonzero float is
+    formatted again by ``repr``; a non-finite one is a ValueError."""
+    text = orjson.dumps(np.ascontiguousarray(block), option=orjson.OPT_SERIALIZE_NUMPY)
+    rows = text[2:-2].split(b"],[")
+    if block.dtype.kind == "f":
+        size = np.abs(block)
+        other = ~(size < 1e16) | ((size < 1e-4) & (size != 0))
+        for i in np.flatnonzero(other.any(axis=1)).tolist():
+            cells = rows[i].split(b",")
+            for j in np.flatnonzero(other[i]).tolist():
+                x = float(block[i, j])
+                if not math.isfinite(x):
+                    raise ValueError(f"cannot format a non-finite value: {x!r}")
+                cells[j] = repr(x).encode("ascii")
+            rows[i] = b",".join(cells)
+    return rows
 
-    return _floatrepr.format_rows(np.ascontiguousarray(block))
 
-
-def _int_cells(block: np.ndarray) -> list[bytes]:
-    return ["".join("," + str(x) for x in row).encode("ascii") for row in block.tolist()]
-
-
-def _write_matrix(path, col_ids, row_ids, values: np.ndarray, format_cells) -> None:
+def _write_matrix(path, col_ids, row_ids, values: np.ndarray) -> None:
     """Write the bytes csv.writer would. The header and the ids go through
-    its quoting; ``format_cells`` gives, for each row of a block of about
-    ``_WRITE_BLOCK_CELLS`` cells, the row's cells, each after a comma."""
+    its quoting; the cells, a block of about ``_WRITE_BLOCK_CELLS`` at a
+    time, through ``_row_cells``."""
     step = max(1, _WRITE_BLOCK_CELLS // values.shape[1])
     with open(path, "wb") as fh:
         fh.write(_csv_line(["patient_id", *col_ids]).encode("utf-8"))
         for start in range(0, len(row_ids), step):
-            cells = format_cells(values[start:start + step])
+            cells = _row_cells(values[start:start + step])
             fh.write(b"".join(piece for row_id, row in zip(row_ids[start:start + step], cells)
-                              for piece in (_id_field(row_id), row, b"\r\n")))
+                              for piece in (_id_field(row_id), b",", row, b"\r\n")))
 
 
 def save_expression(matrix: ExpressionMatrix | FeatureMatrix, path) -> None:
@@ -507,12 +566,12 @@ def save_expression(matrix: ExpressionMatrix | FeatureMatrix, path) -> None:
     else:
         col_ids = matrix.feature_names
     _write_matrix(path, col_ids, matrix.patient_ids,
-                  matrix.values.astype(np.float64, copy=False), _float_cells)
+                  matrix.values.astype(np.float64, copy=False))
 
 
 def save_cna(matrix: CnaMatrix, path) -> None:
     _write_matrix(path, matrix.gene_ids, matrix.patient_ids,
-                  matrix.values.astype(np.int64, copy=False), _int_cells)
+                  matrix.values.astype(np.int64, copy=False))
 
 
 def _cell(x):
@@ -543,7 +602,7 @@ def save_labels(labels: dict[str, int], path) -> None:
 
 def load_features(path) -> FeatureMatrix:
     table = _read_matrix(path)
-    table.reject(path, ~np.isfinite(table.values), "feature values must be finite")
+    table.reject(path, _not_finite, "feature values must be finite")
     return FeatureMatrix(patient_ids=table.row_ids, feature_names=table.col_ids,
                          values=table.values)
 

@@ -101,7 +101,7 @@ def stratified_kfold(labels, plan: CvPlan) -> list[np.ndarray]:
             raise DataError(
                 f"k_folds={plan.k_folds} exceeds minority class count {counts.min()}"
             )
-        for cls in np.unique(labels):
+        for cls in range(len(counts)):
             idx = rng.permutation(np.flatnonzero(labels == cls))
             for pos, sample in enumerate(idx):
                 folds[pos % plan.k_folds].append(int(sample))

@@ -131,10 +131,10 @@ def _validate_training_data(n: int, finite: bool, y: np.ndarray, classifier: boo
         raise DataError("non-finite training features")
     if not classifier:
         return
-    labels = np.unique(y)
-    if not set(labels.tolist()) <= {0, 1}:
-        raise DataError(f"classifier labels must be 0 or 1, got {labels[:10].tolist()}")
-    if len(labels) < 2:
+    zero, one = y == 0, y == 1
+    if not (zero | one).all():
+        raise DataError(f"classifier labels must be 0 or 1, got {np.unique(y)[:10].tolist()}")
+    if not (zero.any() and one.any()):
         raise DataError("single-class training set")
 
 

@@ -163,7 +163,9 @@ def _bandwidth_search(d2: np.ndarray, perplexity: float, tol: float) -> np.ndarr
         hi[rows] *= 4.0
     unbracketed = rows
 
-    searching = np.setdiff1d(np.arange(n), unbracketed)
+    bracketed = np.ones(n, dtype=bool)
+    bracketed[unbracketed] = False
+    searching = np.flatnonzero(bracketed)
     for _ in range(200):
         searching = searching[~(np.abs(perp[searching] - perplexity) < tol)]
         if not len(searching):

@@ -1,9 +1,11 @@
 import csv
+import math
 import os
 import threading
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -648,6 +650,18 @@ class TestBlockReaderOracle:
         check_error_case(tmp_path / "m.csv", *ERROR_CASES[name])
 
 
+@pytest.mark.parametrize("text, where", [
+    ("patient_id,a\np\r1,5\n", "line 2: "),
+    ("patient_id,a\r\np1,5\r\np\r2,6\r\n", "line 3: "),
+    ("patient_id\r,a\np1,5\n", "line 2: "),
+], ids=["in_an_id", "in_a_later_id", "in_the_header"])
+def test_lone_cr_before_a_line_end_goes_to_the_csv_module(tmp_path, text, where):
+    """A \r that does not end a line, with other text between it and the
+    line's end, ends a row for the csv module, so the file leaves the block
+    parse."""
+    check_error_case(tmp_path / "m.csv", text, "float", where, "")
+
+
 class TestOneLineBlocks:
     """A block budget of one byte makes every line a block of its own."""
 
@@ -689,6 +703,124 @@ class TestOneLineBlocks:
             dataio.load_features(p)
         assert str(info.value) == (f"{p}: not UTF-8 text (byte 0xff at offset "
                                    f"{len(head) + 5})")
+
+
+def per_cell_calls(monkeypatch) -> list:
+    """The list to which each later call of the per-cell parse adds its
+    arguments."""
+    calls = []
+    per_cell = dataio._parse_cells
+    monkeypatch.setattr(dataio, "_parse_cells",
+                        lambda *args: calls.append(args) or per_cell(*args))
+    return calls
+
+
+def read_cells(path, cells: list[str], monkeypatch) -> tuple[np.ndarray, bool]:
+    """The values a 1-row table of ``cells`` loads to, unchecked, and whether
+    the block parse read them."""
+    text = "patient_id," + ",".join(f"c{j}" for j in range(len(cells))) + "\r\n"
+    p = write_bytes(path, text + "p1," + ",".join(cells) + "\r\n")
+    calls = per_cell_calls(monkeypatch)
+    return dataio._read_matrix(p).values[0], not calls
+
+
+def float_bits(cells):
+    return np.array([float(c) for c in cells]).view(np.uint64)
+
+
+decimal = st.builds(
+    lambda sign, digits, point, exponent: (
+        f"{sign}{digits[:point] or '0'}.{digits[point:] or '0'}e{exponent}"),
+    st.sampled_from(["", "-"]), st.text("0123456789", min_size=15, max_size=45),
+    st.integers(0, 45), st.integers(-330, 330))
+
+
+class TestJsonNumberReader:
+    """The block parse reads a block's numbers with one ``orjson.loads``: every
+    number it takes gives the bits ``float`` gives, and text that JSON reads
+    differently from ``float``, or not at all, goes to the per-cell path."""
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12),
+           st.lists(st.floats(-1e20, 1e20), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_raw_bit_patterns(self, tmp_path_factory, bits, near_one):
+        """Raw 64-bit patterns, most of whose exponents are far from 0, and
+        doubles of magnitude below 1e20, in ``repr``'s text and in ``%.17e``."""
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            x = np.array(bits, dtype=np.uint64).view(np.float64)
+            x = np.concatenate([x[np.isfinite(x)], near_one])
+            texts = [repr(v) for v in x.tolist()] + [f"{v:.17e}" for v in x.tolist()]
+            if not texts:
+                return
+            got, block = read_cells(tmp_path_factory.mktemp("b") / "m.csv", texts,
+                                    monkeypatch)
+        assert block
+        assert (got.view(np.uint64) == float_bits(texts)).all()
+
+    @given(st.lists(decimal, min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_long_decimals(self, tmp_path_factory, texts):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            got, block = read_cells(tmp_path_factory.mktemp("d") / "m.csv", texts,
+                                    monkeypatch)
+        assert (got.view(np.uint64) == float_bits(texts)).all()
+        # JSON has no leading zeros, and a sum beyond the largest double
+        # is read by float alone
+        assert block or any(t.lstrip("-").startswith("0") and t.lstrip("-")[1] != "."
+                            or math.isinf(float(t)) for t in texts)
+
+    def test_halfway_points(self, tmp_path, monkeypatch):
+        """The exact decimal midpoint of two adjacent doubles, normal and
+        subnormal, and the decimals one unit in its last digit below and
+        above it."""
+        gen = np.random.default_rng(5)
+        x = np.abs(gen.normal(size=60)) * 10.0 ** gen.integers(-300, 300, 60)
+        x = np.concatenate([x, [5e-324, 3e-310, 1.0, 2.0**53, 1.7976931348623155e308]])
+        texts = []
+        for v in x.tolist():
+            mid = (Fraction(v) + Fraction(float(np.nextafter(v, math.inf)))) / 2
+            k = mid.denominator.bit_length() - 1  # a power of two
+            digits = mid.numerator * 5**k
+            texts += [f"{digits + d}e-{k}" for d in (-1, 0, 1)]
+        got, block = read_cells(tmp_path / "m.csv", texts, monkeypatch)
+        assert block
+        assert (got.view(np.uint64) == float_bits(texts)).all()
+
+    @pytest.mark.parametrize("cell, block", [
+        ("-0", False), ("-00", False), ("+1", False), (".5", False), ("1.", False),
+        ("01.5", False), ("1_0", False), ("1e400", False), ("-1e400", False),
+        ("1e-400", True), ("-1e-400", True), ("-0.0", True), ("-0e5", True),
+        (str(2**53 + 1), True), (str(2**63), True), (str(2**63 + 1025), True),
+        (str(2**64), True), (str(2**64 + 2049), True),
+        pytest.param("1" * 400, False, id="400_digit_integer"),
+        ("NaN", False), ("nan", False), ("Infinity", False), ("-inf", False),
+        (" 1.5", True), ("1.5 ", True), ("\t1.5\t", True), ("  -2e-3 \t", True),
+        ("\x0b1.5", False), ("\xa01.5", False), ("1 5", False), ("- 1", False),
+        ("1e5", True), ("1E+5", True), ("1e-05", True), ("-1E-05", True),
+        ("1e-0", True), ("-0e-05", True), ("-0E0", True), ("", False), (" ", False),
+        ("x", False), ("0x10", False), ("true", False), ("null", False),
+    ])
+    def test_cells_where_json_and_float_differ(self, tmp_path, monkeypatch, cell, block):
+        """``float``'s bits, or today's located error, and the path taken."""
+        p = write_bytes(tmp_path / "m.csv", f"patient_id,a,b\r\np1,1.5,{cell}\r\np2,2,3\r\n")
+        calls = per_cell_calls(monkeypatch)
+        try:
+            want = float(cell)
+        except ValueError:
+            with pytest.raises(DataError) as info:
+                dataio.load_features(p)
+            assert str(info.value) == (f"{p}: line 2, column 3: "
+                                       f"non-numeric cell at (0,1): {cell!r}")
+        else:
+            if math.isfinite(want):
+                got = dataio.load_features(p).values[0, 1]
+                assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+            else:
+                with pytest.raises(DataError) as info:
+                    dataio.load_features(p)
+                assert str(info.value) == (f"{p}: line 2, column 3: "
+                                           f"feature values must be finite, got {want!r}")
+        assert len(calls) == (0 if block else 1)
 
 
 IDS = ["p1", "", "p,1", 'p"2', "p\r\n3", "p\n4", " p5 ", "é\x1c", "'p6'"]

@@ -157,6 +157,23 @@ class TestFsqnBlocks:
             tracemalloc.stop()
         assert peak < out.values.nbytes + 8 * 2**20
 
+    def test_output_check_makes_no_table_sized_mask(self, monkeypatch):
+        """The output's values are checked a block of rows at a time, so with
+        small gene blocks the peak beyond the output stays below the size of
+        one bool mask of it (1 MB here)."""
+        monkeypatch.setattr(normalize, "_BLOCK_CELLS", 1 << 12)
+        gen = np.random.default_rng(4)
+        target = expr(gen.normal(0, 1, (1000, 1000)), platform="tgt", scale="log2")
+        reference = expr(gen.normal(0, 1, (1000, 1000)), platform="ref", scale="log2")
+        tracemalloc.start()
+        try:
+            values = normalize.fsqn(target, reference).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra, mask = peak - values.nbytes, values.size
+        assert extra < mask
+
 
 class TestIntegrate:
     def test_single_source_identical_to_reference(self, rng):

@@ -671,17 +671,18 @@ from omicsurv import cli
 def loaded(names):
     return sorted(name for name in names if type(sys.modules.get(name)) is types.ModuleType)
 print(loaded({"yaml", "concurrent.futures", "multiprocessing", "omicsurv.synth",
-              "omicsurv._floatrepr", "omicsurv.dataio", "omicsurv.models",
-              "omicsurv.pipeline", "omicsurv.project", "omicsurv.rpensemble"}))
+              "omicsurv.dataio", "omicsurv.models", "omicsurv.pipeline",
+              "omicsurv.project", "omicsurv.rpensemble"}))
 data, out = sys.argv[1:]
 assert cli.main(["normalize", "--target", f"{data}/rnaseq.csv", "--reference",
                  f"{data}/microarray.csv", "--log2", "--output", f"{out}/n.csv"]) == 0
 assert cli.main(["project", "--features", f"{out}/n.csv", "--dims", "2",
                  "--iterations", "20", "--perplexity", "3", "--append-age",
                  "--clinical", f"{data}/clinical.csv", "--output", f"{out}/p.csv"]) == 0
-print(loaded({"yaml", "omicsurv.typed", "omicsurv.rpensemble", "omicsurv.models",
-              "omicsurv.models.forest", "omicsurv.models.mlp", "omicsurv.pipeline",
-              "omicsurv.search", "omicsurv.evaluation", "omicsurv.survival"}))
+print(loaded({"yaml", "numpy.ma", "omicsurv.typed", "omicsurv.rpensemble",
+              "omicsurv.models", "omicsurv.models.forest", "omicsurv.models.mlp",
+              "omicsurv.pipeline", "omicsurv.search", "omicsurv.evaluation",
+              "omicsurv.survival"}))
 """
 
 
