@@ -93,21 +93,22 @@ def stratified_kfold(labels, plan: CvPlan) -> list[np.ndarray]:
     """Disjoint index folds covering all samples; per-fold class counts are
     within 1 of proportional allocation. Deterministic given the seed."""
     labels = np.asarray(labels, dtype=np.int64)
-    rng = np.random.default_rng(np.random.SeedSequence([plan.seed, 7]))
-    folds: list[list[int]] = [[] for _ in range(plan.k_folds)]
+    # checked before the folds are allocated: k_folds may be huge
     if plan.stratified:
         counts = np.bincount(labels, minlength=2)
         if counts.min() < plan.k_folds:
             raise DataError(
                 f"k_folds={plan.k_folds} exceeds minority class count {counts.min()}"
             )
-        for cls in range(len(counts)):
-            idx = rng.permutation(np.flatnonzero(labels == cls))
-            for pos, sample in enumerate(idx):
-                folds[pos % plan.k_folds].append(int(sample))
+        groups = [np.flatnonzero(labels == cls) for cls in range(len(counts))]
     else:
-        idx = rng.permutation(len(labels))
-        for pos, sample in enumerate(idx):
+        if len(labels) < plan.k_folds:
+            raise DataError(f"k_folds={plan.k_folds} exceeds sample count {len(labels)}")
+        groups = [len(labels)]
+    rng = np.random.default_rng(np.random.SeedSequence([plan.seed, 7]))
+    folds: list[list[int]] = [[] for _ in range(plan.k_folds)]
+    for group in groups:
+        for pos, sample in enumerate(rng.permutation(group)):
             folds[pos % plan.k_folds].append(int(sample))
     return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
 

@@ -7,17 +7,19 @@ the Python API that ``y`` may hold observed survival times, while ``cv``,
 ``search`` and ``report`` give it the 0/1 horizon labels.
 
 ``_TABLE`` maps each family to the module that implements it. Every such
-module declares ``PARAMS = {key: (type, default)}`` and exposes
-``fit(x, y, params, seed)`` (``params`` complete and typed; the MLP module
-also takes the ``task`` its ``_TABLE`` entry passes), ``scores(state, x)``,
-``threshold(state)`` (the hard-label cut), ``to_jsonable(state)`` and
-``from_jsonable(d)``. A module may also declare
+module declares ``PARAMS = {key: (type, default)}`` and ``STATE``, the
+dataclass its ``fit`` returns, and exposes ``fit(x, y, params, seed)``
+(``params`` complete and typed; the MLP module also takes the ``task`` its
+``_TABLE`` entry passes), ``scores(state, x)`` and ``threshold(state)`` (the
+hard-label cut). A module may also declare
 ``check_params(params)``, which rejects values that are well typed but out of
 range or do not fit together (``svm_rbf``'s ``C``, ``random_forest``'s tree
 count; ``rp_ensemble``'s base hyperparameters against its base family),
 ``width_limit(params)``, the fewest feature columns it can fit with
 ``params`` (``rp_ensemble``'s ``projected_dim``), which ``check_width`` below
-compares with a table's width,
+compares with a table's width, ``upgrade(state)``, which turns the ``state``
+object of an older model file into the current layout (``random_forest``'s
+format-1 trees),
 and ``holdout_errors(z_tr, y_tr, z_ho, y_ho, params)``, which fits one model
 per slice of a stack of B training tables (B, n, d) and returns each one's
 misclassification rate on the matching holdout slice, shape (B,), as one
@@ -32,12 +34,21 @@ one stack). Its list stops at the lowest-numbered subset whose fit fails,
 which gets the exception it raised in place of a state. ``fit_folds`` below
 calls the hook when the family has one and otherwise fits one subset at a
 time; cross-validation trains its folds through it.
+
+One codec writes and reads every family's state. ``state_jsonable`` emits
+the dataclass fields in declaration order, each under its name or the
+``key`` of its field metadata: an array as nested lists, a nested
+``TrainedModel`` as its ``to_jsonable``, a list item by item.
+``state_from_jsonable`` rebuilds each field from its annotation. A field
+marked ``metadata={"saved": False}``, such as a solver diagnostic, is not
+written, and a loaded state holds its dataclass default.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
@@ -61,7 +72,7 @@ _TABLE = {
 FAMILIES = tuple(_TABLE)
 
 # Format 2 stores the forest as flat arrays. Format 1 differs only in its
-# nested forest trees, which forest.from_jsonable flattens, so it still loads.
+# nested forest trees, which forest.upgrade flattens, so it still loads.
 MODEL_FORMAT_VERSION = 2
 _READABLE_FORMATS = (1, MODEL_FORMAT_VERSION)
 
@@ -233,6 +244,55 @@ def predict_labels(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     return (predict_scores(model, x) >= threshold).astype(np.int64)
 
 
+def _saved_fields(state_or_class) -> list:
+    return [f for f in fields(state_or_class) if f.metadata.get("saved", True)]
+
+
+def _key(f: Field) -> str:
+    return f.metadata.get("key", f.name)
+
+
+def _lookup(d, key: str, prefix: str = ""):
+    if not isinstance(d, dict) or key not in d:
+        raise DataError(f"missing key {prefix + key!r}")
+    return d[key]
+
+
+def _encode(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, TrainedModel):
+        return to_jsonable(value)
+    if isinstance(value, list):
+        return [_encode(item) for item in value]
+    return value
+
+
+def _decode(hint, value):
+    if hint is np.ndarray:
+        return np.array(value)
+    if hint is TrainedModel:
+        return from_jsonable(value)
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return [_decode(item, v) for v in value]
+    return value
+
+
+def state_jsonable(state) -> dict:
+    """The saved fields of a family's state dataclass as JSON values, in
+    declaration order."""
+    return {_key(f): _encode(getattr(state, f.name)) for f in _saved_fields(state)}
+
+
+def state_from_jsonable(cls, d: dict):
+    """The ``cls`` instance that ``state_jsonable`` wrote as ``d``; its unsaved
+    fields hold their defaults. A missing key is a DataError naming it."""
+    hints = typing.get_type_hints(cls)
+    return cls(**{f.name: _decode(hints[f.name], _lookup(d, _key(f), "state."))
+                  for f in _saved_fields(cls)})
+
+
 def to_jsonable(model: TrainedModel) -> dict:
     """Structured-text parameter dump; format documented in the README."""
     return {
@@ -241,18 +301,28 @@ def to_jsonable(model: TrainedModel) -> dict:
         "hyperparameters": model.spec.hyperparameters,
         "seed": model.spec.seed,
         "n_features": model.n_features,
-        "state": _TABLE[model.spec.family][0].to_jsonable(model.state),
+        "state": state_jsonable(model.state),
     }
 
 
 def from_jsonable(payload: dict) -> TrainedModel:
-    if payload.get("format_version") not in _READABLE_FORMATS:
-        raise DataError(f"unsupported model format {payload.get('format_version')}")
-    spec = ModelSpec(family=payload["family"],
-                     hyperparameters=payload["hyperparameters"],
-                     seed=payload["seed"])
-    state = _TABLE[spec.family][0].from_jsonable(payload["state"])
-    return TrainedModel(spec=spec, n_features=payload["n_features"], state=state)
+    """The model ``to_jsonable`` wrote as ``payload``, or a format-1 payload;
+    a missing key, an unknown family or format is a DataError naming it."""
+    version = _lookup(payload, "format_version")
+    if version not in _READABLE_FORMATS:
+        raise DataError(f"unsupported model format {version}")
+    family = _lookup(payload, "family")
+    if family not in FAMILIES:
+        raise DataError(f"key 'family': unknown model family {family!r}; "
+                        f"valid: {FAMILIES}")
+    module = _TABLE[family][0]
+    state = _lookup(payload, "state")
+    if hasattr(module, "upgrade"):
+        state = module.upgrade(state)
+    spec = ModelSpec(family=family, hyperparameters=_lookup(payload, "hyperparameters"),
+                     seed=_lookup(payload, "seed"))
+    return TrainedModel(spec=spec, n_features=_lookup(payload, "n_features"),
+                        state=state_from_jsonable(module.STATE, state))
 
 
 def save_model(model: TrainedModel, path) -> None:
@@ -261,5 +331,14 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    with open(path, encoding="utf-8") as fh:
-        return from_jsonable(json.load(fh))
+    """The model ``save_model`` wrote to ``path``; a file that is not such a
+    model file is a DataError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataError(f"{path}: not a JSON model file: {exc}") from None
+    try:
+        return from_jsonable(payload)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -63,13 +63,14 @@ class ForestState:
     ``left[i] + 1``. A leaf has feature and left -1 and threshold 0.
     ``frac_ones`` is the fraction of class 1 among a node's training rows, and
     tree t starts at node ``roots[t]``."""
+    roots: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     frac_ones: np.ndarray
-    roots: np.ndarray
 
 
+STATE = ForestState
 # max_depth None grows each tree until its leaves are pure
 PARAMS = {"n_trees": (int, 100), "max_depth": (int, None), "mtry": (int, None),
           "bootstrap": (bool, True)}
@@ -294,8 +295,9 @@ def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int) -> ForestState:
         grown += k
         depth += 1
 
-    return ForestState(*(np.concatenate(parts) for parts in zip(*levels)),
-                       roots=np.arange(n_trees))
+    feature, threshold, left, frac_ones = (np.concatenate(parts) for parts in zip(*levels))
+    return ForestState(roots=np.arange(n_trees), feature=feature, threshold=threshold,
+                       left=left, frac_ones=frac_ones)
 
 
 def scores(state: ForestState, x: np.ndarray) -> np.ndarray:
@@ -317,40 +319,25 @@ def threshold(state: ForestState) -> float:
     return 0.5
 
 
-_ARRAYS = ("roots", "feature", "threshold", "left", "frac_ones")
-
-
-def to_jsonable(state: ForestState) -> dict:
-    return {name: getattr(state, name).tolist() for name in _ARRAYS}
-
-
-def _flatten(trees: list[dict]) -> ForestState:
-    """Flat arrays of model format 1's nested trees, each tree breadth-first."""
-    feature, threshold, left, frac_ones, roots = [], [], [], [], []
-    for tree in trees:
+def upgrade(state: dict) -> dict:
+    """Model format 1's nested trees as format 2's flat lists, each tree
+    breadth-first; a format-2 state as it is."""
+    if "trees" not in state:
+        return state
+    roots, feature, threshold, left, frac_ones = [], [], [], [], []
+    for tree in state["trees"]:
         roots.append(len(feature))
         queue = [tree]
         for node in queue:
-            frac_ones.append(node["frac_ones"])
+            frac_ones.append(float(node["frac_ones"]))
             if "feature" in node:
                 feature.append(node["feature"])
-                threshold.append(node["threshold"])
+                threshold.append(float(node["threshold"]))
                 left.append(roots[-1] + len(queue))
                 queue += [node["left"], node["right"]]
             else:
                 feature.append(-1)
                 threshold.append(0.0)
                 left.append(-1)
-    return ForestState(np.array(feature, dtype=np.int64), np.array(threshold, dtype=np.float64),
-                       np.array(left, dtype=np.int64), np.array(frac_ones, dtype=np.float64),
-                       np.array(roots, dtype=np.int64))
-
-
-def from_jsonable(d: dict) -> ForestState:
-    if "trees" in d:
-        return _flatten(d["trees"])
-    return ForestState(feature=np.array(d["feature"], dtype=np.int64),
-                       threshold=np.array(d["threshold"], dtype=np.float64),
-                       left=np.array(d["left"], dtype=np.int64),
-                       frac_ones=np.array(d["frac_ones"], dtype=np.float64),
-                       roots=np.array(d["roots"], dtype=np.int64))
+    return {"roots": roots, "feature": feature, "threshold": threshold, "left": left,
+            "frac_ones": frac_ones}

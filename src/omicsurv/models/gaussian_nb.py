@@ -24,6 +24,7 @@ class GnbState:
     log_prior1: float
 
 
+STATE = GnbState
 PARAMS = {}
 
 
@@ -62,24 +63,3 @@ def holdout_errors(z_tr: np.ndarray, y_tr: np.ndarray, z_ho: np.ndarray,
     state = fit(z_tr, y_tr, params, seed=0)
     return np.mean((scores(state, z_ho) >= threshold(state)) != y_ho, axis=-1)
 
-
-def to_jsonable(state: GnbState) -> dict:
-    return {
-        "mean0": state.mean0.tolist(),
-        "mean1": state.mean1.tolist(),
-        "var0": state.var0.tolist(),
-        "var1": state.var1.tolist(),
-        "log_prior0": state.log_prior0,
-        "log_prior1": state.log_prior1,
-    }
-
-
-def from_jsonable(d: dict) -> GnbState:
-    return GnbState(
-        mean0=np.array(d["mean0"]),
-        mean1=np.array(d["mean1"]),
-        var0=np.array(d["var0"]),
-        var1=np.array(d["var1"]),
-        log_prior0=d["log_prior0"],
-        log_prior1=d["log_prior1"],
-    )

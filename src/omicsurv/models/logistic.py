@@ -20,7 +20,7 @@ from one sweep to the next, without line search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,11 +31,11 @@ from ..errors import ConfigError
 class LogisticState:
     weights: np.ndarray
     intercept: float
-    lam: float
-    # solver diagnostics, not serialized: the sweeps run, and whether the
-    # largest step of the last one fell below tol (False: stopped at max_sweeps)
-    sweeps: int
-    converged: bool
+    lam: float = field(metadata={"key": "lambda"})
+    # solver diagnostics, not saved: the sweeps run, and whether the largest
+    # step of the last one fell below tol (False: stopped at max_sweeps)
+    sweeps: int = field(default=0, metadata={"saved": False})
+    converged: bool = field(default=False, metadata={"saved": False})
 
 
 def _sigmoid(z):
@@ -52,6 +52,7 @@ def _soft_threshold(v: float, thresh: float) -> float:
     return 0.0
 
 
+STATE = LogisticState
 PARAMS = {"lambda": (float, 0.01), "max_sweeps": (int, 200), "tol": (float, 1e-8)}
 
 
@@ -117,17 +118,3 @@ def scores(state: LogisticState, x: np.ndarray) -> np.ndarray:
 def threshold(state: LogisticState) -> float:
     return 0.0
 
-
-def to_jsonable(state: LogisticState) -> dict:
-    return {
-        "weights": state.weights.tolist(),
-        "intercept": state.intercept,
-        "lambda": state.lam,
-    }
-
-
-def from_jsonable(d: dict) -> LogisticState:
-    # a loaded model ran no sweeps
-    return LogisticState(weights=np.array(d["weights"]),
-                         intercept=d["intercept"], lam=d["lambda"],
-                         sweeps=0, converged=False)

@@ -121,6 +121,7 @@ def loss_and_gradients(state: MlpState, x: np.ndarray, y: np.ndarray):
     return loss, gw, gb
 
 
+STATE = MlpState
 PARAMS = {"n_hidden_layers": (int, 2), "width": (int, 32), "epochs": (int, 200),
           "learning_rate": (float, 0.01), "batch_size": (int, 32)}
 
@@ -196,18 +197,3 @@ def threshold(state: MlpState) -> float:
         raise ConfigError("the time regressor has no hard-label threshold")
     return 0.0
 
-
-def to_jsonable(state: MlpState) -> dict:
-    return {
-        "weights": [w.tolist() for w in state.weights],
-        "biases": [b.tolist() for b in state.biases],
-        "task": state.task,
-    }
-
-
-def from_jsonable(d: dict) -> MlpState:
-    return MlpState(
-        weights=[np.array(w) for w in d["weights"]],
-        biases=[np.array(b) for b in d["biases"]],
-        task=d["task"],
-    )

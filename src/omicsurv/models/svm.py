@@ -18,12 +18,14 @@ masks. ``rbf_kernel`` builds the kernel in one n x m buffer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..project import sq_distances
+
+_UNSAVED = {"saved": False}
 
 
 @dataclass
@@ -32,14 +34,15 @@ class SvmState:
     dual_coef: np.ndarray  # alpha_i * y_i for support vectors
     bias: float
     gamma: float
-    # diagnostics kept for KKT verification
-    final_violation: float
-    alphas: np.ndarray
-    train_y_pm: np.ndarray
-    # solver diagnostics, not serialized: the SMO steps taken, and whether
-    # the final violation is within tol (False: stopped at max_iter)
-    iterations: int
-    converged: bool
+    # solver diagnostics, not saved: the final KKT violation, the dual
+    # variables and +-1 labels it was checked on, the SMO steps taken, and
+    # whether the violation is within tol (False: stopped at max_iter)
+    final_violation: float = field(default=float("nan"), metadata=_UNSAVED)
+    alphas: np.ndarray = field(default_factory=lambda: np.empty(0), metadata=_UNSAVED)
+    train_y_pm: np.ndarray = field(default_factory=lambda: np.empty(0),
+                                   metadata=_UNSAVED)
+    iterations: int = field(default=0, metadata=_UNSAVED)
+    converged: bool = field(default=False, metadata=_UNSAVED)
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -57,6 +60,7 @@ def _index_sets(alpha: np.ndarray, y_pm: np.ndarray, c: float):
     return up, low
 
 
+STATE = SvmState
 PARAMS = {"C": (float, 1.0), "gamma": (float, None), "tol": (float, 1e-3),
           "max_iter": (int, 20000)}
 
@@ -166,28 +170,3 @@ def scores(state: SvmState, x: np.ndarray) -> np.ndarray:
 def threshold(state: SvmState) -> float:
     return 0.0
 
-
-def to_jsonable(state: SvmState) -> dict:
-    return {
-        "support_x": state.support_x.tolist(),
-        "dual_coef": state.dual_coef.tolist(),
-        "bias": state.bias,
-        "gamma": state.gamma,
-    }
-
-
-def from_jsonable(d: dict) -> SvmState:
-    support = np.array(d["support_x"], dtype=np.float64)
-    if support.ndim == 1:
-        support = support.reshape(0, 0)
-    return SvmState(
-        support_x=support,
-        dual_coef=np.array(d["dual_coef"]),
-        bias=d["bias"],
-        gamma=d["gamma"],
-        final_violation=float("nan"),
-        alphas=np.array([]),
-        train_y_pm=np.array([]),
-        iterations=0,
-        converged=False,
-    )

@@ -76,8 +76,7 @@ def width_limit(params: dict) -> int:
 
 @dataclass
 class RpModel:
-    params: dict
-    seed: int
+    params: dict = field(metadata={"key": "config"})  # typed PARAMS and "seed"
     projections: list[np.ndarray]       # B1 matrices, each d x M
     base_models: list[models.TrainedModel]
     alpha: float
@@ -85,6 +84,9 @@ class RpModel:
     # holdout errors per group, shape (B1, B2); selected index per group
     group_errors: np.ndarray
     selected_indices: np.ndarray
+
+
+STATE = RpModel
 
 
 def sample_projections(m: int, d: int, rngs) -> np.ndarray:
@@ -228,8 +230,7 @@ def _ensemble(sub: _Subset, x, y, params: dict, seed: int) -> RpModel:
     importance = raw / total if total > 0 else np.full(m, 1.0 / m)
 
     return RpModel(
-        params=params,
-        seed=seed,
+        params={**params, "seed": seed},
         projections=sub.projections,
         base_models=sub.base_models,
         alpha=alpha,
@@ -259,27 +260,3 @@ scores = predict_scores
 def threshold(model: RpModel) -> float:
     return model.alpha
 
-
-def to_jsonable(model: RpModel) -> dict:
-    return {
-        "config": {**model.params, "seed": model.seed},
-        "projections": [p.tolist() for p in model.projections],
-        "base_models": [models.to_jsonable(m) for m in model.base_models],
-        "alpha": model.alpha,
-        "feature_importance": model.feature_importance.tolist(),
-        "group_errors": model.group_errors.tolist(),
-        "selected_indices": model.selected_indices.tolist(),
-    }
-
-
-def from_jsonable(d: dict) -> RpModel:
-    return RpModel(
-        params={k: v for k, v in d["config"].items() if k != "seed"},
-        seed=d["config"]["seed"],
-        projections=[np.array(p) for p in d["projections"]],
-        base_models=[models.from_jsonable(m) for m in d["base_models"]],
-        alpha=d["alpha"],
-        feature_importance=np.array(d["feature_importance"]),
-        group_errors=np.array(d["group_errors"]),
-        selected_indices=np.array(d["selected_indices"], dtype=np.int64),
-    )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -35,6 +36,9 @@ class Uniform:
     def __post_init__(self):
         if not self.low <= self.high:
             raise ConfigError(f"uniform needs low <= high, got {self.low},{self.high}")
+        if not math.isfinite(self.high - self.low):
+            raise ConfigError("uniform needs finite low, high and high - low, "
+                              f"got {self.low},{self.high}")
 
     def sample(self, rng):
         return float(rng.uniform(self.low, self.high))
@@ -46,9 +50,11 @@ class LogUniform:
     high: float
 
     def __post_init__(self):
-        if self.low <= 0 or self.high <= self.low:
+        if not 0 < self.low < self.high:
             raise ConfigError("loguniform needs 0 < low < high, "
                               f"got {self.low},{self.high}")
+        if math.isinf(self.high):
+            raise ConfigError(f"loguniform needs a finite high, got {self.low},{self.high}")
 
     def sample(self, rng):
         return float(np.exp(rng.uniform(np.log(self.low), np.log(self.high))))

@@ -1,5 +1,9 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +147,27 @@ class TestStratifiedKfold:
         labels = np.array([1] * 9 + [0])
         with pytest.raises(DataError, match="minority class"):
             evaluation.stratified_kfold(labels, evaluation.CvPlan(k_folds=2))
+
+    @pytest.mark.parametrize("stratified, named", [(True, "minority class count 50"),
+                                                   (False, "sample count 100")])
+    def test_huge_k_fails_before_allocating(self, stratified, named):
+        """k_folds=10**9 is rejected before any per-fold list is made. It runs
+        in a child process whose address space is capped at 1 GiB, so code
+        that allocates first fails with a MemoryError instead of taking the
+        host's memory."""
+        code = (
+            "import resource, numpy as np\n"
+            "from omicsurv import evaluation\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            f"plan = evaluation.CvPlan(k_folds=10**9, stratified={stratified})\n"
+            "evaluation.stratified_kfold(np.array([0, 1] * 50), plan)\n"
+        )
+        environ = dict(os.environ, PYTHONPATH=str(Path(evaluation.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, timeout=60, env=environ)
+        assert result.returncode == 1
+        assert result.stderr.strip().splitlines()[-1] == (
+            f"omicsurv.errors.DataError: k_folds=1000000000 exceeds {named}")
 
     def test_k_below_two(self):
         with pytest.raises(ConfigError):

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import re
@@ -9,7 +10,7 @@ import yaml
 
 from omicsurv import dataio, evaluation, models, normalize, search, survival, synth
 from omicsurv.errors import ConfigError, DataError
-from omicsurv.models import logistic, mlp
+from omicsurv.models import mlp
 
 from conftest import separable_xy
 from cross_checks import logistic_objective
@@ -64,6 +65,40 @@ SMALL_HP = {
     "rectangle_mlp": {"epochs": 200, "width": 8},
     "rp_ensemble": {"b1_groups": 3, "b2_per_group": 2, "projected_dim": 2},
 }
+
+
+def assert_same_state(got, want):
+    """``got`` holds ``want``'s saved fields bit for bit, dtypes included,
+    and its unsaved fields' defaults."""
+    assert type(got) is type(want)
+    for f in dataclasses.fields(want):
+        value = getattr(got, f.name)
+        if f.metadata.get("saved", True):
+            assert_same_value(value, getattr(want, f.name), f.name)
+        else:
+            default = (f.default_factory() if f.default is dataclasses.MISSING
+                       else f.default)
+            assert_same_value(value, default, f.name)
+
+
+def assert_same_value(got, want, name):
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+        if want.size:
+            assert got.shape == want.shape, name
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), name
+        for a, b in zip(got, want):
+            assert_same_value(a, b, name)
+    elif isinstance(want, models.TrainedModel):
+        assert got.spec == want.spec and got.n_features == want.n_features, name
+        assert_same_state(got.state, want.state)
+    elif isinstance(want, float):
+        assert isinstance(got, float), name
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), name
+    else:
+        assert type(got) is type(want) and got == want, name
 
 
 class TestModelSpec:
@@ -288,7 +323,7 @@ class TestL1Logistic:
         # the default max_sweeps and tol suffice at this lambda: 73 sweeps
         done = models.fit(spec("l1_logistic", **{"lambda": 0.05}), x, y).state
         assert done.converged is True and done.sweeps < 200
-        assert "sweeps" not in logistic.to_jsonable(done)
+        assert "sweeps" not in models.state_jsonable(done)
 
     def test_constant_columns_get_no_weight(self):
         gen = np.random.default_rng(0)
@@ -519,6 +554,55 @@ class TestSerialization:
         again = models.load_model(tmp_path / "forest_v2.json")
         assert models.to_jsonable(again)["format_version"] == 2
         assert models.predict_scores(again, query).tolist() == want
+
+    @pytest.mark.parametrize("family", [*SMALL_HP, "mlp_regressor"])
+    def test_saved_fields_round_trip_bit_for_bit(self, tmp_path, family):
+        """Every saved field comes back with its bits and dtype, nested base
+        models included; every unsaved one (a solver diagnostic) holds its
+        dataclass default."""
+        x, y = separable_xy()
+        model = models.fit(models.ModelSpec(family, SMALL_HP.get(family, {"epochs": 5}), 0),
+                           x, y)
+        models.save_model(model, tmp_path / "m.json")
+        again = models.load_model(tmp_path / "m.json")
+        assert again.spec == model.spec and again.n_features == model.n_features
+        assert_same_state(again.state, model.state)
+
+    def test_svm_without_support_vectors_round_trips(self, tmp_path):
+        x, y = separable_xy()
+        model = models.fit(spec("svm_rbf", tol=5.0), x, y)
+        assert model.state.support_x.size == 0 and model.state.dual_coef.size == 0
+        models.save_model(model, tmp_path / "svm.json")
+        again = models.load_model(tmp_path / "svm.json")
+        assert_same_state(again.state, model.state)
+        assert (models.predict_scores(again, x) == model.state.bias).all()
+        models.save_model(again, tmp_path / "again.json")
+        assert ((tmp_path / "again.json").read_bytes()
+                == (tmp_path / "svm.json").read_bytes())
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda payload: b"{not json", "not a JSON model file"),
+        (lambda payload: b"\xff\xfe{}", "not a JSON model file"),
+        (lambda payload: b"[1, 2]", "missing key 'format_version'"),
+        (lambda payload: payload.pop("state"), "missing key 'state'"),
+        (lambda payload: payload["state"].pop("weights"), "missing key 'state.weights'"),
+        (lambda payload: payload["state"].pop("lambda"), "missing key 'state.lambda'"),
+        (lambda payload: payload.update(family="bogus"),
+         "key 'family': unknown model family 'bogus'"),
+    ], ids=["not-json", "not-utf8", "not-an-object", "no-state", "no-state-weights",
+            "no-state-lambda", "unknown-family"])
+    def test_bad_file_is_data_error_naming_file_and_key(self, tmp_path, edit, named):
+        """``edit`` returns the file's bytes, or edits the saved payload."""
+        x, y = separable_xy()
+        payload = models.to_jsonable(models.fit(spec("l1_logistic"), x, y))
+        content = edit(payload)
+        path = tmp_path / "bad.json"
+        path.write_bytes(content if isinstance(content, bytes)
+                         else json.dumps(payload).encode())
+        with pytest.raises(DataError) as info:
+            models.load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert named in str(info.value)
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"

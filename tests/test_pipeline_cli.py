@@ -507,6 +507,8 @@ def cohort(tmp_path_factory):
                 {"family": "l1_logistic", "params": {"lambda": 0.5}}],
      "config error: models[1]: family l1_logistic is already listed at models[0]\n"),
     ("seed", -2, "config error: seed must be >= 0, got -2\n"),
+    ("models", [{"family": "svm_rbf", "params": {"C": "loguniform:1,inf"}}],
+     "config error: models[0]: C: loguniform needs a finite high, got 1.0,inf\n"),
 ])
 def test_report_config_error_before_any_work(tmp_path, cohort, capsys,
                                              key, value, named):
@@ -744,6 +746,15 @@ def test_forest_param_out_of_range_before_data_is_read(tmp_path, capsys, command
      "rp_ensemble: selection_holdout_fraction must lie in (0,1)"),
     ("search", "svm_rbf", "gamma=loguniform:1,0.5",
      "gamma: loguniform needs 0 < low < high, got 1.0,0.5"),
+    ("search", "svm_rbf", "C=loguniform:1,inf", "C: loguniform needs a finite high, got 1.0,inf"),
+    ("search", "svm_rbf", "C=loguniform:nan,1", "C: loguniform needs 0 < low < high, got nan,1.0"),
+    ("search", "svm_rbf", "C=uniform:1,inf",
+     "C: uniform needs finite low, high and high - low, got 1.0,inf"),
+    ("search", "svm_rbf", "gamma=uniform:-inf,1",
+     "gamma: uniform needs finite low, high and high - low, got -inf,1.0"),
+    ("search", "svm_rbf", "C=uniform:-1e308,1e308",
+     "C: uniform needs finite low, high and high - low, got -1e+308,1e+308"),
+    ("search", "svm_rbf", "C=uniform:nan,1", "C: uniform needs low <= high, got nan,1.0"),
     *[(command, "bogus", "C=1", f"unknown model family 'bogus'; valid: {models.FAMILIES}")
       for command in ("train", "cv", "search")],
 ])

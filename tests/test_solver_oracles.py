@@ -118,8 +118,9 @@ def _ref_forest(x, y, params, seed):
             next_level += [(t, rows[mask]), (t, rows[~mask])]
         depth += 1
         level = next_level
-    return forest.ForestState(np.array(feature), np.array(threshold), np.array(left),
-                              np.array(frac_ones), np.arange(params["n_trees"]))
+    return forest.ForestState(roots=np.arange(params["n_trees"]), feature=np.array(feature),
+                              threshold=np.array(threshold), left=np.array(left),
+                              frac_ones=np.array(frac_ones))
 
 
 # --- reference l1_logistic: masked sigmoid, residual on every coordinate ----
@@ -218,7 +219,7 @@ def _ref_rp_train(x, y, params, seed):
         raw += np.sum(proj ** 2, axis=0) * var
     total = raw.sum()
     importance = raw / total if total > 0 else np.full(m, 1.0 / m)
-    return rpensemble.RpModel(params=params, seed=seed, projections=projections,
+    return rpensemble.RpModel(params={**params, "seed": seed}, projections=projections,
                               base_models=base_models, alpha=alpha,
                               feature_importance=importance, group_errors=errors,
                               selected_indices=selected)
@@ -354,8 +355,8 @@ def test_forest_matches_per_feature_loop(data, bootstrap, max_depth, mtry):
     x, y = FOREST_DATA[data]()
     params = models.read_params("random_forest", {
         "n_trees": 4, "bootstrap": bootstrap, "max_depth": max_depth, "mtry": mtry})
-    got = forest.to_jsonable(forest.fit(x, y, params, seed=11))
-    want = forest.to_jsonable(_ref_forest(x, y, params, seed=11))
+    got = models.state_jsonable(forest.fit(x, y, params, seed=11))
+    want = models.state_jsonable(_ref_forest(x, y, params, seed=11))
     assert json.dumps(got) == json.dumps(want)
     assert got == want
 
@@ -368,8 +369,8 @@ def test_forest_pass_size_does_not_change_trees(monkeypatch, data, budget):
     x, y = FOREST_DATA[data]()
     params = models.read_params("random_forest", {"n_trees": 6, "mtry": 1})
     monkeypatch.setattr(forest, "_BUDGET", budget)
-    got = forest.to_jsonable(forest.fit(x, y, params, seed=2))
-    assert got == forest.to_jsonable(_ref_forest(x, y, params, seed=2))
+    got = models.state_jsonable(forest.fit(x, y, params, seed=2))
+    assert got == models.state_jsonable(_ref_forest(x, y, params, seed=2))
 
 
 @pytest.mark.parametrize("decimals", [None, 1, 0])
@@ -430,9 +431,9 @@ def test_forest_wide_keys_grow_the_same_trees(monkeypatch):
     """Sort keys too wide for int32 are int64; the trees do not change."""
     x, y = FOREST_DATA["continuous"]()
     params = models.read_params("random_forest", {"n_trees": 5})
-    want = forest.to_jsonable(forest.fit(x, y, params, seed=8))
+    want = models.state_jsonable(forest.fit(x, y, params, seed=8))
     monkeypatch.setattr(forest, "_INT32_MAX", 0)
-    assert forest.to_jsonable(forest.fit(x, y, params, seed=8)) == want
+    assert models.state_jsonable(forest.fit(x, y, params, seed=8)) == want
 
 
 def _tree(state, t):
@@ -534,8 +535,8 @@ def test_rp_matches_per_projection_loop(n, m, seed, decimals, dim, b2):
     d = {"one": 1, "mid": min(5, m), "full": m}[dim]
     params = models.read_params("rp_ensemble", {
         "b1_groups": 4, "b2_per_group": b2, "projected_dim": d})
-    got = rpensemble.to_jsonable(rpensemble.train(x, y, params, seed))
-    want = rpensemble.to_jsonable(_ref_rp_train(x, y, params, seed))
+    got = models.state_jsonable(rpensemble.train(x, y, params, seed))
+    want = models.state_jsonable(_ref_rp_train(x, y, params, seed))
     assert json.dumps(got) == json.dumps(want)
     assert got == want
 
@@ -547,7 +548,7 @@ def test_rp_ties_select_first_minimum():
     model = rpensemble.train(x, y, params, 5)
     tied = [np.sum(row == row.min()) > 1 for row in model.group_errors]
     assert any(tied)  # the data does make projections tie
-    assert rpensemble.to_jsonable(model) == rpensemble.to_jsonable(
+    assert models.state_jsonable(model) == models.state_jsonable(
         _ref_rp_train(x, y, params, 5))
 
 
@@ -562,8 +563,8 @@ def test_rp_fallback_family_matches_per_projection_loop(base):
         "b1_groups": 3, "b2_per_group": 4, "projected_dim": 3,
         "base_family": family, "base_hyperparameters": params})
     assert not hasattr(models._TABLE[family][0], "holdout_errors")
-    got = rpensemble.to_jsonable(rpensemble.train(x, y, rp_params, 6))
-    want = rpensemble.to_jsonable(_ref_rp_train(x, y, rp_params, 6))
+    got = models.state_jsonable(rpensemble.train(x, y, rp_params, 6))
+    want = models.state_jsonable(_ref_rp_train(x, y, rp_params, 6))
     assert json.dumps(got) == json.dumps(want)
 
 
@@ -612,7 +613,7 @@ def test_gaussian_nb_matches_2d_formulas(n, m, seed, decimals):
     x, y = _xy(n, m, seed=seed, decimals=decimals)
     x_new = np.random.default_rng(seed + 100).normal(0, 1, (31, m))
     state = gaussian_nb.fit(x, y, {}, seed=0)
-    assert gaussian_nb.to_jsonable(state) == gaussian_nb.to_jsonable(_ref_gnb_fit(x, y))
+    assert models.state_jsonable(state) == models.state_jsonable(_ref_gnb_fit(x, y))
     assert gaussian_nb.scores(state, x_new).tobytes() == _ref_gnb_scores(
         _ref_gnb_fit(x, y), x_new).tobytes()
 
@@ -1169,8 +1170,8 @@ def test_rp_fit_folds_matches_separate_fits(n, m, seed, k, dim, base):
     joint = list(models.fit_folds(spec, x, y, train_sets))
     for rows, model in zip(train_sets, joint):
         want = _ref_rp_train(x[rows], y[rows], params, seed)
-        assert json.dumps(rpensemble.to_jsonable(model.state)) == json.dumps(
-            rpensemble.to_jsonable(want))
+        assert json.dumps(models.state_jsonable(model.state)) == json.dumps(
+            models.state_jsonable(want))
         assert model.state.group_errors.tobytes() == want.group_errors.tobytes()
         assert model.state.selected_indices.tolist() == want.selected_indices.tolist()
         assert (models.predict_scores(model, x).tobytes()
