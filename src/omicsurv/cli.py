@@ -168,7 +168,7 @@ def _cmd_train(args) -> int:
 def _cmd_cv(args) -> int:
     spec = _checked_spec(args)
     x, y, _ = _load_xy(args.features, args.labels)
-    plan = evaluation.CvPlan(k_folds=args.k, stratified=True, seed=args.seed)
+    plan = evaluation.CvPlan(k_folds=args.k, seed=args.seed)
     report = evaluation.cross_validate(spec, (x, y), plan,
                                        data_descriptor=args.features)
     report.to_csv(args.output)
@@ -178,14 +178,13 @@ def _cmd_cv(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    workers = pipeline.default_workers() if args.workers is None else args.workers
     space = search.SearchSpace(family=args.family,
                                params=search.parse_params(_parse_kv(args.param)),
                                budget=args.budget)
     x, y, _ = _load_xy(args.features, args.labels)
-    plan = evaluation.CvPlan(k_folds=args.k, stratified=True, seed=args.seed)
+    plan = evaluation.CvPlan(k_folds=args.k, seed=args.seed)
     best, trials = search.random_search(space, x, y, plan, space.budget,
-                                        args.seed, worker_count=workers)
+                                        args.seed, worker_count=args.workers)
     print(f"best trial {best.index}: mean AUC {best.mean_auc:.4f} "
           f"params {json.dumps(best.params, sort_keys=True)}")
     if args.output:
@@ -302,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=10)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, help="default: $OMICSURV_WORKERS or 1")
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes that run trials in parallel")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_search)
 

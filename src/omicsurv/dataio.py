@@ -221,7 +221,7 @@ def _located(path, line, column, what) -> DataError:
 
 
 class _Table(NamedTuple):
-    """A matrix CSV as read, in file orientation."""
+    """A matrix CSV as read: its header's ids, then one row per data line."""
 
     col_ids: list[str]
     row_ids: list[str]
@@ -398,31 +398,18 @@ def _read_matrix(path) -> _Table:
     return table
 
 
-def load_expression(path, orientation: str = "patients_as_rows",
-                    platform_id: str | None = None,
+def load_expression(path, platform_id: str | None = None,
                     scale: str = "linear") -> ExpressionMatrix:
-    """Load an expression CSV.
-
-    ``genes_as_rows`` input (header = patient ids, one row per gene) is
-    transposed on load so the result is always patients x genes.
-    """
-    if orientation not in ("patients_as_rows", "genes_as_rows"):
-        raise DataError(f"unknown orientation {orientation!r}")
+    """Load an expression CSV: one row per patient, one column per gene."""
     table = _read_matrix(path)
-    values = table.values
     table.reject(path, _not_finite, "expression values must be finite")
     if scale == "linear":
         table.reject(path, _negative, "linear-scale expression values must be >= 0")
-    if orientation == "genes_as_rows":
-        patient_ids, gene_ids = table.col_ids, table.row_ids
-        values = values.T.copy()
-    else:
-        patient_ids, gene_ids = table.row_ids, table.col_ids
     return ExpressionMatrix(
         platform_id=platform_id or str(path),
-        patient_ids=patient_ids,
-        gene_ids=gene_ids,
-        values=values,
+        patient_ids=table.row_ids,
+        gene_ids=table.col_ids,
+        values=table.values,
         scale=scale,
     )
 

@@ -19,7 +19,6 @@ from .ranks import average_ranks
 @dataclass(frozen=True)
 class CvPlan:
     k_folds: int = 10
-    stratified: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -93,18 +92,13 @@ def stratified_kfold(labels, plan: CvPlan) -> list[np.ndarray]:
     """Disjoint index folds covering all samples; per-fold class counts are
     within 1 of proportional allocation. Deterministic given the seed."""
     labels = np.asarray(labels, dtype=np.int64)
+    counts = np.bincount(labels, minlength=2)
     # checked before the folds are allocated: k_folds may be huge
-    if plan.stratified:
-        counts = np.bincount(labels, minlength=2)
-        if counts.min() < plan.k_folds:
-            raise DataError(
-                f"k_folds={plan.k_folds} exceeds minority class count {counts.min()}"
-            )
-        groups = [np.flatnonzero(labels == cls) for cls in range(len(counts))]
-    else:
-        if len(labels) < plan.k_folds:
-            raise DataError(f"k_folds={plan.k_folds} exceeds sample count {len(labels)}")
-        groups = [len(labels)]
+    if counts.min() < plan.k_folds:
+        raise DataError(
+            f"k_folds={plan.k_folds} exceeds minority class count {counts.min()}"
+        )
+    groups = [np.flatnonzero(labels == cls) for cls in range(len(counts))]
     rng = np.random.default_rng(np.random.SeedSequence([plan.seed, 7]))
     folds: list[list[int]] = [[] for _ in range(plan.k_folds)]
     for group in groups:

@@ -268,14 +268,20 @@ def _encode(value):
     return value
 
 
-def _decode(hint, value):
+def _decode(hint, value, key: str):
     if hint is np.ndarray:
-        return np.array(value)
+        try:
+            array = np.array(value)
+        except ValueError:  # ragged nested lists
+            array = None
+        if array is None or array.dtype.kind not in "biuf":  # bool, (u)int, float
+            raise DataError(f"key {key!r}: expected a numeric array")
+        return array
     if hint is TrainedModel:
         return from_jsonable(value)
     if typing.get_origin(hint) is list:
         (item,) = typing.get_args(hint)
-        return [_decode(item, v) for v in value]
+        return [_decode(item, v, f"{key}[{i}]") for i, v in enumerate(value)]
     return value
 
 
@@ -287,9 +293,11 @@ def state_jsonable(state) -> dict:
 
 def state_from_jsonable(cls, d: dict):
     """The ``cls`` instance that ``state_jsonable`` wrote as ``d``; its unsaved
-    fields hold their defaults. A missing key is a DataError naming it."""
+    fields hold their defaults. A missing key, or an array field that is not
+    numeric, is a DataError naming it."""
     hints = typing.get_type_hints(cls)
-    return cls(**{f.name: _decode(hints[f.name], _lookup(d, _key(f), "state."))
+    return cls(**{f.name: _decode(hints[f.name], _lookup(d, _key(f), "state."),
+                                  f"state.{_key(f)}")
                   for f in _saved_fields(cls)})
 
 
@@ -332,13 +340,22 @@ def save_model(model: TrainedModel, path) -> None:
 
 def load_model(path) -> TrainedModel:
     """The model ``save_model`` wrote to ``path``; a file that is not such a
-    model file is a DataError naming the file."""
+    model file, or whose model cannot score a row of its ``n_features``
+    zeros, is a DataError naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except ValueError as exc:  # not UTF-8, or not JSON
         raise DataError(f"{path}: not a JSON model file: {exc}") from None
     try:
-        return from_jsonable(payload)
+        model = from_jsonable(payload)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+    # a state whose arrays do not fit together or n_features fails here, not
+    # when the caller first scores with it
+    try:
+        predict_scores(model, np.zeros((1, model.n_features)))
+    except (ArithmeticError, LookupError, TypeError, ValueError, DataError) as exc:
+        raise DataError(f"{path}: state cannot score a row of n_features="
+                        f"{model.n_features!r}: {exc}") from None
+    return model

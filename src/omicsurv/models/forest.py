@@ -321,20 +321,24 @@ def threshold(state: ForestState) -> float:
 
 def upgrade(state: dict) -> dict:
     """Model format 1's nested trees as format 2's flat lists, each tree
-    breadth-first; a format-2 state as it is."""
-    if "trees" not in state:
+    breadth-first; a format-2 state as it is. A node without a key it needs
+    is a DataError naming the node's path, e.g. ``state.trees[0].left.right``."""
+    from . import _lookup  # here, not at the top: the package imports this module
+
+    if not isinstance(state, dict) or "trees" not in state:
         return state
     roots, feature, threshold, left, frac_ones = [], [], [], [], []
-    for tree in state["trees"]:
+    for t, tree in enumerate(state["trees"]):
         roots.append(len(feature))
-        queue = [tree]
-        for node in queue:
-            frac_ones.append(float(node["frac_ones"]))
+        queue = [(tree, f"state.trees[{t}].")]
+        for node, where in queue:
+            frac_ones.append(float(_lookup(node, "frac_ones", where)))
             if "feature" in node:
                 feature.append(node["feature"])
-                threshold.append(float(node["threshold"]))
+                threshold.append(float(_lookup(node, "threshold", where)))
                 left.append(roots[-1] + len(queue))
-                queue += [node["left"], node["right"]]
+                queue += [(_lookup(node, side, where), f"{where}{side}.")
+                          for side in ("left", "right")]
             else:
                 feature.append(-1)
                 threshold.append(0.0)

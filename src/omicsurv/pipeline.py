@@ -14,7 +14,6 @@ import contextlib
 import functools
 import hashlib
 import json
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -23,22 +22,6 @@ import numpy as np
 from . import dataio, evaluation, normalize, project, search, survival
 from .errors import ConfigError, DataError, OmicsurvError
 from .typed import read_section
-
-WORKERS_ENV_VAR = "OMICSURV_WORKERS"
-
-
-def default_workers() -> int:
-    """Worker count from the OMICSURV_WORKERS environment variable, else 1."""
-    text = os.environ.get(WORKERS_ENV_VAR, "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        raise ConfigError(
-            f"{WORKERS_ENV_VAR} must be an integer, got {text!r}") from None
-    if workers < 1:
-        raise ConfigError(f"{WORKERS_ENV_VAR} must be >= 1, got {workers}")
-    return workers
-
 
 @dataclass
 class ExperimentConfig:
@@ -73,7 +56,7 @@ class ExperimentConfig:
         if not self.models:
             raise ConfigError("config lists no models")
         if self.worker_count < 1:
-            raise ConfigError("worker count must be >= 1")
+            raise ConfigError(f"workers must be >= 1, got {self.worker_count}")
         if any(d < 1 for d in self.projection_dims):
             raise ConfigError("projection dims must be >= 1")
         _check_unique("labels.horizons", self.horizons)
@@ -134,12 +117,10 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
     top = read_section(raw, "", {
         "data": (dict, {}), "labels": (dict, {}), "models": (list[dict], []),
         "cv": (dict, {}), "search": (dict, {}), "output": (str, "out"),
-        "seed": (int, 0), "workers": (int, None)})
+        "seed": (int, 0), "workers": (int, 1)})
     seed = top["seed"]
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    if top["workers"] is not None and top["workers"] < 1:
-        raise ConfigError(f"workers must be >= 1, got {top['workers']}")
     data = read_section(top["data"], "data", {
         "sources": (list[dict], []), "clinical": (str, ""),
         "reference": (int, 0), "log2": (bool, True), "cna": (str, None),
@@ -150,9 +131,8 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         "iterations": (int, 1000), "early_exaggeration_factor": (float, 12.0),
         "early_exaggeration_iters": (int, 250),
     }, functools.partial(project.TsneConfig, seed=seed))
-    plan = read_section(top["cv"], "cv", {
-        "k_folds": (int, 3), "stratified": (bool, True),
-    }, functools.partial(evaluation.CvPlan, seed=seed))
+    plan = read_section(top["cv"], "cv", {"k_folds": (int, 3)},
+                        functools.partial(evaluation.CvPlan, seed=seed))
     budget = read_section(top["search"], "search", {"budget": (int, 1)})["budget"]
     return ExperimentConfig(
         sources=[read_section(
@@ -172,8 +152,7 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
             "family": (str, ""), "params": (dict, {}), "budget": (int, budget),
         }, _search_space) for i, model in enumerate(top["models"])],
         plan=plan,
-        worker_count=(default_workers() if top["workers"] is None
-                      else top["workers"]),
+        worker_count=top["workers"],
         seed=seed,
         output_dir=top["output"],
     )
@@ -270,10 +249,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         with _stage("normalize"):
             if config.log2:
                 sources = [normalize.log2_transform(s) for s in sources]
-            if len(sources) > 1:
-                merged = normalize.integrate(sources, config.reference)
-            else:
-                merged = sources[0]
+            merged = normalize.integrate(sources, config.reference)
         with _stage("project"):
             variants = _build_variants(config, merged, clinical, cna)
 

@@ -43,13 +43,6 @@ class TestLoadExpression:
         with pytest.raises(DataError, match="duplicate column ids"):
             dataio.load_expression(p)
 
-    def test_genes_as_rows_transposed(self, tmp_path):
-        p = write(tmp_path / "e.csv", "gene_id,p1,p2\ng1,1,2\ng2,3,4\n")
-        m = dataio.load_expression(p, orientation="genes_as_rows")
-        assert m.patient_ids == ["p1", "p2"]
-        assert m.gene_ids == ["g1", "g2"]
-        np.testing.assert_array_equal(m.values, [[1, 3], [2, 4]])
-
     def test_ragged_row(self, tmp_path):
         p = write(tmp_path / "e.csv", "patient_id,g1,g2\np1,1\n")
         with pytest.raises(DataError, match="ragged row"):
@@ -100,11 +93,6 @@ class TestLocatedErrors:
         with pytest.raises(DataError) as info:
             load(p)
         assert str(info.value) == f"{p}: {where}"
-
-    def test_genes_as_rows_names_file_coordinates(self, tmp_path):
-        p = write(tmp_path / "e.csv", "gene_id,p1,p2\ng1,1,2\ng2,3,nan\n")
-        with pytest.raises(DataError, match=r"line 3, column 3: expression"):
-            dataio.load_expression(p, orientation="genes_as_rows")
 
     def test_cli_normalize_nan(self, tmp_path, capsys):
         good = write(tmp_path / "good.csv", "patient_id,g1,g2\np1,1,2\np2,3,4\n")
@@ -598,9 +586,6 @@ def check_read_case(path, text):
     m = dataio.load_features(p)
     assert (m.feature_names, m.patient_ids) == (col_ids, row_ids)
     assert same_bits(m.values, values)
-    e = dataio.load_expression(p, orientation="genes_as_rows", scale="log2")
-    assert (e.patient_ids, e.gene_ids) == (col_ids, row_ids)
-    assert same_bits(e.values, values.T.copy())
 
 
 def check_error_case(path, text, kind, where, tail):

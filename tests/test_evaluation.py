@@ -148,8 +148,7 @@ class TestStratifiedKfold:
         with pytest.raises(DataError, match="minority class"):
             evaluation.stratified_kfold(labels, evaluation.CvPlan(k_folds=2))
 
-    @pytest.mark.parametrize("stratified, named", [(True, "minority class count 50"),
-                                                   (False, "sample count 100")])
+    @pytest.mark.parametrize("stratified, named", [(True, "minority class count 50")])
     def test_huge_k_fails_before_allocating(self, stratified, named):
         """k_folds=10**9 is rejected before any per-fold list is made. It runs
         in a child process whose address space is capped at 1 GiB, so code
@@ -159,7 +158,7 @@ class TestStratifiedKfold:
             "import resource, numpy as np\n"
             "from omicsurv import evaluation\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            f"plan = evaluation.CvPlan(k_folds=10**9, stratified={stratified})\n"
+            "plan = evaluation.CvPlan(k_folds=10**9)\n"
             "evaluation.stratified_kfold(np.array([0, 1] * 50), plan)\n"
         )
         environ = dict(os.environ, PYTHONPATH=str(Path(evaluation.__file__).parents[1]))
@@ -188,12 +187,6 @@ class TestStratifiedKfold:
         again = evaluation.stratified_kfold(labels, plan)
         for a, b in zip(folds, again):
             np.testing.assert_array_equal(a, b)
-
-    def test_unstratified_partition(self):
-        labels = np.zeros(10, dtype=int)
-        plan = evaluation.CvPlan(k_folds=3, stratified=False)
-        folds = evaluation.stratified_kfold(labels, plan)
-        assert sorted(np.concatenate(folds).tolist()) == list(range(10))
 
 
 class TestCrossValidate:

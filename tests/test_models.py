@@ -57,6 +57,14 @@ FOREST_FORMAT_1 = {
     ]},
 }
 
+
+def forest_format_1_without_a_right_child() -> bytes:
+    """FOREST_FORMAT_1's file with one split node's ``right`` key dropped."""
+    forest = json.loads(json.dumps(FOREST_FORMAT_1))
+    del forest["state"]["trees"][0]["left"]["right"]
+    return json.dumps(forest).encode()
+
+
 SMALL_HP = {
     "gaussian_nb": {},
     "svm_rbf": {"C": 10.0, "gamma": 0.5},
@@ -589,8 +597,15 @@ class TestSerialization:
         (lambda payload: payload["state"].pop("lambda"), "missing key 'state.lambda'"),
         (lambda payload: payload.update(family="bogus"),
          "key 'family': unknown model family 'bogus'"),
+        (lambda payload: payload["state"].update(weights="abc"),
+         "key 'state.weights': expected a numeric array"),
+        (lambda payload: payload.update(n_features=5),
+         "state cannot score a row of n_features=5"),
+        (lambda payload: forest_format_1_without_a_right_child(),
+         "missing key 'state.trees[0].left.right'"),
     ], ids=["not-json", "not-utf8", "not-an-object", "no-state", "no-state-weights",
-            "no-state-lambda", "unknown-family"])
+            "no-state-lambda", "unknown-family", "non-numeric-weights",
+            "n-features-mismatch", "forest-format-1-no-right"])
     def test_bad_file_is_data_error_naming_file_and_key(self, tmp_path, edit, named):
         """``edit`` returns the file's bytes, or edits the saved payload."""
         x, y = separable_xy()

@@ -375,24 +375,8 @@ class TestCli:
                          "--output", str(tmp_path / "o.csv")]) == 3
         capsys.readouterr()
 
-    def test_workers_env_var(self, monkeypatch):
-        monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, "4")
-        assert pipeline.default_workers() == 4
-        monkeypatch.delenv(pipeline.WORKERS_ENV_VAR)
-        assert pipeline.default_workers() == 1
-
-    @pytest.mark.parametrize("text", ["0", "-2"])
-    def test_workers_env_var_below_one_names_the_variable(self, monkeypatch, text):
-        monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, text)
-        with pytest.raises(ConfigError,
-                           match=f"^OMICSURV_WORKERS must be >= 1, got {text}$"):
-            pipeline.default_workers()
-
     @pytest.mark.parametrize("flag, env, message", [
         (["--workers", "0"], {}, "--workers must be >= 1, got 0"),
-        (["--workers", "0"], {pipeline.WORKERS_ENV_VAR: "2"},
-         "--workers must be >= 1, got 0"),
-        ([], {pipeline.WORKERS_ENV_VAR: "0"}, "OMICSURV_WORKERS must be >= 1, got 0"),
     ])
     def test_search_worker_count_error_names_its_source(self, tmp_path, monkeypatch,
                                                         capsys, flag, env, message):
@@ -422,7 +406,7 @@ class TestCli:
 @pytest.mark.parametrize("label, env, code", [
     ("yes", {}, 3),                          # non-integer label
     ("2", {}, 3),                            # label outside {0, 1}
-    ("1", {pipeline.WORKERS_ENV_VAR: "abc"}, 2),
+    ("1", {"OMICSURV_WORKERS": "abc"}, 0),   # an exported variable is ignored
 ])
 def test_bad_input_exit_code_without_traceback(tmp_path, label, env, code):
     data = make_cohort(tmp_path, n_patients=30, n_genes=6)
@@ -509,6 +493,8 @@ def cohort(tmp_path_factory):
     ("seed", -2, "config error: seed must be >= 0, got -2\n"),
     ("models", [{"family": "svm_rbf", "params": {"C": "loguniform:1,inf"}}],
      "config error: models[0]: C: loguniform needs a finite high, got 1.0,inf\n"),
+    ("cv.stratified", False,
+     "config error: unknown config key 'cv.stratified'; valid keys: ['k_folds']\n"),
 ])
 def test_report_config_error_before_any_work(tmp_path, cohort, capsys,
                                              key, value, named):
