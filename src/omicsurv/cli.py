@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, OmicsurvError
+from .errors import ConfigError, DataError, OmicsurvError, check_bound
 
 
 def _lazy(name: str):
@@ -208,19 +208,19 @@ def _cmd_report(args) -> int:
     return 0
 
 
-# The least value of each integer flag, by argparse dest.
-_MINIMUMS = {"seed": 0, "workers": 1, "k": 2, "budget": 1, "dims": 1,
-             "iterations": 1, "n_patients": 1, "n_genes": 1, "n_informative": 0}
+# The bound of each integer flag, by argparse dest.
+_BOUNDS = {"seed": ">= 0", "workers": ">= 1", "k": ">= 2", "budget": ">= 1",
+           "dims": ">= 1", "iterations": ">= 1", "n_patients": ">= 1",
+           "n_genes": ">= 1", "n_informative": ">= 0"}
 
 
 def _check_counts(args) -> None:
-    """A ConfigError naming the first integer flag below its minimum, before
+    """A ConfigError naming the first integer flag outside its bound, before
     the command reads any input."""
-    for dest, least in _MINIMUMS.items():
+    for dest, bound in _BOUNDS.items():
         value = getattr(args, dest, None)
-        if value is not None and value < least:
-            flag = "--" + dest.replace("_", "-")
-            raise ConfigError(f"{flag} must be >= {least}, got {value}")
+        if value is not None:
+            check_bound("--" + dest.replace("_", "-"), value, bound)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,14 +7,17 @@ the Python API that ``y`` may hold observed survival times, while ``cv``,
 ``search`` and ``report`` give it the 0/1 horizon labels.
 
 ``_TABLE`` maps each family to the module that implements it. Every such
-module declares ``PARAMS = {key: (type, default)}`` and ``STATE``, the
+module declares ``PARAMS = {key: (type, default)}``, an entry optionally
+``(type, default, bound)`` with a lower bound such as ``">= 1"`` that
+``typed.read_section`` checks, and ``STATE``, the
 dataclass its ``fit`` returns, and exposes ``fit(x, y, params, seed)``
 (``params`` complete and typed; the MLP module also takes the ``task`` its
 ``_TABLE`` entry passes), ``scores(state, x)`` and ``threshold(state)`` (the
 hard-label cut). A module may also declare
-``check_params(params)``, which rejects values that are well typed but out of
-range or do not fit together (``svm_rbf``'s ``C``, ``random_forest``'s tree
-count; ``rp_ensemble``'s base hyperparameters against its base family),
+``check_params(params)``, which rejects values that are well typed and meet
+their bounds but are still out of range or do not fit together (``svm_rbf``'s
+``C`` within its solver's margin; ``rp_ensemble``'s (0, 1) ranges and its base
+hyperparameters against its base family),
 ``width_limit(params)``, the fewest feature columns it can fit with
 ``params`` (``rp_ensemble``'s ``projected_dim``), which ``check_width`` below
 compares with a table's width, ``upgrade(state)``, which turns the ``state``
@@ -90,8 +93,9 @@ def is_classifier(family: str) -> bool:
 
 def read_params(family: str, hyperparameters: dict) -> dict:
     """The family's ``PARAMS`` defaults, overridden by ``hyperparameters``,
-    typed and checked; an undeclared key, a wrong type or a value the family's
-    ``check_params`` rejects is a ConfigError naming the family."""
+    typed and checked; an undeclared key, a wrong type, a value outside its
+    declared bound or one the family's ``check_params`` rejects is a
+    ConfigError naming the family."""
     module = _TABLE[family][0]
     try:
         params = read_section(hyperparameters, "", module.PARAMS)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import DataError
 from ..ranks import dense_ranks
 
 # (row, feature) elements per scoring pass, in units of n × mtry
@@ -72,17 +72,8 @@ class ForestState:
 
 STATE = ForestState
 # max_depth None grows each tree until its leaves are pure
-PARAMS = {"n_trees": (int, 100), "max_depth": (int, None), "mtry": (int, None),
-          "bootstrap": (bool, True)}
-
-
-def check_params(params: dict) -> None:
-    if params["n_trees"] < 1:
-        raise ConfigError(f"n_trees must be >= 1, got {params['n_trees']}")
-    if params["mtry"] is not None and params["mtry"] < 1:
-        raise ConfigError(f"mtry must be >= 1, got {params['mtry']}")
-    if params["max_depth"] is not None and params["max_depth"] < 0:
-        raise ConfigError(f"max_depth must be >= 0, got {params['max_depth']}")
+PARAMS = {"n_trees": (int, 100, ">= 1"), "max_depth": (int, None, ">= 0"),
+          "mtry": (int, None, ">= 1"), "bootstrap": (bool, True)}
 
 
 def _score(keys: np.ndarray, rows: np.ndarray, counts: np.ndarray,
@@ -321,21 +312,30 @@ def threshold(state: ForestState) -> float:
 
 def upgrade(state: dict) -> dict:
     """Model format 1's nested trees as format 2's flat lists, each tree
-    breadth-first; a format-2 state as it is. A node without a key it needs
-    is a DataError naming the node's path, e.g. ``state.trees[0].left.right``."""
+    breadth-first; a format-2 state as it is. A node without a key it needs,
+    a ``trees`` that is not a list or a node value that is not a number is a
+    DataError naming its path, e.g. ``state.trees[0].left.right``."""
     from . import _lookup  # here, not at the top: the package imports this module
+
+    def number(node, key, where):
+        value = _lookup(node, key, where)
+        if not isinstance(value, (int, float)):
+            raise DataError(f"key {where + key!r}: expected a number")
+        return float(value)
 
     if not isinstance(state, dict) or "trees" not in state:
         return state
+    if not isinstance(state["trees"], list):
+        raise DataError("key 'state.trees': expected a list")
     roots, feature, threshold, left, frac_ones = [], [], [], [], []
     for t, tree in enumerate(state["trees"]):
         roots.append(len(feature))
         queue = [(tree, f"state.trees[{t}].")]
         for node, where in queue:
-            frac_ones.append(float(_lookup(node, "frac_ones", where)))
+            frac_ones.append(number(node, "frac_ones", where))
             if "feature" in node:
                 feature.append(node["feature"])
-                threshold.append(float(_lookup(node, "threshold", where)))
+                threshold.append(number(node, "threshold", where))
                 left.append(roots[-1] + len(queue))
                 queue += [(_lookup(node, side, where), f"{where}{side}.")
                           for side in ("left", "right")]

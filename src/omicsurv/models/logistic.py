@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError
-
 
 @dataclass
 class LogisticState:
@@ -53,16 +51,8 @@ def _soft_threshold(v: float, thresh: float) -> float:
 
 
 STATE = LogisticState
-PARAMS = {"lambda": (float, 0.01), "max_sweeps": (int, 200), "tol": (float, 1e-8)}
-
-
-def check_params(params: dict) -> None:
-    if not params["lambda"] >= 0:
-        raise ConfigError(f"lambda must be >= 0, got {params['lambda']}")
-    if params["max_sweeps"] < 1:
-        raise ConfigError(f"max_sweeps must be >= 1, got {params['max_sweeps']}")
-    if not params["tol"] >= 0:
-        raise ConfigError(f"tol must be >= 0, got {params['tol']}")
+PARAMS = {"lambda": (float, 0.01, ">= 0"), "max_sweeps": (int, 200, ">= 1"),
+          "tol": (float, 1e-8, ">= 0")}
 
 
 def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int) -> LogisticState:

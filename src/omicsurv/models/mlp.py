@@ -122,18 +122,9 @@ def loss_and_gradients(state: MlpState, x: np.ndarray, y: np.ndarray):
 
 
 STATE = MlpState
-PARAMS = {"n_hidden_layers": (int, 2), "width": (int, 32), "epochs": (int, 200),
-          "learning_rate": (float, 0.01), "batch_size": (int, 32)}
-
-
-def check_params(params: dict) -> None:
-    for key, low in (("n_hidden_layers", 0), ("width", 1), ("epochs", 1),
-                     ("batch_size", 1)):
-        if params[key] < low:
-            raise ConfigError(f"{key} must be >= {low}, got {params[key]}")
-    if not params["learning_rate"] > 0:
-        raise ConfigError(
-            f"learning_rate must be > 0, got {params['learning_rate']}")
+PARAMS = {"n_hidden_layers": (int, 2, ">= 0"), "width": (int, 32, ">= 1"),
+          "epochs": (int, 200, ">= 1"), "learning_rate": (float, 0.01, "> 0"),
+          "batch_size": (int, 32, ">= 1")}
 
 
 def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int,

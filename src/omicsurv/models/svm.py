@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import check_bound
 from ..project import sq_distances
 
 _UNSAVED = {"saved": False}
@@ -61,22 +61,13 @@ def _index_sets(alpha: np.ndarray, y_pm: np.ndarray, c: float):
 
 
 STATE = SvmState
-PARAMS = {"C": (float, 1.0), "gamma": (float, None), "tol": (float, 1e-3),
-          "max_iter": (int, 20000)}
+PARAMS = {"C": (float, 1.0, "> 0"), "gamma": (float, None, "> 0"),
+          "tol": (float, 1e-3, ">= 0"), "max_iter": (int, 20000, ">= 1")}
 
 
 def check_params(params: dict) -> None:
-    if not params["C"] > 0:
-        raise ConfigError(f"C must be > 0, got {params['C']}")
     # no coordinate can leave 0 when C is within the SMO's 1e-12 box margin
-    if not params["C"] > 1e-12:
-        raise ConfigError(f"C must be > 1e-12, got {params['C']}")
-    if params["gamma"] is not None and not params["gamma"] > 0:
-        raise ConfigError(f"gamma must be > 0, got {params['gamma']}")
-    if not params["tol"] >= 0:
-        raise ConfigError(f"tol must be >= 0, got {params['tol']}")
-    if params["max_iter"] < 1:
-        raise ConfigError(f"max_iter must be >= 1, got {params['max_iter']}")
+    check_bound("C", params["C"], "> 1e-12")
 
 
 def fit(x: np.ndarray, y: np.ndarray, params: dict, seed: int) -> SvmState:

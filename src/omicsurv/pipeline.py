@@ -55,8 +55,6 @@ class ExperimentConfig:
             raise ConfigError("label horizons must be positive")
         if not self.models:
             raise ConfigError("config lists no models")
-        if self.worker_count < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.worker_count}")
         if any(d < 1 for d in self.projection_dims):
             raise ConfigError("projection dims must be >= 1")
         _check_unique("labels.horizons", self.horizons)
@@ -117,10 +115,8 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
     top = read_section(raw, "", {
         "data": (dict, {}), "labels": (dict, {}), "models": (list[dict], []),
         "cv": (dict, {}), "search": (dict, {}), "output": (str, "out"),
-        "seed": (int, 0), "workers": (int, 1)})
+        "seed": (int, 0, ">= 0"), "workers": (int, 1, ">= 1")})
     seed = top["seed"]
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
     data = read_section(top["data"], "data", {
         "sources": (list[dict], []), "clinical": (str, ""),
         "reference": (int, 0), "log2": (bool, True), "cna": (str, None),

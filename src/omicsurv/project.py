@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import ClinicalRecord, FeatureMatrix
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_bound
 
 _EPS = 1e-12
 # elements of each row-block temporary of the squared distances, the
@@ -49,6 +49,10 @@ _BLOCK_ELEMENTS = 1 << 16
 _MOMENTUM_SWITCH_ITER = 250
 # KL(P||Q) is recorded after every _KL_EVERY-th iteration and after the last
 _KL_EVERY = 50
+# TsneConfig's bounds, checked in this order
+_BOUNDS = (("output_dims", ">= 1"), ("perplexity", "> 0"), ("learning_rate", "> 0"),
+           ("iterations", ">= 1"), ("early_exaggeration_iters", ">= 0"),
+           ("early_exaggeration_factor", ">= 1"))
 
 
 @dataclass(frozen=True)
@@ -62,21 +66,8 @@ class TsneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.output_dims < 1:
-            raise ConfigError(f"output_dims must be >= 1, got {self.output_dims}")
-        # written "not x > 0" so that NaN fails too
-        if not self.perplexity > 0:
-            raise ConfigError(f"perplexity must be > 0, got {self.perplexity}")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if self.early_exaggeration_iters < 0:
-            raise ConfigError("early_exaggeration_iters must be >= 0, "
-                              f"got {self.early_exaggeration_iters}")
-        if not self.early_exaggeration_factor >= 1:
-            raise ConfigError("early_exaggeration_factor must be >= 1, "
-                              f"got {self.early_exaggeration_factor}")
+        for key, bound in _BOUNDS:
+            check_bound(key, getattr(self, key), bound)
 
 
 @dataclass(frozen=True)

@@ -42,18 +42,15 @@ from . import models
 from .errors import ConfigError, DataError
 
 # alpha None is learned in train
-PARAMS = {"b1_groups": (int, 100), "b2_per_group": (int, 20),
-          "projected_dim": (int, 5), "base_family": (str, "gaussian_nb"),
+PARAMS = {"b1_groups": (int, 100, ">= 1"), "b2_per_group": (int, 20, ">= 1"),
+          "projected_dim": (int, 5, ">= 1"), "base_family": (str, "gaussian_nb"),
           "base_hyperparameters": (dict, {}), "vote_threshold_alpha": (float, None),
           "selection_holdout_fraction": (float, 0.2)}
 
 
 def check_params(params: dict) -> None:
-    """Range checks on a typed ``PARAMS`` dict, the base family's included."""
-    if params["b1_groups"] < 1 or params["b2_per_group"] < 1:
-        raise ConfigError("b1_groups and b2_per_group must be >= 1")
-    if params["projected_dim"] < 1:
-        raise ConfigError("projected_dim must be >= 1")
+    """The checks of a typed ``PARAMS`` dict that are not bounds: the (0, 1)
+    ranges and the base family's, its hyperparameters included."""
     if params["base_family"] == "rp_ensemble":
         raise ConfigError("rp_ensemble cannot be its own base family")
     models.check_family(params["base_family"])

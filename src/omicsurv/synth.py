@@ -17,6 +17,14 @@ from .errors import ConfigError
 
 # log-hazard slope per unit of latent risk
 RISK_HAZARD_COEF = 1.0
+# microarray intensities: gamma shape and rate before the signal shift
+GAMMA_SHAPE = 2.0
+GAMMA_RATE = 1.0
+# RNA-seq counts: negative-binomial dispersion and mean before the signal shift
+NB_DISPERSION = 5.0
+NB_MEAN = 100.0
+# median survival at zero latent risk
+BASELINE_MEDIAN_SURVIVAL_MONTHS = 60.0
 # loading magnitude on informative genes
 SIGNAL_SCALE = 1.0
 
@@ -27,11 +35,6 @@ class SynthConfig:
     n_genes: int = 100
     n_informative_genes: int = 5
     seed: int = 0
-    gamma_shape: float = 2.0
-    gamma_rate: float = 1.0
-    nb_dispersion: float = 5.0
-    nb_mean: float = 100.0
-    baseline_median_survival_months: float = 60.0
     censoring_fraction_target: float = 0.446
 
     def __post_init__(self):
@@ -39,10 +42,6 @@ class SynthConfig:
             raise ConfigError("n_patients and n_genes must be positive")
         if not 0 <= self.n_informative_genes <= self.n_genes:
             raise ConfigError("n_informative_genes must be in [0, n_genes]")
-        for name in ("gamma_shape", "gamma_rate", "nb_dispersion", "nb_mean",
-                     "baseline_median_survival_months"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
         if not 0 <= self.censoring_fraction_target <= 1:
             raise ConfigError("censoring_fraction_target must be in [0,1]")
 
@@ -97,8 +96,8 @@ def gen_microarray(config: SynthConfig, latent: LatentFactors) -> ExpressionMatr
     """Gamma intensities; informative genes get a risk-dependent mean shift."""
     _check_latent(config, latent)
     rng = _rng(config, 1)
-    base_scale = 1.0 / config.gamma_rate
-    values = rng.gamma(config.gamma_shape, base_scale * _signal(latent))
+    base_scale = 1.0 / GAMMA_RATE
+    values = rng.gamma(GAMMA_SHAPE, base_scale * _signal(latent))
     return ExpressionMatrix(
         platform_id="synth_microarray",
         patient_ids=patient_ids(config),
@@ -112,8 +111,8 @@ def gen_rnaseq(config: SynthConfig, latent: LatentFactors) -> ExpressionMatrix:
     """Negative-binomial counts via the gamma-Poisson mixture, stored as reals."""
     _check_latent(config, latent)
     rng = _rng(config, 2)
-    mu = config.nb_mean * _signal(latent)
-    r = config.nb_dispersion
+    mu = NB_MEAN * _signal(latent)
+    r = NB_DISPERSION
     lam = rng.gamma(r, mu / r)
     values = rng.poisson(lam).astype(np.float64)
     return ExpressionMatrix(
@@ -145,7 +144,7 @@ def gen_clinical(config: SynthConfig,
     """
     _check_latent(config, latent)
     rng = _rng(config, 4)
-    base_rate = np.log(2.0) / config.baseline_median_survival_months
+    base_rate = np.log(2.0) / BASELINE_MEDIAN_SURVIVAL_MONTHS
     rates = base_rate * np.exp(RISK_HAZARD_COEF * latent.risk)
     death = rng.exponential(1.0 / rates)
 

@@ -1,11 +1,12 @@
 """Typed reads of externally given keys, config sections and model
-hyperparameters alike: ``read_section`` is the one place they are cast."""
+hyperparameters alike: ``read_section`` is the one place they are cast and
+their declared bounds checked."""
 
 from __future__ import annotations
 
 import typing
 
-from .errors import ConfigError
+from .errors import ConfigError, check_bound
 
 
 def _typed(key: str, value, kind):
@@ -24,8 +25,10 @@ def _typed(key: str, value, kind):
 
 def read_section(raw: dict, name: str, spec: dict, build=dict):
     """``build(**values)`` over the mapping ``raw`` at dotted ``name``, its
-    values typed by ``spec`` (``{key: (type, default)}``); a missing or empty
-    key takes its default. An unknown key, a wrongly typed value or a value
+    values typed by ``spec`` (``{key: (type, default)}`` or ``{key: (type,
+    default, bound)}``, ``bound`` as ``errors.check_bound`` reads it); a
+    missing or empty key takes its default, and a None value meets any bound.
+    An unknown key, a wrongly typed value, a value outside its bound or one
     that ``build`` rejects is a ConfigError naming the key or the section."""
     prefix = f"{name}." if name else ""
     unknown = sorted(set(raw) - set(spec), key=str)
@@ -34,7 +37,10 @@ def read_section(raw: dict, name: str, spec: dict, build=dict):
                           f"valid keys: {sorted(spec)}")
     values = {key: default if raw.get(key) is None
               else _typed(prefix + key, raw[key], kind)
-              for key, (kind, default) in spec.items()}
+              for key, (kind, default, *_) in spec.items()}
+    for key, (_, _, *bound) in spec.items():
+        if bound and values[key] is not None:
+            check_bound(prefix + key, values[key], *bound)
     try:
         return build(**values)
     except ConfigError as exc:

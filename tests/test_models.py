@@ -23,7 +23,8 @@ def spec(family, seed=0, **hp):
 
 def assert_out_of_range_rejected(family, key, value, message):
     """``value`` is a ConfigError naming the family in ``read_params``, in
-    ``fit`` and as the low end of a search range."""
+    ``fit`` and as the low end of a search range (NaN, which no range holds,
+    as a fixed search value)."""
     x, y = separable_xy()
     match = re.escape(f"{family}: {message}")
     with pytest.raises(ConfigError, match=match):
@@ -31,8 +32,9 @@ def assert_out_of_range_rejected(family, key, value, message):
     with pytest.raises(ConfigError, match=match):
         models.fit(spec(family, **{key: value}), x, y)
     kind = "int" if isinstance(value, int) else "uniform"
+    searched = value if value != value else search.parse_param(f"{kind}:{value},3")
     with pytest.raises(ConfigError, match=match):
-        search.SearchSpace(family, {key: search.parse_param(f"{kind}:{value},3")})
+        search.SearchSpace(family, {key: searched})
 
 
 # A random_forest model file of format 1 (nested trees), as written before
@@ -58,10 +60,10 @@ FOREST_FORMAT_1 = {
 }
 
 
-def forest_format_1_without_a_right_child() -> bytes:
-    """FOREST_FORMAT_1's file with one split node's ``right`` key dropped."""
+def forest_format_1_with(edit) -> bytes:
+    """FOREST_FORMAT_1's file after ``edit`` of its ``state``."""
     forest = json.loads(json.dumps(FOREST_FORMAT_1))
-    del forest["state"]["trees"][0]["left"]["right"]
+    edit(forest["state"])
     return json.dumps(forest).encode()
 
 
@@ -140,19 +142,21 @@ class TestModelSpec:
         """The README's hyperparameter table lists each family's PARAMS."""
         lines = (Path(__file__).parents[1] / "README.md").read_text(
             encoding="utf-8").splitlines()
-        start = lines.index("| family | key | type | default |") + 2
+        start = lines.index("| family | key | type | default | bound |") + 2
         documented = {}
         for line in lines[start:]:
             if not line.startswith("|"):
                 break
-            families, key, kind, default = (c.strip() for c in line.strip("|").split("|"))
+            families, key, kind, default, bound = (
+                c.strip() for c in line.strip("|").split("|"))
             value = yaml.safe_load(re.match(r"`([^`]*)`", default).group(1))
             for family in re.findall(r"`(\w+)`", families):
-                documented[family, key.strip("`")] = (kind, value)
+                documented[family, key.strip("`")] = (kind, value, bound.strip("`"))
         names = {int: "int", float: "float", bool: "bool", str: "str", dict: "mapping"}
-        declared = {(family, key): (names[kind], default)
+        declared = {(family, key): (names[kind], default, "".join(bound))
                     for family in models.FAMILIES
-                    for key, (kind, default) in models._TABLE[family][0].PARAMS.items()}
+                    for key, (kind, default, *bound)
+                    in models._TABLE[family][0].PARAMS.items()}
         assert documented == declared
 
 
@@ -208,6 +212,38 @@ class TestValidation:
 ])
 def test_out_of_range_params_rejected(family, key, value, message):
     assert_out_of_range_rejected(family, key, value, message)
+
+
+def _nearest_outside(kind, bound: str) -> list:
+    """The values nearest outside a declared lower ``bound`` of a ``kind``
+    key: limit - 1 for an int ``>=`` bound, the limit itself for ``>``, and
+    for a float also NaN (and below a ``>=`` limit its next lower float)."""
+    op, limit = bound.split()
+    if kind is int:
+        return [int(limit) - (op == ">=")]
+    limit = float(limit)
+    return [limit if op == ">" else float(np.nextafter(limit, -np.inf)), float("nan")]
+
+
+BOUNDED = [(family, key, value, bound)
+           for family in models.FAMILIES
+           for key, (kind, _, *bounds) in models._TABLE[family][0].PARAMS.items()
+           for bound in bounds
+           for value in _nearest_outside(kind, bound)]
+
+
+@pytest.mark.parametrize("family, key, value, bound", BOUNDED,
+                         ids=[f"{f}-{k}-{v}" for f, k, v, _ in BOUNDED])
+def test_declared_bound_rejected(family, key, value, bound):
+    """Every bound a family declares in PARAMS rejects the value nearest
+    outside it."""
+    assert_out_of_range_rejected(family, key, value,
+                                 f"{key} must be {bound}, got {value}")
+
+
+def test_every_bound_is_tested():
+    """Each family with a bounded key has a case in test_declared_bound_rejected."""
+    assert {family for family, *_ in BOUNDED} == set(models.FAMILIES) - {"gaussian_nb"}
 
 
 def test_range_ends_accepted():
@@ -601,11 +637,22 @@ class TestSerialization:
          "key 'state.weights': expected a numeric array"),
         (lambda payload: payload.update(n_features=5),
          "state cannot score a row of n_features=5"),
-        (lambda payload: forest_format_1_without_a_right_child(),
+        (lambda payload: forest_format_1_with(
+            lambda state: state["trees"][0]["left"].pop("right")),
          "missing key 'state.trees[0].left.right'"),
+        (lambda payload: forest_format_1_with(
+            lambda state: state["trees"][0].update(frac_ones="abc")),
+         "key 'state.trees[0].frac_ones': expected a number"),
+        (lambda payload: forest_format_1_with(
+            lambda state: state["trees"][1]["right"].update(threshold="abc")),
+         "key 'state.trees[1].right.threshold': expected a number"),
+        (lambda payload: forest_format_1_with(lambda state: state.update(trees=5)),
+         "key 'state.trees': expected a list"),
     ], ids=["not-json", "not-utf8", "not-an-object", "no-state", "no-state-weights",
             "no-state-lambda", "unknown-family", "non-numeric-weights",
-            "n-features-mismatch", "forest-format-1-no-right"])
+            "n-features-mismatch", "forest-format-1-no-right",
+            "forest-format-1-frac-ones-abc", "forest-format-1-threshold-abc",
+            "forest-format-1-trees-not-a-list"])
     def test_bad_file_is_data_error_naming_file_and_key(self, tmp_path, edit, named):
         """``edit`` returns the file's bytes, or edits the saved payload."""
         x, y = separable_xy()

@@ -87,8 +87,8 @@ class TestSampleProjection:
 class TestConfigValidation:
     def test_bounds(self):
         for params, match in [
-            ({"b1_groups": 0}, "b1_groups and b2_per_group must be >= 1"),
-            ({"b2_per_group": 0}, "b1_groups and b2_per_group must be >= 1"),
+            ({"b1_groups": 0}, "b1_groups must be >= 1, got 0"),
+            ({"b2_per_group": 0}, "b2_per_group must be >= 1, got 0"),
             ({"projected_dim": 0}, "projected_dim must be >= 1"),
             ({"vote_threshold_alpha": 1.0}, "vote_threshold_alpha must lie in"),
             ({"selection_holdout_fraction": 0.0},

@@ -41,8 +41,7 @@ class TestLatent:
 
 class TestMicroarray:
     def test_gamma_mean(self):
-        c = cfg(n_patients=200, n_genes=10, n_informative_genes=0,
-                gamma_shape=2.0, gamma_rate=1.0)
+        c = cfg(n_patients=200, n_genes=10, n_informative_genes=0)
         m = synth.gen_microarray(c, synth.gen_latent(c))
         assert m.values.size == 2000
         assert abs(m.values.mean() - 2.0) / 2.0 < 0.05
