@@ -87,9 +87,8 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    scale = "linear" if args.log2 else "log2"
-    target = dataio.load_expression(args.target, scale=scale)
-    reference = dataio.load_expression(args.reference, scale=scale)
+    target = dataio.load_expression(args.target, nonnegative=args.log2)
+    reference = dataio.load_expression(args.reference, nonnegative=args.log2)
     if args.log2:
         target = normalize.log2_transform(target)
         reference = normalize.log2_transform(reference)

@@ -55,22 +55,19 @@ LABELS_HEADER = ["patient_id", "label"]
 
 @dataclass(frozen=True)
 class ExpressionMatrix:
-    """Patients x genes real-valued matrix with platform and scale metadata."""
+    """Patients x genes matrix of finite real values from one platform. A
+    value may have either sign: a table on a log scale may hold negative
+    values, and only ``normalize.log2_transform`` needs them >= 0."""
 
     platform_id: str
     patient_ids: list[str]
     gene_ids: list[str]
     values: np.ndarray  # shape (n_patients, n_genes), float64
-    scale: str = "linear"  # "linear" or "log2"
 
     def __post_init__(self):
         _check_matrix_ids(self.patient_ids, self.gene_ids, self.values)
-        if self.scale not in ("linear", "log2"):
-            raise DataError(f"unknown scale {self.scale!r}")
         if _first_bad(self.values, _not_finite):
             raise DataError("expression values must be finite")
-        if self.scale == "linear" and _first_bad(self.values, _negative):
-            raise DataError("linear-scale expression values must be >= 0")
 
     @property
     def n_patients(self) -> int:
@@ -399,18 +396,19 @@ def _read_matrix(path) -> _Table:
 
 
 def load_expression(path, platform_id: str | None = None,
-                    scale: str = "linear") -> ExpressionMatrix:
-    """Load an expression CSV: one row per patient, one column per gene."""
+                    nonnegative: bool = False) -> ExpressionMatrix:
+    """Load an expression CSV: one row per patient, one column per gene.
+    With ``nonnegative`` (a linear-scale table that is to be log2-transformed)
+    the first negative cell is an error naming its line and column."""
     table = _read_matrix(path)
     table.reject(path, _not_finite, "expression values must be finite")
-    if scale == "linear":
+    if nonnegative:
         table.reject(path, _negative, "linear-scale expression values must be >= 0")
     return ExpressionMatrix(
         platform_id=platform_id or str(path),
         patient_ids=table.row_ids,
         gene_ids=table.col_ids,
         values=table.values,
-        scale=scale,
     )
 
 
@@ -620,9 +618,6 @@ def merge(sources: list[ExpressionMatrix]) -> tuple[ExpressionMatrix, MergeRepor
     """
     if len(sources) < 2:
         raise DataError("merge requires at least 2 sources")
-    scales = {s.scale for s in sources}
-    if len(scales) != 1:
-        raise DataError(f"scale mismatch across sources: {sorted(scales)}")
     # keep the first source's gene order for determinism
     genes = common_genes(sources, sources[0].gene_ids)
 
@@ -653,7 +648,6 @@ def merge(sources: list[ExpressionMatrix]) -> tuple[ExpressionMatrix, MergeRepor
         patient_ids=list(first),
         gene_ids=genes,
         values=out,
-        scale=sources[0].scale,
     )
     return merged, report
 

@@ -18,7 +18,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dataio import ExpressionMatrix, common_genes, merge, positions
+from .dataio import (ExpressionMatrix, _first_bad, _negative, common_genes, merge,
+                     positions)
 from .errors import DataError
 from .ranks import average_ranks, sorted_average_ranks
 
@@ -28,18 +29,18 @@ _BLOCK_CELLS = 1 << 16
 
 
 def log2_transform(m: ExpressionMatrix) -> ExpressionMatrix:
-    """Replace every value v by log2(v + 1) and mark the matrix as log2."""
-    if m.scale != "linear":
-        raise DataError("log2_transform expects a linear-scale matrix")
+    """Replace every value v by log2(v + 1). A negative value is a DataError
+    naming its platform, patient and gene; the caller knows whether a table
+    is on a linear scale, as no check can tell."""
+    bad = _first_bad(m.values, _negative)
+    if bad:
+        i, j = bad
+        raise DataError(f"{m.platform_id}: patient {m.patient_ids[i]!r}, gene "
+                        f"{m.gene_ids[j]!r}: log2(v + 1) needs v >= 0, "
+                        f"got {float(m.values[i, j])!r}")
     values = m.values + 1.0
     np.log2(values, out=values)
-    return ExpressionMatrix(
-        platform_id=m.platform_id,
-        patient_ids=m.patient_ids,
-        gene_ids=m.gene_ids,
-        values=values,
-        scale="log2",
-    )
+    return replace(m, values=values)
 
 
 def quantile_map(target_values: np.ndarray, reference_values: np.ndarray) -> np.ndarray:
@@ -58,17 +59,14 @@ def fsqn(target: ExpressionMatrix, reference: ExpressionMatrix) -> ExpressionMat
     """Quantile-normalize every gene of ``target`` onto ``reference``.
 
     Requires identical gene-id sets (run the sources through merge/intersection
-    first) and matching scales. Within each gene the output preserves the
-    target's ordering and stays inside the reference's value range.
+    first); values of either sign are mapped alike, so log both or neither.
+    Within each gene the output preserves the target's ordering and stays
+    inside the reference's value range.
     """
     differ = set(target.gene_ids) ^ set(reference.gene_ids)
     if differ:
         raise DataError(f"fsqn requires identical gene-id sets: {target.platform_id} "
                         f"and {reference.platform_id} differ in {sorted(differ)[:5]}")
-    if target.scale != reference.scale:
-        raise DataError(
-            f"scale mismatch: target {target.scale}, reference {reference.scale}"
-        )
     if reference.n_patients < 2:
         raise DataError(f"reference {reference.platform_id} needs at least 2 patients")
 

@@ -51,12 +51,10 @@ class ExperimentConfig:
             raise ConfigError(f"reference index {self.reference} out of range")
         if not self.clinical_path:
             raise ConfigError("data.clinical path is required")
-        if not self.horizons or any(not t > 0 for t in self.horizons):
-            raise ConfigError("label horizons must be positive")
+        if not self.horizons:
+            raise ConfigError("config lists no label horizons")
         if not self.models:
             raise ConfigError("config lists no models")
-        if any(d < 1 for d in self.projection_dims):
-            raise ConfigError("projection dims must be >= 1")
         _check_unique("labels.horizons", self.horizons)
         _check_unique("data.projection_dims", self.projection_dims)
         _check_unique("models", [space.family for space in self.models], "family ")
@@ -120,16 +118,15 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
     data = read_section(top["data"], "data", {
         "sources": (list[dict], []), "clinical": (str, ""),
         "reference": (int, 0), "log2": (bool, True), "cna": (str, None),
-        "include_age": (bool, True), "projection_dims": (list[int], []),
+        "include_age": (bool, True), "projection_dims": (list[int], [], ">= 1"),
         "tsne": (dict, {})})
     tsne = read_section(data["tsne"], "data.tsne", {
-        "perplexity": (float, 30.0), "learning_rate": (float, 200.0),
-        "iterations": (int, 1000), "early_exaggeration_factor": (float, 12.0),
-        "early_exaggeration_iters": (int, 250),
+        "perplexity": (float, 30.0), "iterations": (int, 1000),
     }, functools.partial(project.TsneConfig, seed=seed))
     plan = read_section(top["cv"], "cv", {"k_folds": (int, 3)},
                         functools.partial(evaluation.CvPlan, seed=seed))
-    budget = read_section(top["search"], "search", {"budget": (int, 1)})["budget"]
+    budget = read_section(top["search"], "search",
+                          {"budget": (int, 1, ">= 1")})["budget"]
     return ExperimentConfig(
         sources=[read_section(
             source, f"data.sources[{i}]", {"path": (str, ""), "name": (str, None)},
@@ -143,9 +140,9 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         projection_dims=data["projection_dims"],
         tsne=tsne,
         horizons=read_section(top["labels"], "labels",
-                               {"horizons": (list[float], [60.0])})["horizons"],
+                               {"horizons": (list[float], [60.0], "> 0")})["horizons"],
         models=[read_section(model, f"models[{i}]", {
-            "family": (str, ""), "params": (dict, {}), "budget": (int, budget),
+            "family": (str, ""), "params": (dict, {}), "budget": (int, budget, ">= 1"),
         }, _search_space) for i, model in enumerate(top["models"])],
         plan=plan,
         worker_count=top["workers"],
@@ -237,7 +234,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     try:
         with _stage("load"):
             sources = [
-                dataio.load_expression(s["path"], platform_id=s["name"])
+                dataio.load_expression(s["path"], platform_id=s["name"],
+                                       nonnegative=config.log2)
                 for s in config.sources
             ]
             clinical = dataio.load_clinical(config.clinical_path)

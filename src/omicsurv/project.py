@@ -3,10 +3,11 @@
 Input affinities use per-point Gaussian bandwidths found by bisection on the
 precision until each conditional's perplexity matches the target. One n x n
 buffer holds the distances, then the conditionals, then P. The embedding is
-optimized by plain gradient descent with momentum (0.5 for the first 250
-iterations, 0.8 after) and early exaggeration. Initial coordinates are drawn
-per point from a generator keyed by (seed, patient-id hash), so permuting
-the input rows permutes the embedding identically.
+optimized by plain gradient descent at learning rate 200, with momentum 0.5
+and 12-fold early exaggeration for the first 250 iterations (scikit-learn's
+schedule) and momentum 0.8 after. Initial coordinates are drawn per point
+from a generator keyed by (seed, patient-id hash), so permuting the input
+rows permutes the embedding identically.
 
 Each iteration is one pass over the block pairs I <= J of P's upper triangle
 (blocks of about 128 rows, one block up to 191 points), which
@@ -46,23 +47,23 @@ _EPS = 1e-12
 # bandwidth search and the t-SNE pass (512 KiB: a block stays in cache
 # through the passes made over it)
 _BLOCK_ELEMENTS = 1 << 16
-_MOMENTUM_SWITCH_ITER = 250
+# the first _EARLY_ITERS iterations exaggerate P at momentum 0.5, the rest 0.8
+_LEARNING_RATE = 200.0
+_EXAGGERATION = 12.0
+_EARLY_ITERS = 250
+# how close each point's perplexity must come to the target
+_PERPLEXITY_TOL = 1e-4
 # KL(P||Q) is recorded after every _KL_EVERY-th iteration and after the last
 _KL_EVERY = 50
 # TsneConfig's bounds, checked in this order
-_BOUNDS = (("output_dims", ">= 1"), ("perplexity", "> 0"), ("learning_rate", "> 0"),
-           ("iterations", ">= 1"), ("early_exaggeration_iters", ">= 0"),
-           ("early_exaggeration_factor", ">= 1"))
+_BOUNDS = (("output_dims", ">= 1"), ("perplexity", "> 0"), ("iterations", ">= 1"))
 
 
 @dataclass(frozen=True)
 class TsneConfig:
     output_dims: int = 2
     perplexity: float = 30.0
-    learning_rate: float = 200.0
     iterations: int = 1000
-    early_exaggeration_factor: float = 12.0
-    early_exaggeration_iters: int = 250
     seed: int = 0
 
     def __post_init__(self):
@@ -179,8 +180,7 @@ def _bandwidth_search(d2: np.ndarray, perplexity: float, tol: float) -> np.ndarr
 
 
 def input_affinities(features: FeatureMatrix | np.ndarray,
-                     perplexity: float,
-                     tol: float = 1e-4) -> np.ndarray:
+                     perplexity: float) -> np.ndarray:
     """Symmetric t-SNE affinity matrix P (zero diagonal, sums to 1).
 
     One n x n buffer holds every stage. The distances are packed in place
@@ -207,7 +207,7 @@ def input_affinities(features: FeatureMatrix | np.ndarray,
     for i in range(n):
         flat[i * (n - 1):(i + 1) * (n - 1)] = np.concatenate(
             [flat[i * n:i * n + i], flat[i * n + i + 1:(i + 1) * n]])
-    beta = _bandwidth_search(off, perplexity, tol)
+    beta = _bandwidth_search(off, perplexity, _PERPLEXITY_TOL)
     for block in _row_blocks(n):
         off[block] = _conditional_rows(off[block], beta[block])[0]
     for i in range(n - 1, -1, -1):
@@ -391,15 +391,14 @@ def tsne(features: FeatureMatrix, config: TsneConfig,
     trace = np.empty(-(-config.iterations // _KL_EVERY))
 
     def exaggeration(it):
-        return (config.early_exaggeration_factor
-                if it < config.early_exaggeration_iters else 1.0)
+        return _EXAGGERATION if it < _EARLY_ITERS else 1.0
 
     # the pass after iteration it gives iteration it + 1's gradient and,
     # on a recorded iteration, its KL
     grad = _kl_pass_packed(p, blocks, coords, exaggeration(0), with_kl=False)[0]
     for it in range(config.iterations):
-        momentum = 0.5 if it < _MOMENTUM_SWITCH_ITER else 0.8
-        velocity = momentum * velocity - config.learning_rate * grad
+        momentum = 0.5 if it < _EARLY_ITERS else 0.8
+        velocity = momentum * velocity - _LEARNING_RATE * grad
         coords = coords + velocity
         record = (it + 1) % _KL_EVERY == 0 or it + 1 == config.iterations
         grad, p_log, z = _kl_pass_packed(p, blocks, coords, exaggeration(it + 1),

@@ -103,7 +103,6 @@ def gen_microarray(config: SynthConfig, latent: LatentFactors) -> ExpressionMatr
         patient_ids=patient_ids(config),
         gene_ids=gene_ids(config),
         values=values,
-        scale="linear",
     )
 
 
@@ -120,7 +119,6 @@ def gen_rnaseq(config: SynthConfig, latent: LatentFactors) -> ExpressionMatrix:
         patient_ids=patient_ids(config),
         gene_ids=gene_ids(config),
         values=values,
-        scale="linear",
     )
 
 

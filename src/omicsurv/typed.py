@@ -26,10 +26,11 @@ def _typed(key: str, value, kind):
 def read_section(raw: dict, name: str, spec: dict, build=dict):
     """``build(**values)`` over the mapping ``raw`` at dotted ``name``, its
     values typed by ``spec`` (``{key: (type, default)}`` or ``{key: (type,
-    default, bound)}``, ``bound`` as ``errors.check_bound`` reads it); a
-    missing or empty key takes its default, and a None value meets any bound.
-    An unknown key, a wrongly typed value, a value outside its bound or one
-    that ``build`` rejects is a ConfigError naming the key or the section."""
+    default, bound)}``, ``bound`` as ``errors.check_bound`` reads it; a list
+    value's bound is each item's); a missing or empty key takes its default,
+    and a None value meets any bound. An unknown key, a wrongly typed value,
+    a value or item outside its bound or one that ``build`` rejects is a
+    ConfigError naming the key (``key[i]`` for an item) or the section."""
     prefix = f"{name}." if name else ""
     unknown = sorted(set(raw) - set(spec), key=str)
     if unknown:
@@ -39,8 +40,12 @@ def read_section(raw: dict, name: str, spec: dict, build=dict):
               else _typed(prefix + key, raw[key], kind)
               for key, (kind, default, *_) in spec.items()}
     for key, (_, _, *bound) in spec.items():
-        if bound and values[key] is not None:
-            check_bound(prefix + key, values[key], *bound)
+        value = values[key]
+        if bound and isinstance(value, list):
+            for i, item in enumerate(value):
+                check_bound(f"{prefix}{key}[{i}]", item, *bound)
+        elif bound and value is not None:
+            check_bound(prefix + key, value, *bound)
     try:
         return build(**values)
     except ConfigError as exc:

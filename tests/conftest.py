@@ -4,12 +4,12 @@ import pytest
 from omicsurv.dataio import ClinicalRecord, ExpressionMatrix
 
 
-def expr(values, patients=None, genes=None, platform="test", scale="linear"):
+def expr(values, patients=None, genes=None, platform="test"):
     values = np.asarray(values, dtype=np.float64)
     patients = patients or [f"p{i}" for i in range(values.shape[0])]
     genes = genes or [f"g{j}" for j in range(values.shape[1])]
     return ExpressionMatrix(platform_id=platform, patient_ids=list(patients),
-                            gene_ids=list(genes), values=values, scale=scale)
+                            gene_ids=list(genes), values=values)
 
 
 def record(pid="p1", time=10.0, event=True, age=60.0, group=None):

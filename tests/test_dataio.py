@@ -1,4 +1,5 @@
 import csv
+import functools
 import math
 import os
 import threading
@@ -48,9 +49,17 @@ class TestLoadExpression:
         with pytest.raises(DataError, match="ragged row"):
             dataio.load_expression(p)
 
-    def test_negative_linear_value_rejected(self):
+    def test_negative_linear_value_rejected(self, tmp_path):
+        p = write(tmp_path / "e.csv", "patient_id,g1\np1,-1.0\n")
         with pytest.raises(DataError, match=">= 0"):
-            expr([[-1.0]])
+            dataio.load_expression(p, nonnegative=True)
+
+    def test_negative_value_accepted(self, tmp_path):
+        """A table on a log scale may hold negative values; only a caller that
+        takes log2 asks for them to be >= 0."""
+        p = write(tmp_path / "e.csv", "patient_id,g1,g2\np1,-1.5,0.25\n")
+        np.testing.assert_array_equal(dataio.load_expression(p).values, [[-1.5, 0.25]])
+        np.testing.assert_array_equal(expr([[-1.0]]).values, [[-1.0]])
 
 
 class TestLocatedErrors:
@@ -62,7 +71,8 @@ class TestLocatedErrors:
          "line 3, column 3: expression values must be finite, got nan"),
         (dataio.load_expression, "patient_id,g1,g2\n\np1,1,-inf\n",
          "line 3, column 3: expression values must be finite, got -inf"),
-        (dataio.load_expression, "patient_id,g1,g2\r\np1,1,2\r\np2,-3,4\r\n",
+        (functools.partial(dataio.load_expression, nonnegative=True),
+         "patient_id,g1,g2\r\np1,1,2\r\np2,-3,4\r\n",
          "line 3, column 2: linear-scale expression values must be >= 0, got -3.0"),
         (dataio.load_features, "patient_id,f1,f2\np1,1,inf\n",
          "line 2, column 3: feature values must be finite, got inf"),
@@ -337,12 +347,6 @@ class TestMerge:
         a = expr([[1.0]], ["p1"], ["g1"])
         b = expr([[1.0]], ["p2"], ["g2"])
         with pytest.raises(DataError, match="empty gene intersection"):
-            dataio.merge([a, b])
-
-    def test_scale_mismatch(self):
-        a = expr([[1.0]], ["p1"], ["g1"], scale="linear")
-        b = expr([[1.0]], ["p2"], ["g1"], scale="log2")
-        with pytest.raises(DataError, match="scale mismatch"):
             dataio.merge([a, b])
 
     def test_winning_source_values(self):

@@ -18,12 +18,15 @@ class TestLog2:
         m = expr([[0.0, 1.0, 3.0]])
         out = normalize.log2_transform(m)
         np.testing.assert_allclose(out.values, [[0.0, 1.0, 2.0]])
-        assert out.scale == "log2"
 
     def test_rejects_log2_input(self):
-        m = expr([[1.0]], scale="log2")
-        with pytest.raises(DataError):
+        """A log-scale table is rejected by the negative value it holds, which
+        log2(v + 1) cannot take; the message names platform, patient and gene."""
+        m = expr([[1.0, 0.5], [2.0, -0.25]], platform="micro")
+        with pytest.raises(DataError) as info:
             normalize.log2_transform(m)
+        assert str(info.value) == ("micro: patient 'p1', gene 'g1': "
+                                   "log2(v + 1) needs v >= 0, got -0.25")
 
 
 class TestQuantileMap:
@@ -85,12 +88,6 @@ class TestFsqn:
         with pytest.raises(DataError, match="identical gene-id sets"):
             normalize.fsqn(tgt, ref)
 
-    def test_scale_mismatch(self, rng):
-        ref = expr(rng.random((4, 2)), scale="log2")
-        tgt = expr(rng.random((4, 2)))
-        with pytest.raises(DataError, match="scale mismatch"):
-            normalize.fsqn(tgt, ref)
-
     def test_gene_order_independent(self, rng):
         values = rng.random((6, 3))
         ref = expr(values, genes=["g1", "g2", "g3"], platform="ref")
@@ -120,8 +117,8 @@ def _fsqn_tables(kind, n_genes):
     else:
         target = gen.gamma(2, 2, (23, n_genes))
     ref_genes = genes[::-1] if kind == "reordered" else genes
-    reference = expr(ref_values, genes=ref_genes, platform="ref", scale="log2")
-    return expr(target, genes=genes, platform="tgt", scale="log2"), reference
+    reference = expr(ref_values, genes=ref_genes, platform="ref")
+    return expr(target, genes=genes, platform="tgt"), reference
 
 
 class TestFsqnBlocks:
@@ -147,8 +144,8 @@ class TestFsqnBlocks:
 
     def test_peak_memory_is_blocked(self):
         gen = np.random.default_rng(3)
-        target = expr(gen.normal(0, 1, (400, 1500)), platform="tgt", scale="log2")
-        reference = expr(gen.normal(0, 1, (400, 1500)), platform="ref", scale="log2")
+        target = expr(gen.normal(0, 1, (400, 1500)), platform="tgt")
+        reference = expr(gen.normal(0, 1, (400, 1500)), platform="ref")
         tracemalloc.start()
         try:
             out = normalize.fsqn(target, reference)
@@ -163,8 +160,8 @@ class TestFsqnBlocks:
         one bool mask of it (1 MB here)."""
         monkeypatch.setattr(normalize, "_BLOCK_CELLS", 1 << 12)
         gen = np.random.default_rng(4)
-        target = expr(gen.normal(0, 1, (1000, 1000)), platform="tgt", scale="log2")
-        reference = expr(gen.normal(0, 1, (1000, 1000)), platform="ref", scale="log2")
+        target = expr(gen.normal(0, 1, (1000, 1000)), platform="tgt")
+        reference = expr(gen.normal(0, 1, (1000, 1000)), platform="ref")
         tracemalloc.start()
         try:
             values = normalize.fsqn(target, reference).values
@@ -232,12 +229,11 @@ class TestIntegrate:
         gen = np.random.default_rng(7)
         genes = [f"g{j}" for j in range(5)]
         ref = expr(gen.normal(0, 1, (300, 5)), genes=genes, platform="r",
-                   scale="log2",
                    patients=[f"r{i}" for i in range(300)])
         s1 = expr(gen.gamma(2, 2, (300, 5)), genes=genes, platform="a",
-                  scale="log2", patients=[f"a{i}" for i in range(300)])
+                  patients=[f"a{i}" for i in range(300)])
         s2 = expr(gen.exponential(3, (300, 5)), genes=genes, platform="b",
-                  scale="log2", patients=[f"b{i}" for i in range(300)])
+                  patients=[f"b{i}" for i in range(300)])
         out = normalize.integrate([ref, s1, s2], 0)
         a_rows = [i for i, p in enumerate(out.patient_ids) if p.startswith("a")]
         b_rows = [i for i, p in enumerate(out.patient_ids) if p.startswith("b")]
@@ -252,5 +248,4 @@ def _restrict_like(m, reference):
     idx = np.array([pos[g] for g in reference.gene_ids])
     return dataio.ExpressionMatrix(
         platform_id=m.platform_id, patient_ids=m.patient_ids,
-        gene_ids=list(reference.gene_ids), values=m.values[:, idx].copy(),
-        scale=m.scale)
+        gene_ids=list(reference.gene_ids), values=m.values[:, idx].copy())

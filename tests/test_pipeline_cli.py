@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import json
@@ -71,8 +72,9 @@ class TestLoadConfig:
     def test_negative_horizon_rejected_before_work(self, tmp_path):
         data = make_cohort(tmp_path)
         path = write_config(tmp_path, data, labels={"horizons": [-5]})
-        with pytest.raises(ConfigError, match="positive"):
+        with pytest.raises(ConfigError) as info:
             pipeline.load_config(path)
+        assert str(info.value) == "labels.horizons[0] must be > 0, got -5.0"
 
     def test_no_models(self, tmp_path):
         data = make_cohort(tmp_path)
@@ -103,6 +105,45 @@ class TestLoadConfig:
         config = pipeline.load_config(write_config(tmp_path, data))
         with pytest.raises(ConfigError, match="reference index 5"):
             dataclasses.replace(config, reference=5)
+
+
+def config_error(dotted, value):
+    """The ConfigError message of a config that sets only ``dotted``."""
+    for part in reversed(dotted.split(".")):
+        value = {part: value}
+    with pytest.raises(ConfigError) as info:
+        pipeline._config_from_dict(value)
+    return str(info.value)
+
+
+def accepted_config_keys(section=""):
+    """The dotted keys ``_config_from_dict`` accepts, read from the valid keys
+    that each section's unknown-key error lists; a list of mappings
+    (``models``, ``data.sources``) is one key."""
+    prefix = f"{section}." if section else ""
+    message = config_error(f"{prefix}no_such_key", 1)
+    assert message.startswith(f"unknown config key '{prefix}no_such_key'"), message
+    keys = []
+    for key in ast.literal_eval(message.split("valid keys: ")[1]):
+        if config_error(f"{prefix}{key}.no_such_key", 1).startswith("unknown config key"):
+            keys += accepted_config_keys(prefix + key)
+        else:
+            keys.append(prefix + key)
+    return keys
+
+
+def test_readme_config_table_matches_reader():
+    """The key column of the README's experiment config table lists every
+    key the config reader accepts, and no other."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    start = lines.index("| key | type | default |") + 2
+    documented = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        documented.append(line.split("|")[1].strip().strip("`"))
+    assert sorted(documented) == sorted(accepted_config_keys())
 
 
 class TestRunExperiment:
@@ -473,15 +514,15 @@ def cohort(tmp_path_factory):
     ("models", [{"family": "rp_ensemble",
                  "params": {"selection_holdout_fraction": "uniform:0.5,1.5"}}],
      "rp_ensemble: selection_holdout_fraction must lie in (0,1)"),
-    ("labels.horizons", [float("nan")], "label horizons must be positive"),
+    ("labels.horizons", [float("nan")],
+     "config error: labels.horizons[0] must be > 0, got nan\n"),
     ("models", [{"family": "svm_rbf", "params": {"gamma": "uniform:5,1"}}],
      "config error: models[0]: gamma: uniform needs low <= high, got 5.0,1.0\n"),
     ("data.tsne", {"iterations": 0},
      "config error: data.tsne: iterations must be >= 1, got 0\n"),
-    ("data.tsne", {"early_exaggeration_iters": -1},
-     "config error: data.tsne: early_exaggeration_iters must be >= 0, got -1\n"),
-    ("data.tsne", {"learning_rate": float("nan")},
-     "config error: data.tsne: learning_rate must be > 0, got nan\n"),
+    ("search.budget", 0, "config error: search.budget must be >= 1, got 0\n"),
+    ("models", [{"family": "gaussian_nb", "budget": 0}],
+     "config error: models[0].budget must be >= 1, got 0\n"),
     ("labels.horizons", [60, 30, 60.0],
      "config error: labels.horizons[2]: 60.0 is already listed at labels.horizons[0]\n"),
     ("data.projection_dims", [2, 2],
@@ -495,6 +536,12 @@ def cohort(tmp_path_factory):
      "config error: models[0]: C: loguniform needs a finite high, got 1.0,inf\n"),
     ("cv.stratified", False,
      "config error: unknown config key 'cv.stratified'; valid keys: ['k_folds']\n"),
+    ("data.projection_dims", [3, 0],
+     "config error: data.projection_dims[1] must be >= 1, got 0\n"),
+    ("labels.horizons", [], "config error: config lists no label horizons\n"),
+    ("data.tsne", {"learning_rate": 200.0},
+     "config error: unknown config key 'data.tsne.learning_rate'; "
+     "valid keys: ['iterations', 'perplexity']\n"),
 ])
 def test_report_config_error_before_any_work(tmp_path, cohort, capsys,
                                              key, value, named):
@@ -591,6 +638,74 @@ def test_report_missing_source_is_data_error_naming_the_file(tmp_path, cohort, c
                    "No such file or directory\n")
     manifest = json.loads((tmp_path / "out" / "MANIFEST.json").read_text())
     assert manifest["complete"] is False and str(missing) in manifest["error"]
+
+
+def write_log_scale_sources(tmp_path, cohort):
+    """Centred log2 tables of the cohort's two platforms, on disjoint halves
+    of its patients: a log-scale source with negative cells, as a lab
+    publishes one."""
+    paths = []
+    for name, rows in (("microarray", slice(0, 30)), ("rnaseq", slice(30, None))):
+        m = dataio.load_expression(cohort / f"{name}.csv")
+        values = np.log2(m.values[rows] + 1.0)
+        values -= values.mean(axis=0)
+        paths.append(tmp_path / f"{name}_log.csv")
+        dataio.save_expression(dataio.ExpressionMatrix(
+            name, m.patient_ids[rows], m.gene_ids, values), paths[-1])
+    return paths
+
+
+def log_scale_config(tmp_path, cohort, paths, log2):
+    path = write_config(tmp_path, cohort, models=[{"family": "gaussian_nb"}])
+    config = yaml.safe_load(path.read_text(encoding="utf-8"))
+    config["data"]["sources"] = [{"path": str(p), "name": p.stem} for p in paths]
+    config["data"]["log2"] = log2
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    return path
+
+
+def test_report_without_log2_reads_log_scale_sources(tmp_path, cohort, monkeypatch):
+    """With ``log2: false`` a negative cell is a log-scale value, and the raw
+    variant's expression columns are the FSQN integration of the sources."""
+    paths = write_log_scale_sources(tmp_path, cohort)
+    built = []
+    build_features = dataio.build_features
+
+    def recording(*args, **kwargs):
+        built.append(build_features(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(dataio, "build_features", recording)
+    path = log_scale_config(tmp_path, cohort, paths, log2=False)
+    assert cli.main(["report", "--config", str(path)]) == 0
+    sources = [dataio.load_expression(p, platform_id=p.stem) for p in paths]
+    assert min(s.values.min() for s in sources) < 0
+    want = normalize.integrate(sources, 0)
+    raw = built[0]
+    want = dataio.subset_patients(want, raw.patient_ids)
+    assert raw.feature_names[:want.n_genes] == want.gene_ids
+    assert raw.values[:, :want.n_genes].tobytes() == want.values.tobytes()
+
+
+def test_report_with_log2_rejects_a_negative_cell_naming_it(tmp_path, cohort, capsys):
+    paths = write_log_scale_sources(tmp_path, cohort)
+    path = log_scale_config(tmp_path, cohort, paths, log2=True)
+    assert cli.main(["report", "--config", str(path)]) == 3
+    values = dataio.load_expression(paths[0]).values
+    row, col = np.argwhere(values < 0)[0]
+    assert capsys.readouterr().err == (
+        f"data error: stage 'load' failed: {paths[0]}: line {row + 2}, column "
+        f"{col + 2}: linear-scale expression values must be >= 0, "
+        f"got {float(values[row, col])!r}\n")
+
+
+def test_merge_reads_log_scale_sources(tmp_path, cohort, capsys):
+    paths = write_log_scale_sources(tmp_path, cohort)
+    out = tmp_path / "merged.csv"
+    assert cli.main(["merge", *map(str, paths), "--output", str(out)]) == 0
+    assert "merged 60 patients" in capsys.readouterr().out
+    want, _ = dataio.merge([dataio.load_expression(p, platform_id=str(p)) for p in paths])
+    assert dataio.load_expression(out).values.tobytes() == want.values.tobytes()
 
 
 def test_report_missing_config_is_config_error_naming_the_file(tmp_path, capsys):

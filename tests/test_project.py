@@ -149,10 +149,10 @@ class TestTsne:
         b = project.tsne(features, config)
         assert (a.coords == b.coords).all()
 
-    def test_kl_trace_nonnegative_and_improves(self):
+    def test_kl_trace_nonnegative_and_improves(self, monkeypatch):
+        monkeypatch.setattr(project, "_EARLY_ITERS", 100)
         features, _ = self.blobs(n=60, dims=10)
-        config = project.TsneConfig(iterations=400, perplexity=10.0,
-                                    early_exaggeration_iters=100, seed=1)
+        config = project.TsneConfig(iterations=400, perplexity=10.0, seed=1)
         emb = project.tsne(features, config)
         assert (emb.kl_trace >= 0).all()
         # entry 1 is the KL after iteration 100
@@ -205,12 +205,6 @@ class TestTsne:
 @pytest.mark.parametrize("key, value, message", [
     ("perplexity", float("nan"), "perplexity must be > 0, got nan"),
     ("perplexity", 0.0, "perplexity must be > 0, got 0.0"),
-    ("learning_rate", float("nan"), "learning_rate must be > 0, got nan"),
-    ("learning_rate", -1.0, "learning_rate must be > 0, got -1.0"),
-    ("early_exaggeration_factor", float("nan"),
-     "early_exaggeration_factor must be >= 1, got nan"),
-    ("early_exaggeration_factor", 0.5,
-     "early_exaggeration_factor must be >= 1, got 0.5"),
     ("output_dims", 0, "output_dims must be >= 1, got 0"),
 ])
 def test_tsne_config_rejects_out_of_range(key, value, message):

@@ -280,11 +280,11 @@ def _ref_tsne(features, config):
     trace = np.empty(config.iterations)
     q, num = _ref_q_matrix(coords)
     for it in range(config.iterations):
-        exaggerate = it < config.early_exaggeration_iters
-        p_eff = p * config.early_exaggeration_factor if exaggerate else p
+        early = it < project._EARLY_ITERS
+        p_eff = p * project._EXAGGERATION if early else p
         grad = _ref_gradient(p_eff, q, num, coords)
-        momentum = 0.5 if it < project._MOMENTUM_SWITCH_ITER else 0.8
-        velocity = momentum * velocity - config.learning_rate * grad
+        momentum = 0.5 if early else 0.8
+        velocity = momentum * velocity - project._LEARNING_RATE * grad
         coords = coords + velocity
         q, num = _ref_q_matrix(coords)
         trace[it] = _ref_kl(p_pos, q[mask])
@@ -662,8 +662,8 @@ def _tsne_table(n, seed, duplicated=0):
                          [f"g{j}" for j in range(12)], x)
 
 
-# (n, output_dims, iterations, early_exaggeration_iters, duplicated rows);
-# 300 iterations pass the momentum switch at 250
+# (n, output_dims, iterations, project._EARLY_ITERS, duplicated rows);
+# 300 iterations pass the end of the early phase at 250
 TSNE_CASES = [
     (40, 1, 60, 20, 0), (40, 2, 60, 20, 0), (40, 3, 60, 20, 0),
     (40, 15, 30, 10, 0),
@@ -681,11 +681,12 @@ def _assert_close(got, want, rtol=1e-12):
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
-def _tsne_config(n, dims, iterations, exaggerated):
+def _tsne_config(monkeypatch, n, dims, iterations, exaggerated):
+    """The config of a case; its early phase lasts ``exaggerated`` iterations."""
+    monkeypatch.setattr(project, "_EARLY_ITERS", exaggerated)
     return project.TsneConfig(output_dims=dims,
                               perplexity={5: 1.2, 40: 10.0}.get(n, 30.0),
-                              iterations=iterations,
-                              early_exaggeration_iters=exaggerated, seed=3)
+                              iterations=iterations, seed=3)
 
 
 @pytest.mark.parametrize("n, dims, iterations, exaggerated, duplicated", TSNE_CASES)
@@ -695,7 +696,7 @@ def test_tsne_matches_allocating_loop(monkeypatch, n, dims, iterations, exaggera
     their first iterations only; the full run must end on a trace entry that
     is ``kl_divergence`` of its coordinates."""
     features = _tsne_table(n, seed=n + dims, duplicated=duplicated)
-    config = _tsne_config(n, dims, iterations, exaggerated)
+    config = _tsne_config(monkeypatch, n, dims, iterations, exaggerated)
     p = project.input_affinities(features, config.perplexity)
 
     first = replace(config, iterations=1)
@@ -709,16 +710,16 @@ def test_tsne_matches_allocating_loop(monkeypatch, n, dims, iterations, exaggera
         _assert_close(project._kl_pass(p, at, 12.0)[0],
                       _ref_gradient(12.0 * p, q, num, at))
 
-    if iterations > project._MOMENTUM_SWITCH_ITER:
-        # the case that passes the momentum switch passes it within the
-        # compared iterations
-        monkeypatch.setattr(project, "_MOMENTUM_SWITCH_ITER", 2)
     # a run's last iteration is always recorded
     few = replace(config, iterations=min(iterations, 3))
+    if few.iterations < exaggerated < iterations:
+        # a case that passes the end of the early phase passes it within the
+        # compared iterations
+        monkeypatch.setattr(project, "_EARLY_ITERS", 2)
     ends = [project.tsne(features, replace(config, iterations=k)).kl_trace[-1]
             for k in range(1, few.iterations + 1)]
     np.testing.assert_allclose(ends, _ref_tsne(features, few)[1], rtol=1e-12, atol=0)
-    monkeypatch.undo()
+    monkeypatch.setattr(project, "_EARLY_ITERS", exaggerated)
 
     got = project.tsne(features, config)
     assert got.coords.shape == (n, dims)
@@ -737,7 +738,7 @@ def test_tsne_pass_does_not_depend_on_the_block_size(monkeypatch, dims, duplicat
     iterations."""
     n = 40
     features = _tsne_table(n, seed=dims + duplicated, duplicated=duplicated)
-    config = _tsne_config(n, dims, iterations=10, exaggerated=5)
+    config = _tsne_config(monkeypatch, n, dims, iterations=10, exaggerated=5)
     kl_pass, passes = project._kl_pass_packed, []
 
     def recording(packed, blocks, coords, exaggeration=1.0, *, with_kl=True):
@@ -773,7 +774,7 @@ def test_kl_trace_records_every_50th_and_the_last_iteration(monkeypatch, iterati
     """Only the passes after the recorded iterations take the KL term, and
     each entry is ``kl_divergence`` of the coordinates at its iteration."""
     features = _tsne_table(40, seed=4)
-    config = _tsne_config(40, 2, iterations, exaggerated=20)
+    config = _tsne_config(monkeypatch, 40, 2, iterations, exaggerated=20)
     kl_pass, with_kl = project._kl_pass_packed, []
 
     def counting(*args, **kwargs):
@@ -782,7 +783,7 @@ def test_kl_trace_records_every_50th_and_the_last_iteration(monkeypatch, iterati
 
     monkeypatch.setattr(project, "_kl_pass_packed", counting)
     got = project.tsne(features, config)
-    monkeypatch.undo()
+    monkeypatch.setattr(project, "_kl_pass_packed", kl_pass)
     # pass k follows iteration k; pass 0 gives the first gradient
     assert len(with_kl) == iterations + 1
     assert [k for k, on in enumerate(with_kl) if on] == recorded
@@ -910,12 +911,13 @@ def test_affinities_do_not_depend_on_the_block_size(monkeypatch, block):
     (0, 0.0, "failed to bracket bandwidth for point 0"),
     (7, 0.0, "did not reach perplexity tolerance for point 0"),
 ])
-def test_affinity_errors_name_the_first_failing_point(first, tol, message):
+def test_affinity_errors_name_the_first_failing_point(monkeypatch, first, tol, message):
     x = _clustered(60, 20, first)
     with pytest.raises(DataError, match=message):
         _ref_input_affinities(x, 5.0, tol)
+    monkeypatch.setattr(project, "_PERPLEXITY_TOL", tol)
     with pytest.raises(DataError, match=message):
-        project.input_affinities(x, 5.0, tol)
+        project.input_affinities(x, 5.0)
 
 
 # --- reference svm_rbf: SMO over Q with fresh masks and temporaries per step -
