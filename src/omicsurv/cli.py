@@ -125,7 +125,8 @@ def _cmd_project(args) -> int:
     )
     features = dataio.load_features(args.features)
     clinical = dataio.load_clinical(args.clinical) if args.append_age else None
-    dataio.save_expression(project.project_with_age(features, clinical, config),
+    dataio.save_expression(project.project_with_age(features, clinical, config,
+                                                    clinical_source=args.clinical),
                            args.output)
     return 0
 

@@ -1,5 +1,6 @@
 """Loading, validation and merging of matrix, clinical and labels tables;
-the one module that writes a table or aligns tables by id.
+the one module that writes a table or aligns tables by id, and the owner of
+``BLOCK_CELLS`` and ``block_slices``, the blocks of every memory-bounded pass.
 
 All tables are delimited UTF-8 text. Expression and CNA files share one
 layout: header ``patient_id,<gene>,<gene>,...`` with one row per patient.
@@ -157,8 +158,17 @@ class MergeReport:
     resolutions: dict[str, str] = field(default_factory=dict)
 
 
-# Cells of each block of rows that a value check scans, about.
-_CHECK_BLOCK_CELLS = 1 << 16
+# Cells of each block of a memory-bounded pass, about (512 KiB of float64): the
+# value checks, build_features, fsqn, the t-SNE distances, bandwidth search and
+# P, and the SVM kernel. No output file depends on it.
+BLOCK_CELLS = 1 << 16
+
+
+def block_slices(n: int, width: int, cells: int | None = None) -> list[slice]:
+    """Consecutive slices of ``range(n)``, all but the last of ``max(1, cells //
+    width)`` items, ``cells`` defaulting to ``BLOCK_CELLS`` as read at the call."""
+    step = max(1, (cells or BLOCK_CELLS) // max(width, 1))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 def _not_finite(block: np.ndarray) -> np.ndarray:
@@ -176,14 +186,13 @@ def _not_gistic(block: np.ndarray) -> np.ndarray:
 def _first_bad(values: np.ndarray, bad) -> tuple[int, int] | None:
     """The (row, column) of the first cell of the 2-D ``values``, in row-major
     order, where the mask ``bad`` gives for its block of rows is true; None if
-    there is none. ``bad`` sees about ``_CHECK_BLOCK_CELLS`` cells at a time,
-    so no mask of the whole table is made."""
-    step = max(1, _CHECK_BLOCK_CELLS // max(values.shape[1], 1))
-    for start in range(0, len(values), step):
-        mask = bad(values[start:start + step])
+    there is none. ``bad`` sees about ``BLOCK_CELLS`` cells at a time, so no
+    mask of the whole table is made."""
+    for rows in block_slices(len(values), values.shape[1]):
+        mask = bad(values[rows])
         if mask.any():
             i, j = divmod(int(np.argmax(mask)), mask.shape[1])
-            return start + i, j
+            return rows.start + i, j
     return None
 
 
@@ -492,7 +501,7 @@ def load_labels(path) -> dict[str, int]:
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 # Cells that one block of a matrix write formats, about; a block holds whole
-# rows, at least one.
+# rows, at least one. A write is faster at this size than at BLOCK_CELLS.
 _WRITE_BLOCK_CELLS = 1 << 14
 
 
@@ -536,12 +545,11 @@ def _write_matrix(path, col_ids, row_ids, values: np.ndarray) -> None:
     """Write the bytes csv.writer would. The header and the ids go through
     its quoting; the cells, a block of about ``_WRITE_BLOCK_CELLS`` at a
     time, through ``_row_cells``."""
-    step = max(1, _WRITE_BLOCK_CELLS // values.shape[1])
     with open(path, "wb") as fh:
         fh.write(_csv_line(["patient_id", *col_ids]).encode("utf-8"))
-        for start in range(0, len(row_ids), step):
-            cells = _row_cells(values[start:start + step])
-            fh.write(b"".join(piece for row_id, row in zip(row_ids[start:start + step], cells)
+        for rows in block_slices(len(row_ids), values.shape[1], _WRITE_BLOCK_CELLS):
+            cells = _row_cells(values[rows])
+            fh.write(b"".join(piece for row_id, row in zip(row_ids[rows], cells)
                               for piece in (_id_field(row_id), b",", row, b"\r\n")))
 
 
@@ -658,30 +666,34 @@ def subset_patients(matrix: ExpressionMatrix, patient_ids: list[str]) -> Express
     return replace(matrix, patient_ids=list(patient_ids), values=matrix.values[rows])
 
 
-# cells of each block of rows that build_features copies into its result
-_COPY_BLOCK_CELLS = 1 << 16
+def ages(clinical: list[ClinicalRecord], patient_ids: list[str],
+         clinical_source: str = "clinical records") -> list[float]:
+    """The age of each of ``patient_ids`` in ``clinical``, read from
+    ``clinical_source``, which a missing record or age names in its DataError."""
+    by_id = {r.patient_id: r.age_years for r in clinical}
+    for p in patient_ids:
+        if by_id.get(p) is None:
+            raise DataError(f"{clinical_source}: age missing for patient {p!r}")
+    return [by_id[p] for p in patient_ids]
 
 
 def build_features(expr: ExpressionMatrix, clinical: list[ClinicalRecord],
-                   include_age: bool = False,
-                   cna: CnaMatrix | None = None) -> FeatureMatrix:
+                   include_age: bool = False, cna: CnaMatrix | None = None,
+                   clinical_source: str = "clinical records") -> FeatureMatrix:
     """Assemble the model input: expression, then CNA (as reals), then age.
 
     Rows are restricted to patients present in every input actually used.
     Patients lacking a clinical record are dropped rather than imputed only
     when age is requested; without age the expression rows pass through.
     """
-    by_id = {r.patient_id: r for r in clinical}
     keep = list(expr.patient_ids)
     if cna is not None:
         in_cna = set(cna.patient_ids)
         keep = [p for p in keep if p in in_cna]
     if include_age:
-        present = [p for p in keep if p in by_id]
-        for p in present:
-            if by_id[p].age_years is None:
-                raise DataError(f"include_age requested but age missing for {p}")
-        keep = present
+        with_record = {r.patient_id for r in clinical}
+        keep = [p for p in keep if p in with_record]
+        age = ages(clinical, keep, clinical_source)
     if not keep:
         raise DataError("no patients shared across the provided inputs")
 
@@ -695,13 +707,12 @@ def build_features(expr: ExpressionMatrix, clinical: list[ClinicalRecord],
     # one (patients x features) array; each table's rows are taken into their
     # columns a block of rows at a time, the CNA rows cast to reals
     values = np.empty((len(keep), len(names)))
-    step = max(1, _COPY_BLOCK_CELLS // max(len(names), 1))
     col = 0
     for table, rows in sources:
         cols = slice(col, col + table.shape[1])
-        for start in range(0, len(keep), step):
-            values[start:start + step, cols] = table[rows[start:start + step]]
+        for block in block_slices(len(keep), len(names)):
+            values[block, cols] = table[rows[block]]
         col = cols.stop
     if include_age:
-        values[:, -1] = [by_id[p].age_years for p in keep]
+        values[:, -1] = age
     return FeatureMatrix(patient_ids=keep, feature_names=names, values=values)

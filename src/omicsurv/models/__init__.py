@@ -33,8 +33,8 @@ A module may also declare ``fit_folds(x, y, train_sets, params, seed,
 **options)``, which trains one state per row subset ``x[rows], y[rows]`` of
 one table, with the same bits as one ``fit`` per subset (``rp_ensemble``
 draws each group once for all subsets; the MLPs train equal-sized subsets as
-one stack). Its list stops at the lowest-numbered subset whose fit fails,
-which gets the exception it raised in place of a state. ``fit_folds`` below
+one stack). It hands out one state per subset in order, up to the lowest
+failing subset, and then raises that subset's error. ``fit_folds`` below
 calls the hook when the family has one and otherwise fits one subset at a
 time; cross-validation trains its folds through it.
 
@@ -209,8 +209,6 @@ def fit_folds(spec: ModelSpec, x: np.ndarray, y: np.ndarray, train_sets):
         states = (module.fit_folds(x, y, checked, params, spec.seed, **options)
                   if checked else [])
         for state in states:
-            if isinstance(state, Exception):
-                raise state
             yield TrainedModel(spec=spec, n_features=x.shape[1], state=state)
     except ConfigError as exc:
         raise ConfigError(f"{spec.family}: {exc}") from None

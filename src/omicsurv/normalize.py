@@ -6,7 +6,7 @@ points follow the (k + 0.5)/n convention with linear interpolation and
 endpoint clamping; ties get the average rank so tied inputs stay tied.
 
 ``quantile_map`` is the one-gene definition. ``fsqn`` computes the same bits
-a block of about ``_BLOCK_CELLS`` cells of genes at a time: it ranks the
+a block of about ``dataio.BLOCK_CELLS`` cells of genes at a time: it ranks the
 block's target rows and sorts its reference rows in one call each, then
 interpolates each gene at its sorted probability points (np.interp maps each
 point on its own, and its search is fastest on monotone points).
@@ -18,14 +18,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dataio import (ExpressionMatrix, _first_bad, _negative, common_genes, merge,
-                     positions)
+from .dataio import (ExpressionMatrix, _first_bad, _negative, block_slices, common_genes,
+                     merge, positions)
 from .errors import DataError
 from .ranks import average_ranks, sorted_average_ranks
-
-# cells of each block of genes that fsqn transposes, ranks and sorts (512 KiB
-# of float64: a block's temporaries stay small next to the output)
-_BLOCK_CELLS = 1 << 16
 
 
 def log2_transform(m: ExpressionMatrix) -> ExpressionMatrix:
@@ -75,9 +71,7 @@ def fsqn(target: ExpressionMatrix, reference: ExpressionMatrix) -> ExpressionMat
     n_r = reference.n_patients
     ref_probs = (np.arange(n_r) + 0.5) / n_r
     out = np.empty_like(target.values)
-    width = max(1, _BLOCK_CELLS // max(n_t, n_r))
-    for start in range(0, n_genes, width):
-        genes = slice(start, min(start + width, n_genes))
+    for genes in block_slices(n_genes, max(n_t, n_r)):
         order, probs = sorted_average_ranks(np.ascontiguousarray(target.values[:, genes].T))
         probs += 0.5
         probs /= n_t

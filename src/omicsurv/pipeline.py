@@ -185,11 +185,13 @@ def _stage(name: str):
 
 def _build_variants(config: ExperimentConfig, merged, clinical, cna) -> list[_Variant]:
     age_suffix = " age" if config.include_age else ""
-    raw = dataio.build_features(merged, clinical, include_age=config.include_age)
+    raw = dataio.build_features(merged, clinical, include_age=config.include_age,
+                                clinical_source=config.clinical_path)
     variants = [_Variant(descriptor=f"RNA raw{age_suffix}", features=raw)]
     if cna is not None:
         combined = dataio.build_features(merged, clinical,
-                                         include_age=config.include_age, cna=cna)
+                                         include_age=config.include_age, cna=cna,
+                                         clinical_source=config.clinical_path)
         variants.append(_Variant(descriptor=f"RNA+CNA raw{age_suffix}",
                                  features=combined))
     # the t-SNE variants' widths were checked with the config

@@ -2,15 +2,16 @@
 
 Input affinities use per-point Gaussian bandwidths found by bisection on the
 precision until each conditional's perplexity matches the target. One n x n
-buffer holds the distances, then the conditionals, then P. The embedding is
-optimized by plain gradient descent at learning rate 200, with momentum 0.5
-and 12-fold early exaggeration for the first 250 iterations (scikit-learn's
-schedule) and momentum 0.8 after. Initial coordinates are drawn per point
-from a generator keyed by (seed, patient-id hash), so permuting the input
-rows permutes the embedding identically.
+buffer holds the distances, then the conditionals, then P; each of these
+passes takes a block of about ``dataio.BLOCK_CELLS`` cells at a time. The
+embedding is optimized by plain gradient descent at learning rate 200, with
+momentum 0.5 and 12-fold early exaggeration for the first 250 iterations
+(scikit-learn's schedule) and momentum 0.8 after. Initial coordinates are
+drawn per point from a generator keyed by (seed, patient-id hash), so
+permuting the input rows permutes the embedding identically.
 
 Each iteration is one pass over the block pairs I <= J of P's upper triangle
-(blocks of about 128 rows, one block up to 191 points), which
+(tiles of about ``_PAIR_ROWS`` = 128 rows, one tile up to 191 points), which
 ``packed_affinities`` packs once, in place, so that each pair's block of P is
 contiguous. No other n x n array is built. For each pair, one GEMM of
 [y, 1, |y|^2 + 1] with [-2y, |y|^2, 1] gives 1 + d^2; its reciprocal gives the
@@ -39,14 +40,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import ClinicalRecord, FeatureMatrix
+from .dataio import ClinicalRecord, FeatureMatrix, ages, block_slices
 from .errors import ConfigError, DataError, check_bound
 
 _EPS = 1e-12
-# elements of each row-block temporary of the squared distances, the
-# bandwidth search and the t-SNE pass (512 KiB: a block stays in cache
-# through the passes made over it)
-_BLOCK_ELEMENTS = 1 << 16
+# rows of each tile of the t-SNE pass, about. The pass sums the forces and Z
+# one tile pair at a time, so the tile sets the embedding's bits; it is its
+# own constant, so that dataio.BLOCK_CELLS, which bounds the other passes'
+# temporaries, never moves an output bit
+_PAIR_ROWS = 128
 # the first _EARLY_ITERS iterations exaggerate P at momentum 0.5, the rest 0.8
 _LEARNING_RATE = 200.0
 _EXAGGERATION = 12.0
@@ -80,17 +82,11 @@ class Embedding:
     kl_trace: np.ndarray
 
 
-def _row_blocks(n: int, rows: int | None = None) -> list[slice]:
-    """Consecutive blocks of ``rows`` rows, ``_BLOCK_ELEMENTS // n`` by default."""
-    rows = rows or max(1, _BLOCK_ELEMENTS // n)
-    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
-
-
 def _sq_norms(a: np.ndarray) -> np.ndarray:
     """The squared Euclidean norm of each row of ``a``, summed a block of rows
     at a time; each row is reduced on its own, as np.sum(a * a, axis=1) does."""
     out = np.empty(len(a))
-    for rows in _row_blocks(len(a), max(1, _BLOCK_ELEMENTS // max(a.shape[1], 1))):
+    for rows in block_slices(len(a), a.shape[1]):
         block = a[rows]
         np.sum(block * block, axis=1, out=out[rows])
     return out
@@ -105,7 +101,7 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sq_b = sq_a if b is a else _sq_norms(b)
     out = np.matmul(a, b.T)
     out *= -2.0
-    for rows in _row_blocks(len(a), max(1, _BLOCK_ELEMENTS // max(len(b), 1))):
+    for rows in block_slices(len(a), len(b)):
         block = out[rows]
         np.add(sq_a[rows, None] + sq_b, block, out=block)
     return np.maximum(out, 0.0, out=out)
@@ -136,13 +132,12 @@ def _bandwidth_search(d2: np.ndarray, perplexity: float, tol: float) -> np.ndarr
     perp = np.empty(n)
     last = np.empty(n)
     lo, hi = np.zeros(n), np.ones(n)
-    block = max(1, _BLOCK_ELEMENTS // d2.shape[1])
 
     def evaluate(rows, beta):
         last[rows] = beta
-        for start in range(0, len(rows), block):
-            part = rows[start:start + block]
-            perp[part] = _conditional_rows(d2[part], beta[start:start + block])[1]
+        for block in block_slices(len(rows), d2.shape[1]):
+            part = rows[block]
+            perp[part] = _conditional_rows(d2[part], beta[block])[1]
 
     # expand each bracket until it contains the target perplexity
     rows = np.arange(n)
@@ -208,7 +203,8 @@ def input_affinities(features: FeatureMatrix | np.ndarray,
         flat[i * (n - 1):(i + 1) * (n - 1)] = np.concatenate(
             [flat[i * n:i * n + i], flat[i * n + i + 1:(i + 1) * n]])
     beta = _bandwidth_search(off, perplexity, _PERPLEXITY_TOL)
-    for block in _row_blocks(n):
+    row_blocks = block_slices(n, n)
+    for block in row_blocks:
         off[block] = _conditional_rows(off[block], beta[block])[0]
     for i in range(n - 1, -1, -1):
         row = flat[i * (n - 1):(i + 1) * (n - 1)].copy()
@@ -216,9 +212,8 @@ def input_affinities(features: FeatureMatrix | np.ndarray,
         flat[i * n + i] = 0.0
         flat[i * n + i + 1:(i + 1) * n] = row[i:]
     scale = 2.0 * n
-    blocks = _row_blocks(n)
-    for a, rows in enumerate(blocks):
-        for cols in blocks[a:]:
+    for a, rows in enumerate(row_blocks):
+        for cols in row_blocks[a:]:
             sym = p[rows, cols] + p[cols, rows].T
             sym /= scale
             p[rows, cols] = sym
@@ -227,11 +222,10 @@ def input_affinities(features: FeatureMatrix | np.ndarray,
 
 
 def _pair_blocks(n: int) -> list[slice]:
-    """Row blocks of the t-SNE pass: n cut into round(n / r) blocks of about
-    r = sqrt(_BLOCK_ELEMENTS) / 2 = 128 rows, so that up to 191 points are
-    one block."""
-    count = max(1, round(n / (math.isqrt(_BLOCK_ELEMENTS) // 2)))
-    return _row_blocks(n, -(-n // count))
+    """The tiles of the t-SNE pass: n cut into round(n / _PAIR_ROWS) tiles,
+    all of one size but the last, so that up to 191 points are one tile."""
+    count = max(1, round(n / _PAIR_ROWS))
+    return block_slices(n, 1, cells=-(-n // count))
 
 
 def _pack_pairs(p: np.ndarray, blocks: list[slice],
@@ -325,7 +319,7 @@ def _kl_pass(p: np.ndarray, coords: np.ndarray, exaggeration: float = 1.0, *,
 def _entropy_and_mass(p: np.ndarray) -> tuple[float, float]:
     """sum_{p>0} p log p and sum p, a row block at a time."""
     entropy = 0.0
-    for block in _row_blocks(p.shape[0]):
+    for block in block_slices(p.shape[0], p.shape[0]):
         pb = p[block]
         entropy += np.vdot(pb, np.log(pb, out=np.zeros_like(pb), where=pb > 0))
     return float(entropy), float(p.sum())
@@ -412,17 +406,15 @@ def tsne(features: FeatureMatrix, config: TsneConfig,
 def project_with_age(features: FeatureMatrix,
                      clinical: list[ClinicalRecord] | None,
                      config: TsneConfig,
-                     affinities: Affinities | None = None) -> FeatureMatrix:
+                     affinities: Affinities | None = None,
+                     clinical_source: str = "clinical records") -> FeatureMatrix:
     """t-SNE the features into columns ``tsne_k``, from ``affinities`` when
-    given (see ``tsne``); with clinical records, append the raw age column."""
+    given (see ``tsne``); with clinical records, append the raw age column.
+    A patient without an age is a DataError naming ``clinical_source``."""
     names = [f"tsne_{k}" for k in range(config.output_dims)]
     age_column = []
     if clinical is not None:
-        ages = {r.patient_id: r.age_years for r in clinical}
-        missing = [pid for pid in features.patient_ids if ages.get(pid) is None]
-        if missing:
-            raise DataError(f"age missing for patient {missing[0]}")
-        age_column = [np.array([[ages[pid]] for pid in features.patient_ids])]
+        age_column = [np.array(ages(clinical, features.patient_ids, clinical_source))[:, None]]
         names.append("age")
     values = np.hstack([tsne(features, config, affinities).coords, *age_column])
     return FeatureMatrix(patient_ids=list(features.patient_ids),

@@ -34,6 +34,7 @@ time, so their import cycle resolves in either order.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,18 +135,16 @@ class _Subset:
 
 def train(x: np.ndarray, y: np.ndarray, params: dict, seed: int) -> RpModel:
     (model,) = fit_folds(x, y, [np.arange(len(y))], params, seed)
-    if isinstance(model, Exception):
-        raise model
     return model
 
 
 def fit_folds(x: np.ndarray, y: np.ndarray, train_sets: list, params: dict,
-              seed: int) -> list:
-    """One ensemble per row subset ``x[rows], y[rows]`` of ``train_sets``, each
-    the bits of a separate ``train`` on that subset. A subset whose fit fails
-    drops out with every later one, and the list ends with the exception of
-    the lowest failing subset. An error that every subset would meet, such as
-    a failed draw, is raised."""
+              seed: int) -> Iterator[RpModel]:
+    """Yield one ensemble per row subset ``x[rows], y[rows]`` of ``train_sets``
+    in order, each the bits of a separate ``train`` on that subset, all fitted
+    at the first asked for. The ensembles before the lowest failing subset are
+    yielded, then its error is raised; an error that every subset would meet,
+    such as a failed draw, is raised first."""
     b1, b2, dim = params["b1_groups"], params["b2_per_group"], params["projected_dim"]
     m = x.shape[1]
     if dim > m:
@@ -163,7 +162,7 @@ def fit_folds(x: np.ndarray, y: np.ndarray, train_sets: list, params: dict,
         try:
             train_idx, hold_idx = _stratified_holdout(
                 y[rows], params["selection_holdout_fraction"], split_rng)
-        except Exception as exc:  # noqa: BLE001 - returned in its place
+        except Exception as exc:  # noqa: BLE001 - raised after the earlier ensembles
             failure = exc
             break
         subsets.append(_Subset(rows=rows, train=rows[train_idx], hold=rows[hold_idx],
@@ -181,12 +180,14 @@ def fit_folds(x: np.ndarray, y: np.ndarray, train_sets: list, params: dict,
         for i, sub in enumerate(subsets):
             try:
                 _fit_group(sub, g, stack, x, y, base_spec)
-            except Exception as exc:  # noqa: BLE001 - returned in its place
+            except Exception as exc:  # noqa: BLE001 - raised after the earlier ensembles
                 failure = exc
                 del subsets[i:]
                 break
-    fitted = [_ensemble(sub, x, y, params, seed) for sub in subsets]
-    return fitted if failure is None else fitted + [failure]
+    for sub in subsets:
+        yield _ensemble(sub, x, y, params, seed)
+    if failure is not None:
+        raise failure
 
 
 def _fit_group(sub: _Subset, g: int, stack: np.ndarray, x, y, base_spec) -> None:

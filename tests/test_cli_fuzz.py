@@ -1,4 +1,5 @@
-"""``normalize`` and ``merge`` on mutated copies of small synthetic tables:
+"""``normalize`` and ``merge`` on mutated copies of small synthetic tables,
+and ``km``, ``label`` and ``project --append-age`` on a mutated clinical file:
 every run ends in exit 0, 2 or 3, no exception escapes ``cli.main``, and a
 config or data error names the mutated file."""
 
@@ -22,7 +23,8 @@ def tables(tmp_path_factory):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["synth", "--n-patients", "6", "--n-genes", "4",
                          "--n-informative", "2", "--seed", "3", "--out-dir", str(out)]) == 0
-    return {name: (out / name).read_bytes() for name in ("microarray.csv", "rnaseq.csv")}
+    return {name: (out / name).read_bytes()
+            for name in ("microarray.csv", "rnaseq.csv", "clinical.csv")}
 
 
 def mutate(text: bytes, kind: str, data) -> bytes:
@@ -49,13 +51,12 @@ def mutate(text: bytes, kind: str, data) -> bytes:
     return b"".join(b",".join(row) + b"\r\n" for row in rows)
 
 
-def run_mutated(tmp, tables, data, argv_for):
-    """Write the tables, one of them mutated, run the command on them, and
-    check its exit code and message."""
-    names = sorted(tables)
-    mutated = data.draw(st.sampled_from(names))
+def run_mutated(tmp, tables, data, argv_for, mutable):
+    """Write the tables, one of ``mutable`` mutated, run the command on them,
+    and check its exit code and message."""
+    mutated = data.draw(st.sampled_from(mutable))
     kind = data.draw(st.sampled_from(MUTATIONS))
-    paths = {name: tmp / name for name in names}
+    paths = {name: tmp / name for name in tables}
     for name, path in paths.items():
         path.write_bytes(mutate(tables[name], kind, data) if name == mutated else tables[name])
     err = io.StringIO()
@@ -71,11 +72,34 @@ def run_mutated(tmp, tables, data, argv_for):
 def test_normalize_mutated_inputs(tmp_path_factory, tables, data):
     run_mutated(tmp_path_factory.mktemp("normalize"), tables, data, lambda paths, out: [
         "normalize", "--target", paths["rnaseq.csv"],
-        "--reference", paths["microarray.csv"], "--log2", "--output", out])
+        "--reference", paths["microarray.csv"], "--log2", "--output", out],
+        ["microarray.csv", "rnaseq.csv"])
 
 
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_merge_mutated_inputs(tmp_path_factory, tables, data):
     run_mutated(tmp_path_factory.mktemp("merge"), tables, data, lambda paths, out: [
-        "merge", paths["microarray.csv"], paths["rnaseq.csv"], "--output", out])
+        "merge", paths["microarray.csv"], paths["rnaseq.csv"], "--output", out],
+        ["microarray.csv", "rnaseq.csv"])
+
+
+CLINICAL_COMMANDS = {
+    "km": lambda paths, out: ["km", "--clinical", paths["clinical.csv"], "--output", out],
+    "km_groups": lambda paths, out: ["km", "--clinical", paths["clinical.csv"],
+                                     "--group-by", "--output", out],
+    "label": lambda paths, out: ["label", "--clinical", paths["clinical.csv"],
+                                 "--t", "60", "--output", out],
+    "project": lambda paths, out: [
+        "project", "--features", paths["microarray.csv"], "--dims", "2",
+        "--iterations", "5", "--perplexity", "1", "--append-age",
+        "--clinical", paths["clinical.csv"], "--output", out],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLINICAL_COMMANDS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_clinical_mutated_inputs(tmp_path_factory, tables, command, data):
+    run_mutated(tmp_path_factory.mktemp(command), tables, data,
+                CLINICAL_COMMANDS[command], ["clinical.csv"])

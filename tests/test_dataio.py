@@ -145,6 +145,19 @@ class TestMatrixChecks:
             dataio.FeatureMatrix(["p1"], ["f1", "f2"], np.array([[1.0, bad]]))
 
 
+    @pytest.mark.parametrize("n, width, cells, sizes", [
+        (5, 3, 7, [2, 2, 1]), (5, 10, 7, [1] * 5), (5, 0, 7, [5]), (4, 1, 100, [4]),
+        (0, 3, 7, [])])
+    def test_block_slices_cover_the_range_in_order(self, n, width, cells, sizes):
+        blocks = dataio.block_slices(n, width, cells)
+        assert [b.stop - b.start for b in blocks] == sizes
+        assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+
+    def test_block_slices_read_block_cells_when_called(self, monkeypatch):
+        monkeypatch.setattr(dataio, "BLOCK_CELLS", 6)
+        assert dataio.block_slices(5, 3) == [slice(0, 2), slice(2, 4), slice(4, 5)]
+
+
 class TestCna:
     def test_all_neutral_valid(self):
         m = dataio.CnaMatrix(["p1"], ["g1", "g2"],
@@ -467,13 +480,19 @@ class TestBuildFeatures:
         assert f.values.tobytes() == want.tobytes()
         # the result, FeatureMatrix's finiteness mask (a byte a cell) and one
         # block of rows, not a second copy of the result
-        assert peak < f.values.nbytes + f.values.size + 2 * 8 * dataio._COPY_BLOCK_CELLS
+        assert peak < f.values.nbytes + f.values.size + 2 * 8 * dataio.BLOCK_CELLS
 
     def test_missing_age_raises(self):
         e = expr([[1.0]], ["p1"], ["g1"])
         with pytest.raises(DataError, match="age missing"):
             dataio.build_features(e, [record("p1", age=None)],
                                   include_age=True)
+
+    def test_missing_age_names_the_clinical_source(self):
+        e = expr([[1.0], [2.0]], ["p1", "p2"], ["g1"])
+        with pytest.raises(DataError, match="^c.csv: age missing for patient 'p2'$"):
+            dataio.build_features(e, [record("p1", age=50.0), record("p2", age=None)],
+                                  include_age=True, clinical_source="c.csv")
 
 
 class TestSubsetPatients:

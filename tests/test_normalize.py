@@ -134,7 +134,7 @@ class TestFsqnBlocks:
                 continue
             target, reference = _fsqn_tables(kind, n_genes)
             rows = max(target.n_patients, reference.n_patients)
-            monkeypatch.setattr(normalize, "_BLOCK_CELLS", per_row * rows)
+            monkeypatch.setattr(dataio, "BLOCK_CELLS", per_row * rows)
             out = normalize.fsqn(target, reference).values
             ref_cols = dataio.positions(reference.gene_ids, target.gene_ids, "genes")
             for j, col in enumerate(ref_cols):
@@ -158,7 +158,7 @@ class TestFsqnBlocks:
         """The output's values are checked a block of rows at a time, so with
         small gene blocks the peak beyond the output stays below the size of
         one bool mask of it (1 MB here)."""
-        monkeypatch.setattr(normalize, "_BLOCK_CELLS", 1 << 12)
+        monkeypatch.setattr(dataio, "BLOCK_CELLS", 1 << 12)
         gen = np.random.default_rng(4)
         target = expr(gen.normal(0, 1, (1000, 1000)), platform="tgt")
         reference = expr(gen.normal(0, 1, (1000, 1000)), platform="ref")

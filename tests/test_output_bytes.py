@@ -254,6 +254,49 @@ def test_report_projects_every_dimension_from_one_p(tmp_path, monkeypatch):
     }
 
 
+def _written_at_block_size(d, cells):
+    """{path: bytes} of every file that synth, normalize --log2, project
+    --append-age and a report with CNA and one t-SNE variant write in ``d``,
+    with ``dataio.BLOCK_CELLS`` at ``cells`` (its own value when None)."""
+    d.mkdir()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(d)
+        if cells is not None:
+            mp.setattr(dataio, "BLOCK_CELLS", cells)
+
+        def run(*argv):
+            assert cli.main([str(a) for a in argv]) == 0, argv
+
+        run("synth", "--n-patients", 40, "--n-genes", 20, "--n-informative", 2,
+            "--censoring", 0.2, "--seed", 1, "--out-dir", "data")
+        run("normalize", "--target", "data/rnaseq.csv", "--reference",
+            "data/microarray.csv", "--log2", "--output", "normalized.csv")
+        run("project", "--features", "normalized.csv", "--dims", 2, "--iterations", 60,
+            "--perplexity", 5, "--append-age", "--clinical", "data/clinical.csv",
+            "--output", "projected.csv")
+        config = {
+            "data": {"sources": [{"path": "data/microarray.csv", "name": "micro"},
+                                 {"path": "data/rnaseq.csv", "name": "rna"}],
+                     "clinical": "data/clinical.csv", "cna": "data/cna.csv",
+                     "projection_dims": [2], "tsne": {"perplexity": 5, "iterations": 60}},
+            "models": [{"family": "gaussian_nb"}],
+            "cv": {"k_folds": 3}, "output": "out"}
+        Path("config.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
+        run("report", "--config", "config.yaml")
+    return {path.relative_to(d).as_posix(): path.read_bytes()
+            for path in sorted(d.rglob("*")) if path.is_file()}
+
+
+def test_no_output_byte_depends_on_the_block_size(tmp_path):
+    """BLOCK_CELLS bounds the memory of the value checks, FSQN and t-SNE's
+    distances, bandwidth search and P; at 7 cells (one row or gene a block)
+    and at 300 every file keeps its bytes."""
+    want = _written_at_block_size(tmp_path / "default", None)
+    assert {"normalized.csv", "projected.csv", "out/report.csv"} <= set(want)
+    for cells in (7, 300):
+        assert _written_at_block_size(tmp_path / str(cells), cells) == want
+
+
 def _omicsurv(*argv, cwd, **env):
     """Run the CLI in a fresh process with ``env`` exported on top of ours."""
     environ = dict(os.environ, PYTHONPATH=str(Path(omicsurv.__file__).parents[1]),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from omicsurv import project
+from omicsurv import dataio, project
 from omicsurv.dataio import FeatureMatrix
 from omicsurv.errors import ConfigError, DataError
 
@@ -181,7 +181,7 @@ class TestTsne:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < d2.nbytes + 4 * 8 * project._BLOCK_ELEMENTS
+        assert peak < d2.nbytes + 4 * 8 * dataio.BLOCK_CELLS
 
     def test_iterations_hold_less_than_one_more_square_matrix(self):
         """The loop keeps P and O(block * n): no exaggerated copy of P, no

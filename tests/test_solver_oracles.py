@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from omicsurv import evaluation, models, project, ranks, rpensemble
+from omicsurv import dataio, evaluation, models, project, ranks, rpensemble
 from omicsurv.dataio import FeatureMatrix
 from omicsurv.errors import DataError
 from omicsurv.models import forest, gaussian_nb, logistic, mlp, svm
@@ -754,7 +754,7 @@ def test_tsne_pass_does_not_depend_on_the_block_size(monkeypatch, dims, duplicat
     assert len(passes) == 11
     p = project.input_affinities(features, config.perplexity)
     for rows in (1, 7, n - 1, 3 * n):
-        blocks = project._row_blocks(n, rows)
+        blocks = [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
         packed = project._pack_pairs(p, blocks)
         for coords, exaggeration, (grad, p_log, z) in passes:
             got_grad, got_p_log, got_z = kl_pass(packed, blocks, coords, exaggeration,
@@ -796,7 +796,7 @@ def test_kl_trace_records_every_50th_and_the_last_iteration(monkeypatch, iterati
 
 def test_pair_packing_holds_each_upper_block_once():
     p = np.arange(49.0).reshape(7, 7)
-    blocks = project._row_blocks(7, 3)
+    blocks = [slice(0, 3), slice(3, 6), slice(6, 7)]
     want = np.concatenate([p[rows, cols].ravel() for a, rows in enumerate(blocks)
                            for cols in blocks[a:]])
     assert project._pack_pairs(p, blocks).tobytes() == want.tobytes()
@@ -898,7 +898,7 @@ def test_affinities_match_point_by_point_search(n, perplexity, duplicated):
 @pytest.mark.parametrize("block", [1, 150, 1000])
 def test_affinities_do_not_depend_on_the_block_size(monkeypatch, block):
     # 59 off-diagonal distances per row: one row, two and 16 rows per block
-    monkeypatch.setattr(project, "_BLOCK_ELEMENTS", block)
+    monkeypatch.setattr(dataio, "BLOCK_CELLS", block)
     x = _tsne_table(60, seed=15, duplicated=8).values
     assert project.input_affinities(x, 10.0).tobytes() == _ref_input_affinities(
         x, 10.0).tobytes()
@@ -1032,7 +1032,7 @@ def test_svm_default_fit_converges_in_the_reference_steps():
 
 @pytest.mark.parametrize("block", [1 << 16, 7, 100])
 def test_rbf_kernel_matches_fresh_temporaries(monkeypatch, block):
-    monkeypatch.setattr(project, "_BLOCK_ELEMENTS", block)
+    monkeypatch.setattr(dataio, "BLOCK_CELLS", block)
     x = np.random.default_rng(12).normal(0, 2, (35, 20))
     x = np.vstack([x, x[:4]])
     k = svm.rbf_kernel(x, x, 0.05)
@@ -1191,7 +1191,7 @@ def test_rp_fit_folds_projects_each_subsets_own_rows(monkeypatch, dim):
     seen = []
     monkeypatch.setattr(models, "holdout_errors", lambda spec, z_tr, y_tr, z_ho, y_ho: (
         seen.append((z_tr, z_ho)) or np.zeros(len(z_tr))))
-    rpensemble.fit_folds(x, y, train_sets, params, 2)
+    list(rpensemble.fit_folds(x, y, train_sets, params, 2))
     for g in range(2):
         stack = rpensemble.sample_projections(301, dim, [
             np.random.default_rng(np.random.SeedSequence([2, g, b])) for b in range(4)])
